@@ -7,7 +7,15 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from ..instruments import camel_case
-from ..model import FAMILIES, Part, Score, counted_notes, note_count, sounding_measures
+from ..model import (
+    FAMILIES,
+    Part,
+    Score,
+    counted_notes,
+    governing_indices,
+    note_count,
+    sounding_measures,
+)
 
 # Engraver-default-style intensity levels on a 0-127 scale. Accent marks
 # (sfz and friends) sound at forte; extreme markings clamp to the ends.
@@ -146,14 +154,9 @@ def dynamics_features(part: Part, dmap: DynamicsMap = DEFAULT_DYNAMICS) -> dict:
     weights: dict[int, Fraction] = {}
     boundaries = [pos for pos, _ in marks]
     levels = [dmap.level(tok) for _, tok in marks]
-    for event in counted_notes(part):
-        idx = None
-        for i, pos in enumerate(boundaries):
-            if pos <= event.onset:
-                idx = i
-            else:
-                break
-        if idx is None:
+    notes = counted_notes(part)
+    for event, idx in zip(notes, governing_indices(boundaries, (e.onset for e in notes))):
+        if idx < 0:
             continue  # sounding before the first marking: no level in force
         weights[idx] = weights.get(idx, Fraction(0)) + event.duration
 

@@ -19,6 +19,7 @@ from ..model import (
     Part,
     Score,
     counted_notes,
+    governing_indices,
     melodic_line,
     merged_durations,
     midi_number,
@@ -290,22 +291,19 @@ def scale_degree_features(
     if annotations is None:
         annotations = score.annotations
     if annotations:
-        positions = [
-            (a.measure_index, a.beat, key_tonic_pc(a.local_key), key_mode(a.local_key))
-            for a in annotations
-        ]
+        keys = [(key_tonic_pc(a.local_key), key_mode(a.local_key)) for a in annotations]
+        governing = governing_indices(
+            [(a.measure_index, a.beat) for a in annotations],
+            [(e.measure_index, e.onset - score.measure_offset(e.measure_index)) for e in notes],
+        )
         local_degrees = []
-        for e in notes:
-            beat = e.onset - score.measure_offset(e.measure_index)
-            governing = None
-            for m, b, tonic, mode in positions:
-                if (m, b) <= (e.measure_index, beat):
-                    governing = (tonic, mode)
-                else:
-                    break
-            if governing is None or governing[0] is None or governing[1] is None:
+        for e, idx in zip(notes, governing):
+            if idx < 0:
                 continue
-            local_degrees.append(_degree_of(e.pitch.pitch_class, *governing))
+            tonic, mode = keys[idx]
+            if tonic is None or mode is None:
+                continue
+            local_degrees.append(_degree_of(e.pitch.pitch_class, tonic, mode))
         if local_degrees:
             out.update(_degree_fractions("LocalDegree", local_degrees))
     return out

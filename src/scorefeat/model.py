@@ -6,9 +6,11 @@ tuplets never accumulate floating-point error across a score.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from .harmony import HarmonicAnnotation
@@ -294,15 +296,24 @@ def melodic_line(part: Part, chord: str = "top") -> list[NoteEvent]:
     return line
 
 
+def governing_indices(positions: Sequence, queries: Iterable) -> list[int]:
+    """For each query, the index of the mark that governs it, or -1.
+
+    The rule is "the last mark at or before the query governs it", read as a
+    front-to-back scan over ``positions`` that stops at the first position
+    after the query. Marks are usually sorted; when they are not (a MusicXML
+    ``<offset>`` can move a mark before an earlier one), the scan's answer is
+    still kept: the governing index is the last one whose running maximum of
+    positions is at or before the query, found by bisection.
+    """
+    reach = list(accumulate(positions, max))
+    return [bisect_right(reach, q) - 1 for q in queries]
+
+
 def _governing_mark(marks, position):
-    """Last (position, value) mark at or before ``position``, or None."""
-    best = None
-    for pos, value in marks:
-        if pos <= position:
-            best = value
-        else:
-            break
-    return best
+    """Value of the (position, value) mark governing ``position``, or None."""
+    i = governing_indices([pos for pos, _ in marks], [position])[0]
+    return marks[i][1] if i >= 0 else None
 
 
 def slice_window(score: Score, start_measure: int, length: int) -> Score:

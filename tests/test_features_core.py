@@ -11,7 +11,8 @@ from scorefeat.features.core import (
     tempo_features,
 )
 from scorefeat.model import TempoMark, note_count
-from util import note, part, score
+from scorefeat.musicxml import parse_musicxml
+from util import musicxml_doc, note, part, score
 
 
 def _melody(n, dur=1, measure_of=None, sound="violin", ordinal=1, measures=None,
@@ -146,6 +147,25 @@ class TestDynamics:
         p = _melody(6, dynamics=[(0, "ppp"), (2, "fff"), (4, "mp")])
         out = dynamics_features(p)
         assert 16 <= out["DynMean"] <= 126
+
+    def test_unsorted_marks_from_negative_offset(self):
+        # p at beat 0 and ff at beat 3 of measure 1; a pp written in measure 2
+        # with <offset> -2 quarters sits at quarter 2, after ff in mark order.
+        quarters = lambda: [{"step": "C", "dur": 4} for _ in range(4)]
+        m1, m2 = quarters(), quarters()
+        m1[0]["dynamic"], m1[3]["dynamic"], m2[0]["dynamic"] = "p", "ff", "pp"
+        doc = musicxml_doc([("Violin", [m1, m2])]).replace(
+            b"<pp/></dynamics></direction-type>",
+            b"<pp/></dynamics></direction-type><offset>-8</offset>",
+        )
+        s, _ = parse_musicxml(doc)
+        p = s.parts[0]
+        assert [pos for pos, _ in p.dynamic_marks] == [0, 3, 2]
+        out = dynamics_features(p)
+        # front-to-back scan: quarters 0-2 stop at ff (3 > onset) and keep p;
+        # from quarter 3 on every mark is reached, so the last one, pp, governs
+        assert out["DynMean"] == pytest.approx((49 * 3 + 33 * 5) / 8)
+        assert out["DynRange"] == 112 - 33
 
     def test_map_validation(self):
         with pytest.raises(ValueError):

@@ -308,3 +308,18 @@ class TestScaleDegrees:
         assert out["LocalDegree_5_Frac"] == pytest.approx(1 / 6)
         assert out["LocalDegree_1_Frac"] == pytest.approx(4 / 6)
         assert out["LocalDegree_4_Frac"] == pytest.approx(1 / 6)
+
+    def test_local_key_with_annotations_out_of_order(self):
+        # Same score, annotations handed over G-first: a front-to-back scan
+        # stops at (5, 0) for measures 1-4, so those notes have no local key,
+        # and from measure 5 on the later C annotation governs.
+        events = [note("C", onset=4 * m, dur=4, measure=m + 1) for m in range(5)]
+        events.append(note("D", 4, onset=20, dur=4, measure=6))
+        s = score([part(events, measures=6)], measures=6)
+        anns = parse_harmony_file(
+            "measure\tbeat\tlabel\tkey\n1\t0\tI\tC\n5\t0\tI\tG\n"
+        )
+        s = attach_annotations(s, anns[::-1])
+        out = scale_degree_features(s.parts[0], s, (0, "major"))
+        assert out["LocalDegree_1_Frac"] == pytest.approx(1 / 2)
+        assert out["LocalDegree_2_Frac"] == pytest.approx(1 / 2)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorefeat.model import (
     PitchRangeError,
     SpelledPitch,
     WindowRangeError,
+    governing_indices,
     melodic_line,
     merged_durations,
     midi_number,
@@ -173,3 +174,34 @@ class TestSliceWindow:
         p = part(events, measures=4, dynamics=[(0, "p"), (12, "f")])
         w = slice_window(score([p], measures=4), 2, 2)
         assert w.parts[0].dynamic_marks == ((Fraction(4), "p"),)
+
+
+def _scan_governing(positions, query):
+    """Reference for governing_indices: the front-to-back scan that stops at
+    the first mark after the query."""
+    idx = -1
+    for i, pos in enumerate(positions):
+        if pos <= query:
+            idx = i
+        else:
+            break
+    return idx
+
+
+class TestGoverningIndices:
+    @given(st.lists(st.integers(0, 8)), st.lists(st.integers(-1, 9)))
+    @example([], [0])  # no marks at all
+    @example([2, 4], [0, 1])  # queries before the first mark
+    @example([3, 3, 5, 5], [3, 4, 5])  # ties resolve to the last equal mark
+    @example([0, 6, 2, 4, 9, 1], [1, 2, 5, 6, 8, 9])  # unsorted positions
+    def test_matches_front_to_back_scan(self, positions, queries):
+        expected = [_scan_governing(positions, q) for q in queries]
+        assert governing_indices(positions, queries) == expected
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.fractions(0, 4, max_denominator=4))),
+        st.lists(st.tuples(st.integers(1, 4), st.fractions(0, 4, max_denominator=4))),
+    )
+    def test_measure_beat_positions_match_scan(self, positions, queries):
+        expected = [_scan_governing(positions, q) for q in queries]
+        assert governing_indices(positions, queries) == expected
