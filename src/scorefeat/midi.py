@@ -171,7 +171,7 @@ def import_midi(
     prefer_flats = key_fifths is not None and key_fifths < 0
 
     measure_starts, time_signatures = _plan_measures(
-        sig_events, tpq, _max_end_tick(tracks), grid, diags
+        sig_events, tpq, *_last_ticks(tracks), grid, diags
     )
 
     parts = _build_parts(tracks, tpq, grid, measure_starts, prefer_flats, diags)
@@ -250,9 +250,11 @@ def _parse_track(body, track, tempo_events, sig_events, key_events, diags):
     track.end_tick = tick
 
 
-def _max_end_tick(tracks) -> int:
+def _last_ticks(tracks) -> tuple[int, int]:
+    """(last note-on tick, last note event tick) over all tracks."""
+    onsets = [t for tr in tracks for (t, _ch, _pitch, _vel, is_on) in tr.notes if is_on]
     ends = [t for tr in tracks for (t, *_rest) in tr.notes]
-    return max(ends, default=0)
+    return max(onsets, default=0), max(ends, default=0)
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -264,13 +266,20 @@ def _quantize(tick: int, tpq: int, grid: Fraction) -> Fraction:
     return steps * grid
 
 
-def _plan_measures(sig_events, tpq, max_end_tick, grid, diags):
-    """Measure start offsets (quarters) and the time-signature list."""
+def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, grid, diags):
+    """Measure start offsets (quarters) and the time-signature list.
+
+    After the last time signature, measures are planned while they start
+    before the last quantized end, or at or before the last quantized onset:
+    a final note that ends on a barline adds no empty measure, one whose onset
+    quantizes onto it still gets its own. There is always at least one.
+    """
     sigs = sorted({(t, n, d) for t, n, d in sig_events})
     if not sigs or sigs[0][0] > 0:
         sigs.insert(0, (0, 4, 4))
 
-    max_end = _quantize(max_end_tick, tpq, grid.grid)
+    last_onset = _quantize(last_onset_tick, tpq, grid.grid)
+    last_end = _quantize(last_end_tick, tpq, grid.grid)
     starts: list[Fraction] = []
     signatures: list[tuple[int, int, int]] = []
     for i, (tick, num, den) in enumerate(sigs):
@@ -283,12 +292,10 @@ def _plan_measures(sig_events, tpq, max_end_tick, grid, diags):
         signatures.append((len(starts) + 1, num, den))
         pos = seg_start
         while (seg_end is not None and pos < seg_end) or (
-            seg_end is None and (pos <= max_end or not starts)
+            seg_end is None and (pos < last_end or pos <= last_onset or not starts)
         ):
             starts.append(pos)
             pos += mlen
-            if seg_end is None and pos > max_end and starts:
-                break
     if not starts:
         starts = [Fraction(0)]
         signatures = [(1, 4, 4)]

@@ -46,6 +46,22 @@ class TestBasics:
         assert score.num_measures == 3
         assert [e.measure_index for e in score.parts[0].events] == [1, 2, 3]
 
+    def test_last_note_ending_on_barline_adds_no_measure(self):
+        notes = [(0, 480 * 4, 60, 64), (480 * 4, 480 * 8, 64, 64)]
+        score, _ = import_midi(midi_bytes([midi_meta_track(timesig=(4, 4))
+                                           + midi_note_events(notes)]))
+        assert score.num_measures == 2
+        assert score.parts[0].measure_count == 2
+
+    def test_onset_quantized_onto_final_barline_gets_a_measure(self):
+        # 1915..1925 snaps to onset 4, end 4 on the sixteenth grid: the note
+        # starts on the last quantized end and still needs measure 2
+        notes = [(0, 480 * 4, 60, 64), (1915, 1925, 64, 64)]
+        score, _ = import_midi(midi_bytes([midi_meta_track(timesig=(4, 4))
+                                           + midi_note_events(notes)]))
+        assert score.num_measures == 2
+        assert [e.measure_index for e in score.parts[0].events] == [1, 2]
+
     def test_tempo_meta_to_bpm(self):
         data = midi_bytes([midi_meta_track(tempo_bpm=90) + midi_note_events([(0, 480, 60, 64)])])
         score, _ = import_midi(data)
