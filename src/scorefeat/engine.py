@@ -11,7 +11,7 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -159,9 +159,14 @@ def run_hooks(score: Score, hooks: Sequence[Callable[[Score], Score]]) -> Score:
     return score
 
 
+def _stem(path: Path) -> str:
+    """File name without its last suffix: the score's ``source_id``."""
+    return path.name[: -len(path.suffix)] if path.suffix else path.name
+
+
 def _parse_bytes(path: Path, data: bytes):
     suffix = path.suffix.lower()
-    stem = path.name[: -len(path.suffix)] if path.suffix else path.name
+    stem = _stem(path)
     if suffix in (".xml", ".musicxml", ".mxl"):
         return (
             musicxml_parser.parse_musicxml(data, source_id=stem),
@@ -187,17 +192,22 @@ def load_or_parse(
     path, config: ExtractorConfig, report: Optional[RunReport] = None
 ) -> Score:
     """Cache-aware parse. Cached entries already carry hook effects, so hooks
-    are only run on a fresh parse; cache corruption falls back to reparsing."""
+    are only run on a fresh parse; an entry written under other hooks, or a
+    corrupt one, falls back to reparsing. Files with the same bytes share an
+    entry, so a hit takes its ``source_id`` from ``path``."""
     path = Path(path)
     data = path.read_bytes()
     parser_id, parser_version = _parser_identity(path)
     key = score_cache.cache_key(data, parser_id, parser_version)
 
     if config.cache_dir is not None:
-        cached = score_cache.load_score(config.cache_dir, key)
+        cached = score_cache.load_score(config.cache_dir, key, config.hooks)
         if cached is not None:
             if report:
                 report.count("cache_hits")
+            stem = _stem(path)
+            if cached.source_id != stem:
+                cached = replace(cached, source_id=stem)
             return cached
 
     (score, diags), _pid, _pver = _parse_bytes(path, data)
@@ -210,16 +220,15 @@ def load_or_parse(
     score = run_hooks(score, hooks)
 
     if config.cache_dir is not None:
-        score_cache.store_score(config.cache_dir, key, score)
+        score_cache.store_score(config.cache_dir, key, score, config.hooks)
         if report:
             report.count("cache_writes")
     return score
 
 
 def _find_harmony_file(path: Path, config: ExtractorConfig) -> Optional[Path]:
-    stem = path.name[: -len(path.suffix)] if path.suffix else path.name
     directory = config.harmony_dir if config.harmony_dir is not None else path.parent
-    candidate = directory / f"{stem}{HARMONY_SUFFIX}"
+    candidate = directory / f"{_stem(path)}{HARMONY_SUFFIX}"
     return candidate if candidate.is_file() else None
 
 

@@ -107,6 +107,18 @@ class TestCache:
         assert score.num_measures == 2
         assert load_score(config.cache_dir, key) == score  # rewritten
 
+    def test_entry_of_older_format_is_a_miss(self, tmp_path):
+        import pickle
+
+        from scorefeat.musicxml import parse_musicxml
+
+        score, _ = parse_musicxml(SIMPLE)
+        key = cache_key(SIMPLE, "musicxml", "1")
+        entry = cache_path(tmp_path, key)
+        entry.parent.mkdir(parents=True)
+        entry.write_bytes(b"MSF1" + pickle.dumps(score))
+        assert load_score(tmp_path, key) is None
+
     def test_store_is_atomic_layout(self, tmp_path):
         key = cache_key(b"x", "musicxml", "1")
         from scorefeat.musicxml import parse_musicxml
@@ -160,6 +172,26 @@ class TestHooks:
         cached = load_score(config.cache_dir, key)
         assert all(not e.grace for p in cached.parts for e in p.events)
 
+    def test_unhooked_run_misses_hooked_entry(self, tmp_path):
+        from dataclasses import replace
+
+        def drop_graces(score):
+            parts = tuple(
+                replace(p, events=tuple(e for e in p.events if not e.grace))
+                for p in score.parts
+            )
+            return replace(score, parts=parts)
+
+        register_hook("drop_graces", drop_graces)
+        f = tmp_path / "a.musicxml"
+        f.write_bytes(GRACED)
+        cache_dir = tmp_path / "cache"
+        load_or_parse(f, ExtractorConfig(cache_dir=cache_dir, hooks=["drop_graces"]))
+        report = RunReport()
+        score = load_or_parse(f, ExtractorConfig(cache_dir=cache_dir), report)
+        assert report.parsed == 1 and report.cache_hits == 0
+        assert any(e.grace for p in score.parts for e in p.events)
+
     def test_hook_failure_is_per_file(self, tmp_path):
         def boom(score):
             raise RuntimeError("bad hook")
@@ -189,6 +221,14 @@ class TestExtract:
         table = extract(ExtractorConfig(), paths)
         assert len(table.rows) == 2
         assert table.column("FileName") == ["s0", "s1"]
+
+    def test_cache_hit_keeps_its_own_file_name(self, tmp_path):
+        paths = [self._write(tmp_path, f"{stem}.musicxml", SIMPLE) for stem in "ab"]
+        report = RunReport()
+        config = ExtractorConfig(cache_dir=tmp_path / "cache", parallelism=1)
+        table = extract(config, paths, report=report)
+        assert report.cache_hits == 1
+        assert table.column("FileName") == ["a", "b"]
 
     def test_windowed_rows(self, tmp_path):
         measures = [[{"step": "C", "octave": 4, "dur": 16}] for _ in range(10)]
