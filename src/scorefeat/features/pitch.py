@@ -160,8 +160,11 @@ def ambitus_features(unit) -> dict:
 def interval_name(a, b) -> tuple[int, str]:
     """(signed semitones, quality+size name) between two spelled pitches.
 
-    The name is unsigned; direction lives in the semitone sign. Spelling
-    matters: C4->F#4 is A4 while C4->Gb4 is d5.
+    The semitones are the signed pitch distance b - a. The name is unsigned
+    and is measured in the direction the letter names move (by pitch for a
+    unison), so spelling matters: C4->F#4 is A4 while C4->Gb4 is d5. The two
+    directions can disagree: E#2->Fb2 rises by letter but falls by pitch, so
+    it is (-1, "dd2"), a doubly diminished second spanning -1 semitones.
     """
     semis = midi_number(b) - midi_number(a)
     dn = (STEP_ORDER.index(b.step) + 7 * b.octave) - (STEP_ORDER.index(a.step) + 7 * a.octave)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from statistics import correlation
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorefeat.features.pitch import (
@@ -20,7 +20,7 @@ from scorefeat.features.pitch import (
     scale_degree_features,
 )
 from scorefeat.harmony import parse_harmony_file, attach_annotations
-from scorefeat.model import SpelledPitch, midi_number
+from scorefeat.model import STEP_ORDER, SpelledPitch, midi_number
 from util import P, note, part, random_model_score, score
 
 MAJOR_PCS = (0, 2, 4, 5, 7, 9, 11)
@@ -189,9 +189,15 @@ class TestIntervals:
         st.builds(SpelledPitch, step=st.sampled_from("CDEFGAB"),
                   alter=st.integers(-1, 1), octave=st.integers(2, 6)),
     )
+    @example(P("E", 1, 2), P("F", -1, 2))  # letters rise, pitch falls: dd2
+    @example(P("C", -1, 3), P("B", 1, 2))  # letters fall, pitch rises: dd2
     def test_name_rederives_semitones(self, a, b):
-        # consistency oracle: unpack quality+size back into a semitone count
+        # consistency oracle: unpack quality+size back into a semitone count,
+        # measured along the letter direction (pitch direction for unisons)
         semis, name = interval_name(a, b)
+        letters = (STEP_ORDER.index(b.step) + 7 * b.octave) - (
+            STEP_ORDER.index(a.step) + 7 * a.octave)
+        direction = 1 if letters > 0 or (letters == 0 and semis >= 0) else -1
         quality = name.rstrip("0123456789")
         size = int(name[len(quality):])
         simple = ((size - 1) % 7) + 1
@@ -211,7 +217,7 @@ class TestIntervals:
                 delta = -len(quality) if simple in perfect else -len(quality) - 1
             else:
                 pytest.fail(f"unexpected quality {quality!r}")
-        assert abs(semis) == base + 12 * octaves + delta
+        assert semis * direction == base + 12 * octaves + delta
 
 
 class TestMelody:
