@@ -310,12 +310,6 @@ def governing_indices(positions: Sequence, queries: Iterable) -> list[int]:
     return [bisect_right(reach, q) - 1 for q in queries]
 
 
-def _governing_mark(marks, position):
-    """Value of the (position, value) mark governing ``position``, or None."""
-    i = governing_indices([pos for pos, _ in marks], [position])[0]
-    return marks[i][1] if i >= 0 else None
-
-
 def slice_window(score: Score, start_measure: int, length: int) -> Score:
     """Score view over measures [start_measure, start_measure + length - 1].
 
@@ -346,9 +340,9 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
         )
         marks = [(pos, tok) for pos, tok in part.dynamic_marks
                  if window_start <= pos < window_end]
-        governing = _governing_mark(part.dynamic_marks, window_start)
-        if governing is not None and (not marks or marks[0][0] > window_start):
-            marks.insert(0, (window_start, governing))
+        i = governing_indices([pos for pos, _ in part.dynamic_marks], [window_start])[0]
+        if i >= 0 and (not marks or marks[0][0] > window_start):
+            marks.insert(0, (window_start, part.dynamic_marks[i][1]))
         parts.append(replace(part, events=events, dynamic_marks=tuple(marks),
                              measure_count=eff_length))
 
