@@ -30,15 +30,6 @@ log = logging.getLogger(__name__)
 
 OUTPUT_FORMATS = ("csv", "jsonl")
 
-_EXTRACT_KEYS = {
-    "xml_dir", "harmony_dir", "features", "basic_modules", "window_size",
-    "window_overlap", "cache_dir", "hooks", "parallelism",
-}
-_PROCESS_KEYS = {
-    "replace_missing_with_zero", "drop_columns", "merge_groups", "keep_raw_after_merge",
-}
-_TOP_KEYS = {"extract", "process", "output", "format", "report", "log_level"}
-
 
 @dataclass
 class RunConfig:
@@ -85,6 +76,54 @@ def _merge_groups(value, keypath: str) -> list[MergeGroup]:
     return groups
 
 
+def _as_path(value, keypath: str) -> Path:
+    return Path(_expect(value, (str, Path), keypath))
+
+
+def _as_str(value, keypath: str) -> str:
+    return _expect(value, str, keypath)
+
+
+def _as_bool(value, keypath: str) -> bool:
+    return _expect(value, bool, keypath)
+
+
+# Config key -> (YAML section, converter). YAML keys and flag overrides both
+# go through this table; "" is the top level of the YAML file.
+_SETTINGS = {
+    **dict.fromkeys(("xml_dir", "harmony_dir", "cache_dir"), ("extract", _as_path)),
+    **dict.fromkeys(("features", "basic_modules", "hooks"), ("extract", _as_name_list)),
+    **dict.fromkeys(("window_size", "window_overlap", "parallelism"), ("extract", _as_int)),
+    **dict.fromkeys(("replace_missing_with_zero", "drop_columns"), ("process", _as_name_list)),
+    "merge_groups": ("process", _merge_groups),
+    "keep_raw_after_merge": ("process", _as_bool),
+    "output": ("", _as_path),
+    "format": ("", _as_str),
+    "report": ("", _as_path),
+    "log_level": ("", _as_str),
+}
+_SECTIONS = {"extract": "extractor", "process": "processor"}
+_TOP_ATTRS = {"output": "output_path", "format": "output_format", "report": "report_path"}
+
+
+def _apply(config: RunConfig, key: str, value, keypath: str) -> None:
+    section, convert = _SETTINGS[key]
+    target = getattr(config, _SECTIONS[section]) if section else config
+    setattr(target, _TOP_ATTRS.get(key, key), convert(value, keypath))
+
+
+def _apply_yaml(config: RunConfig, section: str, mapping) -> None:
+    _expect(mapping, dict, section or "config root")
+    for key, value in mapping.items():
+        keypath = f"{section}.{key}" if section else key
+        if not section and key in _SECTIONS:
+            _apply_yaml(config, key, value or {})
+        elif key in _SETTINGS and _SETTINGS[key][0] == section:
+            _apply(config, key, value, keypath)
+        else:
+            log.warning("unknown config key %r ignored", keypath)
+
+
 def load_config(yaml_path: Optional[Path], overrides: Optional[dict] = None) -> RunConfig:
     """defaults <- YAML <- flag overrides, later layers winning per key."""
     config = RunConfig()
@@ -95,82 +134,18 @@ def load_config(yaml_path: Optional[Path], overrides: Optional[dict] = None) -> 
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"bad YAML in {yaml_path}: {exc}") from exc
-        if raw is None:
-            raw = {}
-        _expect(raw, dict, "config root")
-        for key in raw:
-            if key not in _TOP_KEYS:
-                log.warning("unknown config key %r ignored", key)
-        _apply_extract(config.extractor, raw.get("extract") or {}, "extract")
-        _apply_process(config.processor, raw.get("process") or {}, "process")
-        if "output" in raw:
-            config.output_path = Path(_expect(raw["output"], str, "output"))
-        if "format" in raw:
-            config.output_format = _expect(raw["format"], str, "format")
-        if "report" in raw:
-            config.report_path = Path(_expect(raw["report"], str, "report"))
-        if "log_level" in raw:
-            config.log_level = _expect(raw["log_level"], str, "log_level")
+        _apply_yaml(config, "", raw if raw is not None else {})
 
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key in ("xml_dir", "harmony_dir", "cache_dir"):
-            setattr(config.extractor, key, Path(value))
-        elif key == "features":
-            config.extractor.features = _as_name_list(value, "--features")
-        elif key == "basic_modules":
-            config.extractor.basic_modules = _as_name_list(value, "--basic-modules")
-        elif key == "window_size":
-            config.extractor.window_size = value
-        elif key == "window_overlap":
-            config.extractor.window_overlap = value
-        elif key == "parallelism":
-            config.extractor.parallelism = value
-        elif key == "output":
-            config.output_path = Path(value)
-        elif key == "format":
-            config.output_format = value
-        elif key == "report":
-            config.report_path = Path(value)
-        elif key == "log_level":
-            config.log_level = value
-        else:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown override {key!r}")
+        _apply(config, key, value, f"--{key.replace('_', '-')}")
 
     if config.output_format not in OUTPUT_FORMATS:
         raise ConfigError(f"format must be one of {OUTPUT_FORMATS}, got {config.output_format!r}")
     return config
-
-
-def _apply_extract(extractor: ExtractorConfig, section, keypath: str) -> None:
-    _expect(section, dict, keypath)
-    for key, value in section.items():
-        path = f"{keypath}.{key}"
-        if key not in _EXTRACT_KEYS:
-            log.warning("unknown config key %r ignored", path)
-            continue
-        if key in ("xml_dir", "harmony_dir", "cache_dir"):
-            setattr(extractor, key, Path(_expect(value, str, path)))
-        elif key in ("features", "basic_modules", "hooks"):
-            setattr(extractor, key, _as_name_list(value, path))
-        elif key in ("window_size", "window_overlap", "parallelism"):
-            setattr(extractor, key, _as_int(value, path))
-
-
-def _apply_process(processor: ProcessorConfig, section, keypath: str) -> None:
-    _expect(section, dict, keypath)
-    for key, value in section.items():
-        path = f"{keypath}.{key}"
-        if key not in _PROCESS_KEYS:
-            log.warning("unknown config key %r ignored", path)
-            continue
-        if key in ("replace_missing_with_zero", "drop_columns"):
-            setattr(processor, key, _as_name_list(value, path))
-        elif key == "merge_groups":
-            processor.merge_groups = _merge_groups(value, path)
-        elif key == "keep_raw_after_merge":
-            processor.keep_raw_after_merge = bool(_expect(value, bool, path))
 
 
 class _Parser(argparse.ArgumentParser):

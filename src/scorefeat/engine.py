@@ -32,7 +32,17 @@ from .table import IDENTITY_COLUMNS, FeatureTable
 
 log = logging.getLogger(__name__)
 
-SCORE_EXTENSIONS = (".musicxml", ".xml", ".mxl", ".mid", ".midi")
+# Suffix -> parser module and the name of its parse function. The function is
+# looked up on the module at each call, so a patched module attribute is
+# the one the engine runs.
+_PARSERS = {
+    ".musicxml": (musicxml_parser, "parse_musicxml"),
+    ".xml": (musicxml_parser, "parse_musicxml"),
+    ".mxl": (musicxml_parser, "parse_musicxml"),
+    ".mid": (midi_importer, "import_midi"),
+    ".midi": (midi_importer, "import_midi"),
+}
+SCORE_EXTENSIONS = tuple(_PARSERS)
 HARMONY_SUFFIX = ".harmony.tsv"
 
 _SCOPED_PREFIXES = ("Part", "Sound", "Family", "Texture_", "Score_")
@@ -79,10 +89,6 @@ class ExtractorConfig:
                 raise ConfigError("window_overlap must satisfy 0 <= overlap < window_size")
         elif self.window_overlap:
             raise ConfigError("window_overlap requires window_size")
-        registry = feature_modules()
-        for name in self.requested_modules():
-            if name not in registry:
-                raise ConfigError(f"unknown feature module {name!r}")
         for hook in self.hooks:
             try:
                 get_hook(hook)
@@ -164,30 +170,6 @@ def _stem(path: Path) -> str:
     return path.name[: -len(path.suffix)] if path.suffix else path.name
 
 
-def _parse_bytes(path: Path, data: bytes):
-    suffix = path.suffix.lower()
-    stem = _stem(path)
-    if suffix in (".xml", ".musicxml", ".mxl"):
-        return (
-            musicxml_parser.parse_musicxml(data, source_id=stem),
-            musicxml_parser.PARSER_ID,
-            musicxml_parser.PARSER_VERSION,
-        )
-    if suffix in (".mid", ".midi"):
-        return (
-            midi_importer.import_midi(data, source_id=stem),
-            midi_importer.PARSER_ID,
-            midi_importer.PARSER_VERSION,
-        )
-    raise ConfigError(f"unsupported score file extension {suffix!r}")
-
-
-def _parser_identity(path: Path) -> tuple[str, str]:
-    if path.suffix.lower() in (".mid", ".midi"):
-        return midi_importer.PARSER_ID, midi_importer.PARSER_VERSION
-    return musicxml_parser.PARSER_ID, musicxml_parser.PARSER_VERSION
-
-
 def load_or_parse(
     path, config: ExtractorConfig, report: Optional[RunReport] = None
 ) -> Score:
@@ -196,9 +178,12 @@ def load_or_parse(
     corrupt one, falls back to reparsing. Files with the same bytes share an
     entry, so a hit takes its ``source_id`` from ``path``."""
     path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix not in _PARSERS:
+        raise ConfigError(f"unsupported score file extension {suffix!r}")
+    parser, parse_name = _PARSERS[suffix]
     data = path.read_bytes()
-    parser_id, parser_version = _parser_identity(path)
-    key = score_cache.cache_key(data, parser_id, parser_version)
+    key = score_cache.cache_key(data, parser.PARSER_ID, parser.PARSER_VERSION)
 
     if config.cache_dir is not None:
         cached = score_cache.load_score(config.cache_dir, key, config.hooks)
@@ -210,7 +195,7 @@ def load_or_parse(
                 cached = replace(cached, source_id=stem)
             return cached
 
-    (score, diags), _pid, _pver = _parse_bytes(path, data)
+    score, diags = getattr(parser, parse_name)(data, source_id=_stem(path))
     if report:
         report.count("parsed")
         for location, message in diags.warnings:

@@ -8,22 +8,10 @@ pass through untouched.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..harmony import key_mode, key_tonic_pc
-from ..instruments import camel_case
-from ..model import (
-    Part,
-    Score,
-    counted_notes,
-    merged_durations,
-    midi_number,
-    note_count,
-    sounding_measures,
-)
+from ..model import Part, Score
 from ..registry import FeatureModuleDescriptor, register_feature_module
 from .core import (
-    core_features,
     core_part,
     core_score,
     dynamics_features,
@@ -38,10 +26,8 @@ from .pitch import (
     interval_sequence,
     key_features,
     melody_features,
-    melody_from_intervals,
     scale_degree_features,
 )
-from .pitch import _pitched
 from .time import density_features, rhythm_features, texture_features
 
 STOCK_FEATURES = (
@@ -64,97 +50,6 @@ STOCK_FEATURES = (
 FEATURE_ALIASES = {"interval": "melody"}
 
 
-def _groups(score: Score):
-    for label, attr in (("Sound", "instrument_sound"), ("Family", "family")):
-        seen: dict[str, list[Part]] = {}
-        for part in score.parts:
-            seen.setdefault(getattr(part, attr), []).append(part)
-        for name, members in seen.items():
-            yield f"{label}{camel_case(name)}", members
-
-
-def _ambitus_all(score: Score, part_values, upstream) -> dict:
-    """Part, sound, family, and score ambitus off one extremes pass per part."""
-    extremes = {}  # part_id -> (lowest event, highest event)
-    for p in score.parts:
-        if not _pitched(p):
-            continue
-        lo = hi = None
-        for e in counted_notes(p):
-            m = midi_number(e.pitch)
-            if lo is None or m < lo[0]:
-                lo = (m, e)
-            if hi is None or m > hi[0]:
-                hi = (m, e)
-        if lo is not None:
-            extremes[p.part_id] = (lo, hi)
-
-    def emit(prefix: str, members) -> dict:
-        pairs = [extremes[p.part_id] for p in members if p.part_id in extremes]
-        if not pairs:
-            return {}
-        lo = min((p[0] for p in pairs), key=lambda t: t[0])
-        hi = max((p[1] for p in pairs), key=lambda t: t[0])
-        return {
-            f"{prefix}LowestMidi": lo[0],
-            f"{prefix}HighestMidi": hi[0],
-            f"{prefix}LowestName": lo[1].pitch.name,
-            f"{prefix}HighestName": hi[1].pitch.name,
-            f"{prefix}AmbitusSemitones": hi[0] - lo[0],
-        }
-
-    out = {}
-    for part in score.parts:
-        out.update(emit(f"Part{part.part_id}_", [part]))
-    for prefix, members in _groups(score):
-        out.update(emit(f"{prefix}_", members))
-    out.update(emit("", score.parts))  # score level
-    return out
-
-
-def _melody_all(score: Score, part_values, upstream) -> dict:
-    """Part, sound, and family melody features off one interval pass per part."""
-    sequences = {
-        p.part_id: interval_sequence(p) if _pitched(p) else [] for p in score.parts
-    }
-    out = {}
-    for part in score.parts:
-        values = melody_from_intervals(sequences[part.part_id])
-        out.update({f"Part{part.part_id}_{k}": v for k, v in values.items()})
-    for prefix, members in _groups(score):
-        pooled = [iv for p in members for iv in sequences[p.part_id]]
-        values = melody_from_intervals(pooled)
-        out.update({f"{prefix}_{k}": v for k, v in values.items()})
-    return out
-
-
-def _density_all(score: Score, part_values, upstream) -> dict:
-    """Part, sound, and family density features off one duration pass per part."""
-    total = score.total_quarters()
-    counts = {}
-    for p in score.parts:
-        sounded = sum((d for _, d in merged_durations(p)), Fraction(0))
-        counts[p.part_id] = (note_count(p), len(sounding_measures(p)), sounded)
-
-    def emit(prefix: str, members) -> dict:
-        notes = sum(counts[p.part_id][0] for p in members)
-        sounding = sum(counts[p.part_id][1] for p in members)
-        sounded = sum((counts[p.part_id][2] for p in members), Fraction(0))
-        values = {"NotesPerMeasure": notes / (score.num_measures * len(members))}
-        if sounding:
-            values["NotesPerSoundingMeasure"] = notes / sounding
-        if total > 0:
-            values["SoundingDensity"] = float(sounded / (total * len(members)))
-        return {f"{prefix}_{k}": v for k, v in values.items()}
-
-    out = {}
-    for part in score.parts:
-        out.update(emit(f"Part{part.part_id}", [part]))
-    for prefix, members in _groups(score):
-        out.update(emit(prefix, members))
-    return out
-
-
 def _scale_part(part: Part, score: Score, upstream) -> dict:
     key_name = upstream.get("Key")
     global_key = None
@@ -174,7 +69,10 @@ def _register_stock() -> None:
         ),
         FeatureModuleDescriptor("key", score_fn=lambda score, pv, up: key_features(score)),
         FeatureModuleDescriptor("tempo", score_fn=lambda score, pv, up: tempo_features(score)),
-        FeatureModuleDescriptor("density", depends_on=("core",), score_fn=_density_all),
+        FeatureModuleDescriptor(
+            "density", depends_on=("core",),
+            score_fn=lambda score, pv, up: density_features(score),
+        ),
         FeatureModuleDescriptor(
             "harmony", score_fn=lambda score, pv, up: harmony_features(score)
         ),
@@ -183,8 +81,12 @@ def _register_stock() -> None:
         FeatureModuleDescriptor(
             "dynamics", part_fn=lambda part, score, up: dynamics_features(part)
         ),
-        FeatureModuleDescriptor("ambitus", score_fn=_ambitus_all),
-        FeatureModuleDescriptor("melody", score_fn=_melody_all),
+        FeatureModuleDescriptor(
+            "ambitus", score_fn=lambda score, pv, up: ambitus_features(score)
+        ),
+        FeatureModuleDescriptor(
+            "melody", score_fn=lambda score, pv, up: melody_features(score)
+        ),
         FeatureModuleDescriptor("lyrics", part_fn=lambda part, score, up: lyrics_features(part)),
         FeatureModuleDescriptor(
             "texture", score_fn=lambda score, pv, up: texture_features(score)
@@ -199,7 +101,8 @@ _register_stock()
 __all__ = [
     "STOCK_FEATURES",
     "FEATURE_ALIASES",
-    "core_features",
+    "core_part",
+    "core_score",
     "scoring_features",
     "tempo_features",
     "dynamics_features",

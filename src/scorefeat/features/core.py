@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
 
 from ..instruments import camel_case
 from ..model import (
@@ -28,24 +26,6 @@ DEFAULT_DYNAMIC_LEVELS = {
 }
 
 
-@dataclass(frozen=True)
-class DynamicsMap:
-    """Marking-to-intensity table; the canonical series must strictly increase."""
-
-    levels: Mapping[str, int]
-
-    def __post_init__(self):
-        series = [self.levels[t] for t in CANONICAL_DYNAMICS if t in self.levels]
-        if series != sorted(set(series)):
-            raise ValueError("dynamic levels must strictly increase from ppp to fff")
-
-    def level(self, token: str) -> Optional[int]:
-        return self.levels.get(token)
-
-
-DEFAULT_DYNAMICS = DynamicsMap(levels=DEFAULT_DYNAMIC_LEVELS)
-
-
 def nearest_dynamic_token(velocity: int) -> str:
     """Canonical marking whose level is closest to a MIDI velocity."""
     return min(
@@ -54,11 +34,15 @@ def nearest_dynamic_token(velocity: int) -> str:
     )
 
 
-def _group_parts(score: Score, attr: str) -> dict[str, list[Part]]:
-    groups: dict[str, list[Part]] = {}
-    for part in score.parts:
-        groups.setdefault(getattr(part, attr), []).append(part)
-    return groups
+def part_groups(score: Score):
+    """(prefix, member parts) per instrument sound, then per family, each in
+    order of first appearance; prefixes read ``SoundViolin``, ``FamilyStrings``."""
+    for label, attr in (("Sound", "instrument_sound"), ("Family", "family")):
+        groups: dict[str, list[Part]] = {}
+        for part in score.parts:
+            groups.setdefault(getattr(part, attr), []).append(part)
+        for name, members in groups.items():
+            yield f"{label}{camel_case(name)}", members
 
 
 def core_part(part: Part, score: Score, upstream) -> dict:
@@ -82,23 +66,10 @@ def core_score(score: Score, part_values, upstream) -> dict:
             part_values.get(p.part_id, {}).get("NumNotes", note_count(p)) for p in parts
         ]
 
-    for label, attr in (("Sound", "instrument_sound"), ("Family", "family")):
-        for group_name, members in _group_parts(score, attr).items():
-            values = counts(members)
-            prefix = f"{label}{camel_case(group_name)}"
-            out[f"{prefix}_NumNotes"] = sum(values)
-            out[f"{prefix}_NumNotesMean"] = sum(values) / len(values)
-    return out
-
-
-def core_features(score: Score) -> dict:
-    """Whole core family for one score, part names already prefixed."""
-    part_values = {p.part_id: core_part(p, score, {}) for p in score.parts}
-    out = {}
-    for pid, values in part_values.items():
-        for name, value in values.items():
-            out[f"Part{pid}_{name}"] = value
-    out.update(core_score(score, part_values, {}))
+    for prefix, members in part_groups(score):
+        values = counts(members)
+        out[f"{prefix}_NumNotes"] = sum(values)
+        out[f"{prefix}_NumNotesMean"] = sum(values) / len(values)
     return out
 
 
@@ -118,13 +89,17 @@ def scoring_features(score: Score) -> dict:
     }
     if vocal:
         out["Voices"] = ",".join(vocal)
-    for sound, members in _group_parts(score, "instrument_sound").items():
-        out[f"Sound{camel_case(sound)}_NumParts"] = len(members)
-    family_counts = {f: len(m) for f, m in _group_parts(score, "family").items()}
+    family_counts = {}
+    for prefix, members in part_groups(score):
+        if prefix.startswith("Sound"):
+            out[f"{prefix}_NumParts"] = len(members)
+        else:
+            family_counts[prefix] = len(members)
     for family in FAMILIES:
-        n = family_counts.get(family, 0)
-        out[f"Family{camel_case(family)}_Present"] = int(n > 0)
-        out[f"Family{camel_case(family)}_NumParts"] = n
+        prefix = f"Family{camel_case(family)}"
+        n = family_counts.get(prefix, 0)
+        out[f"{prefix}_Present"] = int(n > 0)
+        out[f"{prefix}_NumParts"] = n
     return out
 
 
@@ -142,18 +117,18 @@ def tempo_features(score: Score) -> dict:
     return out
 
 
-def dynamics_features(part: Part, dmap: DynamicsMap = DEFAULT_DYNAMICS) -> dict:
+def dynamics_features(part: Part) -> dict:
     """Duration-weighted dynamics, each marking effective until the next.
 
     Parts with no markings emit nothing (missing, not zero).
     """
-    marks = [(pos, tok) for pos, tok in part.dynamic_marks if dmap.level(tok) is not None]
+    marks = [(pos, tok) for pos, tok in part.dynamic_marks if tok in DEFAULT_DYNAMIC_LEVELS]
     if not marks:
         return {}
 
     weights: dict[int, Fraction] = {}
     boundaries = [pos for pos, _ in marks]
-    levels = [dmap.level(tok) for _, tok in marks]
+    levels = [DEFAULT_DYNAMIC_LEVELS[tok] for _, tok in marks]
     notes = counted_notes(part)
     for event, idx in zip(notes, governing_indices(boundaries, (e.onset for e in notes))):
         if idx < 0:

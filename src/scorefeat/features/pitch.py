@@ -8,14 +8,13 @@ Musical Pitch* (1990), rotated through all 24 candidate keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..harmony import key_mode, key_tonic_pc
 from ..model import (
     STEP_ORDER,
-    NoteEvent,
     Part,
     Score,
     counted_notes,
@@ -24,13 +23,10 @@ from ..model import (
     merged_durations,
     midi_number,
 )
+from .core import part_groups
 
 KRUMHANSL_MAJOR = (6.35, 2.23, 3.48, 2.33, 4.38, 4.09, 2.52, 5.19, 2.39, 3.66, 2.29, 2.88)
 KRUMHANSL_MINOR = (6.33, 2.68, 3.52, 5.38, 2.60, 3.53, 2.54, 4.75, 3.98, 2.69, 3.34, 3.17)
-
-KEY_PROFILES = {
-    "krumhansl": (KRUMHANSL_MAJOR, KRUMHANSL_MINOR),
-}
 
 _MAJOR_NAMES = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
 _MINOR_NAMES = ("c", "c#", "d", "d#", "e", "f", "f#", "g", "g#", "a", "bb", "b")
@@ -89,9 +85,7 @@ def profile_from_score(score: Score) -> PitchClassProfile:
     return PitchClassProfile(weights=tuple(weights))
 
 
-def estimate_key_ks(
-    profile: PitchClassProfile, profiles: str = "krumhansl"
-) -> KeyEstimate:
+def estimate_key_ks(profile: PitchClassProfile) -> KeyEstimate:
     """Best of 24 candidate keys by Pearson correlation against rotated
     reference profiles. Ties prefer major, then the lower tonic."""
     if profile.total <= 0:
@@ -101,9 +95,9 @@ def estimate_key_ks(
         tonic = int(np.argmax(weights))
         return KeyEstimate(tonic=tonic, mode="major", score=None, runner_up_margin=0.0)
 
-    major_ref, minor_ref = KEY_PROFILES[profiles]
     correlations = []
-    for mode, ref in (("major", np.asarray(major_ref)), ("minor", np.asarray(minor_ref))):
+    for mode, ref in (("major", np.asarray(KRUMHANSL_MAJOR)),
+                      ("minor", np.asarray(KRUMHANSL_MINOR))):
         for tonic in range(12):
             candidate = np.roll(ref, tonic)
             r = float(np.corrcoef(weights, candidate)[0, 1])
@@ -131,30 +125,44 @@ def key_features(score: Score) -> dict:
     return out
 
 
-def _ambitus_over(events: Iterable[NoteEvent]) -> dict:
-    notes = [e for e in events]
-    if not notes:
-        return {}
-    lowest = min(notes, key=lambda e: midi_number(e.pitch))
-    highest = max(notes, key=lambda e: midi_number(e.pitch))
-    lo, hi = midi_number(lowest.pitch), midi_number(highest.pitch)
-    return {
-        "LowestMidi": lo,
-        "HighestMidi": hi,
-        "LowestName": lowest.pitch.name,
-        "HighestName": highest.pitch.name,
-        "AmbitusSemitones": hi - lo,
-    }
+def ambitus_features(score: Score) -> dict:
+    """Part, sound, family, and score ambitus off one extremes pass per part
+    (percussion excluded)."""
+    extremes = {}  # part_id -> (lowest event, highest event)
+    for p in score.parts:
+        if not _pitched(p):
+            continue
+        lo = hi = None
+        for e in counted_notes(p):
+            m = midi_number(e.pitch)
+            if lo is None or m < lo[0]:
+                lo = (m, e)
+            if hi is None or m > hi[0]:
+                hi = (m, e)
+        if lo is not None:
+            extremes[p.part_id] = (lo, hi)
 
-
-def ambitus_features(unit) -> dict:
-    """Melodic range of a Part or a whole Score (percussion excluded)."""
-    if isinstance(unit, Part):
-        if not _pitched(unit):
+    def emit(prefix: str, members) -> dict:
+        pairs = [extremes[p.part_id] for p in members if p.part_id in extremes]
+        if not pairs:
             return {}
-        return _ambitus_over(counted_notes(unit))
-    notes = [e for p in unit.parts if _pitched(p) for e in counted_notes(p)]
-    return _ambitus_over(notes)
+        lo = min((p[0] for p in pairs), key=lambda t: t[0])
+        hi = max((p[1] for p in pairs), key=lambda t: t[0])
+        return {
+            f"{prefix}LowestMidi": lo[0],
+            f"{prefix}HighestMidi": hi[0],
+            f"{prefix}LowestName": lo[1].pitch.name,
+            f"{prefix}HighestName": hi[1].pitch.name,
+            f"{prefix}AmbitusSemitones": hi[0] - lo[0],
+        }
+
+    out = {}
+    for part in score.parts:
+        out.update(emit(f"Part{part.part_id}_", [part]))
+    for prefix, members in part_groups(score):
+        out.update(emit(f"{prefix}_", members))
+    out.update(emit("", score.parts))  # score level
+    return out
 
 
 def interval_name(a, b) -> tuple[int, str]:
@@ -196,23 +204,11 @@ def interval_name(a, b) -> tuple[int, str]:
     return semis, f"{quality}{size}"
 
 
-def interval_sequence(
-    part: Part, break_at_rests: bool = False, chord: str = "top"
-) -> list[tuple[int, str]]:
-    """Melodic intervals between consecutive counted notes (chord tops by
-    default). Rests do not break the line unless ``break_at_rests`` is set."""
-    line = melodic_line(part, chord=chord)
-    if not break_at_rests:
-        return [interval_name(a.pitch, b.pitch) for a, b in zip(line, line[1:])]
-
-    rest_onsets = sorted(e.onset for e in part.events if e.kind == "rest")
-    out = []
-    for a, b in zip(line, line[1:]):
-        lo, hi = a.onset, b.onset
-        interrupted = any(lo < r < hi for r in rest_onsets)
-        if not interrupted:
-            out.append(interval_name(a.pitch, b.pitch))
-    return out
+def interval_sequence(part: Part) -> list[tuple[int, str]]:
+    """Melodic intervals between consecutive chord tops; rests do not break
+    the line."""
+    line = melodic_line(part)
+    return [interval_name(a.pitch, b.pitch) for a, b in zip(line, line[1:])]
 
 
 def melody_from_intervals(intervals: Sequence[tuple[int, str]]) -> dict:
@@ -249,10 +245,20 @@ def melody_from_intervals(intervals: Sequence[tuple[int, str]]) -> dict:
     return out
 
 
-def melody_features(part: Part) -> dict:
-    if not _pitched(part):
-        return {}
-    return melody_from_intervals(interval_sequence(part))
+def melody_features(score: Score) -> dict:
+    """Part, sound, and family melody features off one interval pass per part."""
+    sequences = {
+        p.part_id: interval_sequence(p) if _pitched(p) else [] for p in score.parts
+    }
+    out = {}
+    for part in score.parts:
+        values = melody_from_intervals(sequences[part.part_id])
+        out.update({f"Part{part.part_id}_{k}": v for k, v in values.items()})
+    for prefix, members in part_groups(score):
+        pooled = [iv for p in members for iv in sequences[p.part_id]]
+        values = melody_from_intervals(pooled)
+        out.update({f"{prefix}_{k}": v for k, v in values.items()})
+    return out
 
 
 def _degree_of(pc: int, tonic: int, mode: str) -> Optional[int]:
@@ -270,10 +276,7 @@ def _degree_fractions(prefix: str, degrees: Sequence[Optional[int]]) -> dict:
 
 
 def scale_degree_features(
-    part: Part,
-    score: Score,
-    global_key: Optional[tuple[int, str]] = None,
-    annotations=None,
+    part: Part, score: Score, global_key: Optional[tuple[int, str]] = None
 ) -> dict:
     """Degree distributions against the estimated main key and, when harmony
     annotations exist, against each note's governing local key."""
@@ -284,15 +287,11 @@ def scale_degree_features(
         return {}
     out = {}
     if global_key is not None:
-        if isinstance(global_key, KeyEstimate):
-            tonic, mode = global_key.tonic, global_key.mode
-        else:
-            tonic, mode = global_key
+        tonic, mode = global_key
         degrees = [_degree_of(e.pitch.pitch_class, tonic, mode) for e in notes]
         out.update(_degree_fractions("Degree", degrees))
 
-    if annotations is None:
-        annotations = score.annotations
+    annotations = score.annotations
     if annotations:
         keys = [(key_tonic_pc(a.local_key), key_mode(a.local_key)) for a in annotations]
         governing = governing_indices(

@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from ..model import Part, Score, merged_durations, note_count, sounding_measures
+from .core import part_groups
 
 _DURATION_CLASSES = (
     ("whole", Fraction(4)),
@@ -22,17 +23,31 @@ DURATION_CLASS_NAMES = tuple(name for name, _ in _DURATION_CLASSES) + ("other",)
 _DOT_FACTORS = {0: Fraction(1), 1: Fraction(3, 2), 2: Fraction(7, 4)}
 
 
-def density_features(part: Part, score: Score) -> dict:
-    """Note counts against measure counts and sounding span."""
-    notes = note_count(part)
-    sounding = len(sounding_measures(part))
-    out = {"NotesPerMeasure": notes / score.num_measures}
-    if sounding:
-        out["NotesPerSoundingMeasure"] = notes / sounding
+def density_features(score: Score) -> dict:
+    """Part, sound, and family density features off one duration pass per part:
+    note counts against measure counts and sounding span."""
     total = score.total_quarters()
-    if total > 0:
-        sounded = sum((d for _, d in merged_durations(part)), Fraction(0))
-        out["SoundingDensity"] = float(sounded / total)
+    counts = {}
+    for p in score.parts:
+        sounded = sum((d for _, d in merged_durations(p)), Fraction(0))
+        counts[p.part_id] = (note_count(p), len(sounding_measures(p)), sounded)
+
+    def emit(prefix: str, members) -> dict:
+        notes = sum(counts[p.part_id][0] for p in members)
+        sounding = sum(counts[p.part_id][1] for p in members)
+        sounded = sum((counts[p.part_id][2] for p in members), Fraction(0))
+        values = {"NotesPerMeasure": notes / (score.num_measures * len(members))}
+        if sounding:
+            values["NotesPerSoundingMeasure"] = notes / sounding
+        if total > 0:
+            values["SoundingDensity"] = float(sounded / (total * len(members)))
+        return {f"{prefix}_{k}": v for k, v in values.items()}
+
+    out = {}
+    for part in score.parts:
+        out.update(emit(f"Part{part.part_id}", [part]))
+    for prefix, members in part_groups(score):
+        out.update(emit(prefix, members))
     return out
 
 

@@ -272,14 +272,20 @@ def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, grid, diags)
     After the last time signature, measures are planned while they start
     before the last quantized end, or at or before the last quantized onset:
     a final note that ends on a barline adds no empty measure, one whose onset
-    quantizes onto it still gets its own. There is always at least one.
+    quantizes onto it still gets its own. A time signature that starts after
+    the music (at or past the last end, past the last onset) is dropped.
+    There is always at least one measure.
     """
+    last_onset = _quantize(last_onset_tick, tpq, grid.grid)
+    last_end = _quantize(last_end_tick, tpq, grid.grid)
     sigs = sorted({(t, n, d) for t, n, d in sig_events})
     if not sigs or sigs[0][0] > 0:
         sigs.insert(0, (0, 4, 4))
+    sigs = sigs[:1] + [
+        (t, n, d) for t, n, d in sigs[1:]
+        if Fraction(t, tpq) < last_end or Fraction(t, tpq) <= last_onset
+    ]
 
-    last_onset = _quantize(last_onset_tick, tpq, grid.grid)
-    last_end = _quantize(last_end_tick, tpq, grid.grid)
     starts: list[Fraction] = []
     signatures: list[tuple[int, int, int]] = []
     for i, (tick, num, den) in enumerate(sigs):

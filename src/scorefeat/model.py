@@ -276,18 +276,14 @@ def merged_durations(part: Part) -> list[tuple[NoteEvent, Fraction]]:
     return result
 
 
-def melodic_line(part: Part, chord: str = "top") -> list[NoteEvent]:
-    """Counted notes reduced to one per onset: the highest chord notehead by
-    default ("top"), or the lowest with chord="bottom"."""
-    if chord not in ("top", "bottom"):
-        raise ValueError(f"chord must be 'top' or 'bottom', got {chord!r}")
-    keep_higher = chord == "top"
+def melodic_line(part: Part) -> list[NoteEvent]:
+    """Counted notes reduced to one per onset: the highest chord notehead."""
     line: list[NoteEvent] = []
     kept = 0
     for e in counted_notes(part):  # already onset-sorted per Part invariant
         m = midi_number(e.pitch)
         if line and line[-1].onset == e.onset:
-            if (m > kept) == keep_higher and m != kept:
+            if m > kept:
                 line[-1] = e
                 kept = m
         else:

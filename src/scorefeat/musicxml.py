@@ -8,6 +8,7 @@ a .mxl container without a manifest) abort the parse.
 from __future__ import annotations
 
 import io
+import math
 import re
 import zipfile
 import xml.etree.ElementTree as ET
@@ -188,7 +189,11 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
         if el.tag == "attributes":
             div = el.findtext("divisions")
             if div:
-                state.divisions = int(div)
+                divisions = _decimal(div, "divisions", diags, loc)
+                if divisions is not None and divisions <= 0:
+                    diags.warn(loc, f"divisions {div!r} not positive; previous value kept")
+                elif divisions is not None:
+                    state.divisions = divisions
             time_el = el.find("time")
             if time_el is not None:
                 if time_el.find("senza-misura") is not None:
@@ -228,9 +233,9 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
         elif el.tag == "direction":
             _parse_direction(el, mi, cursor, raw, state, diags, tempo_raw, loc)
         elif el.tag == "sound":
-            tempo = el.get("tempo")
-            if tempo:
-                tempo_raw.append((mi, cursor, None, float(tempo)))
+            bpm = _sound_tempo(el, diags, loc)
+            if bpm is not None:
+                tempo_raw.append((mi, cursor, None, bpm))
         elif el.tag in ("barline", "print", "harmony", "figured-bass", "grouping"):
             diags.skip(el.tag)
         else:
@@ -240,12 +245,43 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
     return sig, fifths
 
 
+def _decimal(text: str, what: str, diags, loc):
+    """An ``xs:decimal`` element value (an int when written as one, else a
+    Fraction), or None with a warning."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return Fraction(text)
+    except ValueError:
+        diags.warn(loc, f"unreadable {what} {text!r}")
+        return None
+
+
+def _sound_tempo(el, diags, loc) -> Optional[float]:
+    """BPM from a ``<sound tempo>`` attribute, or None (with a warning unless
+    it is absent)."""
+    tempo = el.get("tempo")
+    if not tempo:
+        return None
+    try:
+        bpm = float(tempo)
+    except ValueError:
+        bpm = None
+    if bpm is None or not 0 < bpm < math.inf:
+        diags.warn(loc, f"unreadable sound tempo {tempo!r}")
+        return None
+    return bpm
+
+
 def _duration_quarters(el, state, diags, loc) -> Fraction:
     d = el.findtext("duration")
     if not d:
         diags.warn(loc, f"<{el.tag}> without duration")
         return Fraction(0)
-    return Fraction(int(d), state.divisions)
+    duration = _decimal(d, "duration", diags, loc)
+    return Fraction(0) if duration is None else Fraction(duration, state.divisions)
 
 
 def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
@@ -345,12 +381,8 @@ def _parse_pitch(pitch_el, diags, loc) -> Optional[SpelledPitch]:
 
 def _parse_direction(el, mi, cursor, raw, state, diags, tempo_raw, loc):
     offset_el = el.findtext("offset")
-    offset = cursor
-    if offset_el:
-        try:
-            offset = cursor + Fraction(int(offset_el), state.divisions)
-        except ValueError:
-            pass
+    shift = _decimal(offset_el, "offset", diags, loc) if offset_el else None
+    offset = cursor if shift is None else cursor + Fraction(shift, state.divisions)
 
     words_text: Optional[str] = None
     bpm: Optional[float] = None
@@ -381,11 +413,9 @@ def _parse_direction(el, mi, cursor, raw, state, diags, tempo_raw, loc):
             else:
                 diags.skip(child.tag)
     sound_el = el.find("sound")
-    if sound_el is not None and sound_el.get("tempo"):
-        try:
-            bpm = float(sound_el.get("tempo"))
-        except ValueError:
-            diags.warn(loc, f"unreadable sound tempo {sound_el.get('tempo')!r}")
+    tempo = _sound_tempo(sound_el, diags, loc) if sound_el is not None else None
+    if tempo is not None:
+        bpm = tempo
     if words_text is not None or bpm is not None:
         tempo_raw.append((mi, offset, words_text, bpm))
 

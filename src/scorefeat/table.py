@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Cell = Union[int, float, str, None]
 
@@ -74,11 +74,6 @@ class FeatureTable:
 
     def row_mapping(self, i: int) -> dict[str, Cell]:
         return dict(zip(self.columns, self.rows[i]))
-
-    def select(self, columns: Iterable[str]) -> "FeatureTable":
-        names = list(columns)
-        idx = [self.columns.index(c) for c in names]
-        return FeatureTable(columns=names, rows=[[r[i] for i in idx] for r in self.rows])
 
     def to_csv(self) -> str:
         buf = io.StringIO()

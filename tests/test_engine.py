@@ -119,6 +119,16 @@ class TestCache:
         entry.write_bytes(b"MSF1" + pickle.dumps(score))
         assert load_score(tmp_path, key) is None
 
+    def test_unsupported_suffix_rejected_despite_cached_bytes(self, tmp_path):
+        config = ExtractorConfig(cache_dir=tmp_path / "cache")
+        (tmp_path / "a.musicxml").write_bytes(SIMPLE)
+        load_or_parse(tmp_path / "a.musicxml", config, RunReport())
+        (tmp_path / "a.txt").write_bytes(SIMPLE)
+        report = RunReport()
+        with pytest.raises(ConfigError):
+            load_or_parse(tmp_path / "a.txt", config, report)
+        assert report.cache_hits == 0
+
     def test_store_is_atomic_layout(self, tmp_path):
         key = cache_key(b"x", "musicxml", "1")
         from scorefeat.musicxml import parse_musicxml

@@ -1,9 +1,8 @@
 import pytest
 
 from scorefeat.features.core import (
-    DEFAULT_DYNAMICS,
-    DynamicsMap,
-    core_features,
+    CANONICAL_DYNAMICS,
+    DEFAULT_DYNAMIC_LEVELS,
     dynamics_features,
     lyrics_features,
     nearest_dynamic_token,
@@ -12,7 +11,7 @@ from scorefeat.features.core import (
 )
 from scorefeat.model import TempoMark, note_count
 from scorefeat.musicxml import parse_musicxml
-from util import musicxml_doc, note, part, score
+from util import musicxml_doc, note, part, run_module, score
 
 
 def _melody(n, dur=1, measure_of=None, sound="violin", ordinal=1, measures=None,
@@ -31,7 +30,7 @@ class TestCore:
         p = _melody(10, measure_of=lambda i: (1, 1, 1, 1, 2, 2, 2, 4, 4, 4)[i],
                     sound="voice", measures=4)
         s = score([p], measures=4)
-        out = core_features(s)
+        out = run_module("core", s)
         assert out["NumMeasures"] == 4
         assert out["PartVoiceI_NumNotes"] == 10
         assert out["PartVoiceI_SoundingMeasures"] == 3
@@ -39,20 +38,20 @@ class TestCore:
     def test_sound_sums_and_means(self):
         s = score([_melody(8, dur=2, ordinal=1, measures=4),
                    _melody(4, dur=4, ordinal=2, measures=4)], measures=4)
-        out = core_features(s)
+        out = run_module("core", s)
         assert out["SoundViolin_NumNotes"] == 12
         assert out["SoundViolin_NumNotesMean"] == 6.0
 
     def test_empty_part(self):
         s = score([part([], measures=4)], measures=4)
-        out = core_features(s)
+        out = run_module("core", s)
         assert out["PartViolinI_NumNotes"] == 0
         assert out["PartViolinI_SoundingMeasures"] == 0
 
     def test_family_totals_reconcile(self):
         s = score([_melody(8, dur=2), _melody(5, dur=2, sound="oboe"),
                    _melody(3, dur=4, sound="cello")], measures=4)
-        out = core_features(s)
+        out = run_module("core", s)
         part_total = sum(v for k, v in out.items()
                          if k.startswith("Part") and k.endswith("_NumNotes"))
         family_total = sum(v for k, v in out.items()
@@ -167,16 +166,16 @@ class TestDynamics:
         assert out["DynMean"] == pytest.approx((49 * 3 + 33 * 5) / 8)
         assert out["DynRange"] == 112 - 33
 
-    def test_map_validation(self):
-        with pytest.raises(ValueError):
-            DynamicsMap(levels={"pp": 50, "p": 40})
+    def test_canonical_levels_increase(self):
+        series = [DEFAULT_DYNAMIC_LEVELS[t] for t in CANONICAL_DYNAMICS]
+        assert series == sorted(set(series))
 
     def test_velocity_binning(self):
         assert nearest_dynamic_token(49) == "p"
         assert nearest_dynamic_token(64) == "mp"
         assert nearest_dynamic_token(127) == "fff"
         assert nearest_dynamic_token(1) == "ppp"
-        assert DEFAULT_DYNAMICS.level("sfz") == DEFAULT_DYNAMICS.level("f")
+        assert DEFAULT_DYNAMIC_LEVELS["sfz"] == DEFAULT_DYNAMIC_LEVELS["f"]
 
 
 class TestLyrics:

@@ -10,18 +10,16 @@ from scorefeat.features.pitch import (
     KRUMHANSL_MAJOR,
     KRUMHANSL_MINOR,
     PitchClassProfile,
-    ambitus_features,
     estimate_key_ks,
     interval_name,
     interval_sequence,
     key_features,
-    melody_features,
     profile_from_score,
     scale_degree_features,
 )
 from scorefeat.harmony import parse_harmony_file, attach_annotations
 from scorefeat.model import STEP_ORDER, SpelledPitch, midi_number
-from util import P, note, part, random_model_score, score
+from util import P, note, part, random_model_score, run_module, score
 
 MAJOR_PCS = (0, 2, 4, 5, 7, 9, 11)
 HARMONIC_MINOR_PCS = (0, 2, 3, 5, 7, 8, 11)
@@ -131,22 +129,22 @@ class TestKeyFeatures:
 class TestAmbitus:
     def test_span_c4_to_g5(self):
         p = part([note("C", 4, onset=0, dur=1), note("G", 5, onset=1, dur=1)])
-        out = ambitus_features(p)
+        out = run_module("ambitus", p)
         assert out["AmbitusSemitones"] == 19
         assert out["LowestName"] == "C4"
         assert out["HighestName"] == "G5"
 
     def test_single_note(self):
-        assert ambitus_features(part([note("C")]))["AmbitusSemitones"] == 0
+        assert run_module("ambitus", part([note("C")]))["AmbitusSemitones"] == 0
 
     def test_empty_missing(self):
-        assert ambitus_features(part([])) == {}
+        assert run_module("ambitus", part([])) == {}
 
     def test_score_ambitus_brute_force(self):
         rng = random.Random(5)
         for _ in range(10):
             s = random_model_score(rng)
-            out = ambitus_features(s)
+            out = run_module("ambitus", s)
             midis = [
                 midi_number(e.pitch)
                 for p in s.parts if p.family != "percussion"
@@ -158,7 +156,7 @@ class TestAmbitus:
                 continue
             assert out["AmbitusSemitones"] == max(midis) - min(midis)
             for p in s.parts:
-                part_out = ambitus_features(p)
+                part_out = run_module("ambitus", p)
                 if part_out:
                     assert part_out["AmbitusSemitones"] <= out["AmbitusSemitones"]
 
@@ -224,7 +222,7 @@ class TestMelody:
     def test_fraction_example(self):
         p = part([note("C", onset=0, dur=1), note("D", onset=1, dur=1),
                   note("E", onset=2, dur=1), note("C", onset=3, dur=1)])
-        out = melody_features(p)  # intervals +2, +2, -4
+        out = run_module("melody", p)  # intervals +2, +2, -4
         assert out["AscendingFrac"] == pytest.approx(2 / 3)
         assert out["StepwiseFrac"] == pytest.approx(2 / 3)
         assert out["AbsIntervalMean"] == pytest.approx(8 / 3)
@@ -233,14 +231,14 @@ class TestMelody:
 
     def test_monotone_scale_never_descends(self):
         p = part([note("CDEFGAB"[i], 4 + i // 7, onset=i, dur=1) for i in range(7)])
-        assert melody_features(p)["DescendingFrac"] == 0.0
+        assert run_module("melody", p)["DescendingFrac"] == 0.0
 
     def test_direction_fractions_sum_to_one(self):
         rng = random.Random(11)
         for _ in range(10):
             s = random_model_score(rng, max_parts=2)
             for p in s.parts:
-                out = melody_features(p)
+                out = run_module("melody", p)
                 if not out:
                     continue
                 total = out["AscendingFrac"] + out["DescendingFrac"] + out["RepeatedFrac"]
@@ -257,20 +255,12 @@ class TestMelody:
                   note("E", onset=3, dur=1)])
         assert interval_sequence(p) == [(4, "M3")]
 
-    def test_rest_breaking_flag(self):
-        from util import rest
-
-        p = part([note("C", onset=0, dur=1), rest(onset=1, dur=2),
-                  note("E", onset=3, dur=1), note("G", onset=4, dur=1)])
-        assert interval_sequence(p, break_at_rests=True) == [(3, "m3")]
-
     def test_chord_voice_flag(self):
         from scorefeat.model import melodic_line
 
         p = part([note("C", 4, onset=0, dur=1), note("E", 5, onset=0, dur=1),
                   note("D", 4, onset=1, dur=1)])
-        assert [e.pitch.name for e in melodic_line(p, chord="top")] == ["E5", "D4"]
-        assert [e.pitch.name for e in melodic_line(p, chord="bottom")] == ["C4", "D4"]
+        assert [e.pitch.name for e in melodic_line(p)] == ["E5", "D4"]
 
     def test_short_line_empty(self):
         assert interval_sequence(part([note("C")])) == []

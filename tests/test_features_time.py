@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from scorefeat.features.time import (
-    density_features,
     duration_class,
     rhythm_features,
     texture_features,
 )
-from util import note, part, random_model_score, rest, score
+from util import note, part, random_model_score, rest, run_module, score
 
 
 class TestDensity:
@@ -19,20 +18,20 @@ class TestDensity:
             m = (1, 2, 4)[i // 4]
             events.append(note("C", onset=(m - 1) * 4 + (i % 4), dur=1, measure=m))
         s = score([part(events, measures=4)], measures=4)
-        out = density_features(s.parts[0], s)
+        out = run_module("density", s, s.parts[0])
         assert out["NotesPerMeasure"] == 3.0
         assert out["NotesPerSoundingMeasure"] == 4.0
 
     def test_silent_part(self):
         s = score([part([rest(onset=0, dur=4)], measures=4)], measures=4)
-        out = density_features(s.parts[0], s)
+        out = run_module("density", s, s.parts[0])
         assert out["NotesPerMeasure"] == 0.0
         assert "NotesPerSoundingMeasure" not in out
 
     def test_full_sounding_density(self):
         events = [note("C", onset=4 * m, dur=4, measure=m + 1) for m in range(4)]
         s = score([part(events, measures=4)], measures=4)
-        assert density_features(s.parts[0], s)["SoundingDensity"] == 1.0
+        assert run_module("density", s, s.parts[0])["SoundingDensity"] == 1.0
 
 
 class TestRhythm:

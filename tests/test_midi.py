@@ -62,6 +62,14 @@ class TestBasics:
         assert score.num_measures == 2
         assert [e.measure_index for e in score.parts[0].events] == [1, 2]
 
+    def test_time_signature_after_last_note_is_dropped(self):
+        # a whole note over ticks 0-1920, then a 3/4 meta at tick 3840
+        three_four = (480 * 8, bytes([0xFF, 0x58, 0x04, 3, 2, 24, 8]))
+        meta = midi_meta_track(timesig=(4, 4)) + [three_four]
+        score, _ = import_midi(one_note_file(off=480 * 4, meta=meta))
+        assert score.num_measures == 1
+        assert score.time_signatures == ((1, 4, 4),)
+
     def test_tempo_meta_to_bpm(self):
         data = midi_bytes([midi_meta_track(tempo_bpm=90) + midi_note_events([(0, 480, 60, 64)])])
         score, _ = import_midi(data)

@@ -160,6 +160,40 @@ class TestContent:
         assert note_count(score.parts[0]) == 1
         assert any("pitch" in msg for _, msg in diags.warnings)
 
+    @pytest.mark.parametrize("tempo", ["fast", "nan"])
+    def test_unreadable_measure_sound_tempo_warns(self, tempo):
+        doc = MINIMAL.replace(b'<measure number="1">',
+                              f'<measure number="1"><sound tempo="{tempo}"/>'.encode())
+        score, diags = parse_musicxml(doc)
+        assert note_count(score.parts[0]) == 1
+        assert score.tempo_marks == ()
+        assert any(tempo in msg for _, msg in diags.warnings)
+
+    def test_decimal_duration_and_divisions(self):
+        doc = MINIMAL.replace(b"<duration>16</duration>", b"<duration>16.0</duration>")
+        doc = doc.replace(b"<divisions>4</divisions>", b"<divisions>4.0</divisions>")
+        score, diags = parse_musicxml(doc)
+        assert score.parts[0].events[0].duration == Fraction(4)
+        assert not diags.warnings
+
+    def test_decimal_direction_offset(self):
+        doc = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16,
+                                          "dynamic": "p"}]])])
+        doc = doc.replace(b"</direction-type></direction>",
+                          b"</direction-type><offset>2.0</offset></direction>")
+        score, diags = parse_musicxml(doc)
+        assert score.parts[0].dynamic_marks == ((Fraction(1, 2), "p"),)
+        assert not diags.warnings
+
+    def test_zero_divisions_keeps_previous_value(self):
+        doc = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16}],
+                                        [{"step": "D", "octave": 4, "dur": 16}]])])
+        doc = doc.replace(b'<measure number="2">',
+                          b'<measure number="2"><attributes><divisions>0</divisions></attributes>')
+        score, diags = parse_musicxml(doc)
+        assert [e.duration for e in score.parts[0].events] == [Fraction(4), Fraction(4)]
+        assert any("divisions" in msg for _, msg in diags.warnings)
+
 
 class TestRoundTrip:
     def test_random_inventories_round_trip(self):

@@ -13,8 +13,10 @@ import zipfile
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
+from scorefeat.engine import extract_unit
 from scorefeat.model import Lyric, NoteEvent, Part, Score, SpelledPitch
 from scorefeat.instruments import detect_instrument_family, part_identifier
+from scorefeat.registry import feature_modules, resolve_feature_order
 
 # ---------------------------------------------------------------------------
 # direct model builders
@@ -70,6 +72,28 @@ def score(parts, measures=None, sig=(4, 4), fifths=0, tempo=(), source="fixture"
         tempo_marks=tuple(tempo),
         annotations=tuple(annotations) if annotations is not None else None,
     )
+
+
+def run_module(name, unit, of_part=None) -> dict:
+    """Cells the registered feature module ``name`` adds to an engine row.
+
+    The module runs through ``engine.extract_unit`` after its dependencies
+    (core first, as in a run); their cells are left out. ``unit`` is a Score,
+    or a Part, which is run as a one-part score. For a Score the row comes
+    back with ``Score_`` stripped; for a Part (``unit`` itself, or
+    ``of_part`` within ``unit``) only that part's cells come back, with the
+    ``Part<Id>_`` prefix stripped.
+    """
+    if isinstance(unit, Part):
+        unit, of_part = score([unit]), unit
+    registry = feature_modules()
+    order = resolve_feature_order(registry, [name])
+    upstream = extract_unit(unit, order[:-1], registry)
+    row = {k: v for k, v in extract_unit(unit, order, registry).items() if k not in upstream}
+    if of_part is None:
+        return {k.removeprefix("Score_"): v for k, v in row.items()}
+    prefix = f"Part{of_part.part_id}_"
+    return {k[len(prefix):]: v for k, v in row.items() if k.startswith(prefix)}
 
 
 # ---------------------------------------------------------------------------
