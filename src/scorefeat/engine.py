@@ -10,10 +10,11 @@ from __future__ import annotations
 import logging
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import cache as score_cache
 from . import features as stock  # noqa: F401  (imports register the stock modules)
@@ -102,10 +103,12 @@ class ExtractorConfig:
 
 @dataclass
 class RunReport:
-    """Per-run outcome ledger: failures, warnings, and cache statistics."""
+    """Per-run outcome ledger: failures, warnings, skipped-element tallies
+    from fresh parses, and cache statistics."""
 
     failures: list[dict] = field(default_factory=list)
     warnings: list[dict] = field(default_factory=list)
+    skipped: Counter = field(default_factory=Counter)
     parsed: int = 0
     cache_hits: int = 0
     cache_writes: int = 0
@@ -118,6 +121,10 @@ class RunReport:
     def add_warning(self, path, message: str) -> None:
         with self._lock:
             self.warnings.append({"path": str(path), "message": message})
+
+    def add_skipped(self, tallies: Mapping[str, int]) -> None:
+        with self._lock:
+            self.skipped.update(tallies)
 
     def count(self, counter: str, n: int = 1) -> None:
         with self._lock:
@@ -136,6 +143,7 @@ class RunReport:
                     "cache_hits": self.cache_hits,
                     "cache_writes": self.cache_writes,
                     "failures": len(self.failures),
+                    "skipped": dict(sorted(self.skipped.items())),
                 }
             )
         )
@@ -200,6 +208,7 @@ def load_or_parse(
         report.count("parsed")
         for location, message in diags.warnings:
             report.add_warning(path, f"{location}: {message}")
+        report.add_skipped(diags.skipped_elements)
 
     hooks = [get_hook(name) for name in config.hooks]
     score = run_hooks(score, hooks)
@@ -320,8 +329,4 @@ def extract(
             for future, i in futures.items():
                 results[i] = future.result()
 
-    table = FeatureTable()
-    for rows in results:
-        for row in rows:
-            table.append_row(row)
-    return table
+    return FeatureTable.from_rows(row for rows in results for row in rows)

@@ -85,6 +85,27 @@ def profile_from_score(score: Score) -> PitchClassProfile:
     return PitchClassProfile(weights=tuple(weights))
 
 
+# The 24 candidate keys in tie-break order (major tonics 0-11, then minor):
+# (mode, tonic, rotated reference minus its mean, its spread). Correlations
+# repeat np.corrcoef's arithmetic exactly, one np.dot per candidate: a single
+# matrix product sums in another order and would change the last bit of the
+# KS_Correlation cells, which the CSV writes in full.
+_INV_DOF = 1 / 11
+
+
+def _key_candidates() -> tuple:
+    out = []
+    for mode, profile in (("major", KRUMHANSL_MAJOR), ("minor", KRUMHANSL_MINOR)):
+        for tonic in range(12):
+            ref = np.roll(np.asarray(profile), tonic)
+            centred = ref - ref.mean()
+            out.append((mode, tonic, centred, np.sqrt(np.dot(centred, centred) * _INV_DOF)))
+    return tuple(out)
+
+
+_KEY_CANDIDATES = _key_candidates()
+
+
 def estimate_key_ks(profile: PitchClassProfile) -> KeyEstimate:
     """Best of 24 candidate keys by Pearson correlation against rotated
     reference profiles. Ties prefer major, then the lower tonic."""
@@ -95,17 +116,16 @@ def estimate_key_ks(profile: PitchClassProfile) -> KeyEstimate:
         tonic = int(np.argmax(weights))
         return KeyEstimate(tonic=tonic, mode="major", score=None, runner_up_margin=0.0)
 
-    correlations = []
-    for mode, ref in (("major", np.asarray(KRUMHANSL_MAJOR)),
-                      ("minor", np.asarray(KRUMHANSL_MINOR))):
-        for tonic in range(12):
-            candidate = np.roll(ref, tonic)
-            r = float(np.corrcoef(weights, candidate)[0, 1])
-            correlations.append((r, mode, tonic))
-    best = max(correlations, key=lambda c: c[0])  # stable: major/low tonic first
-    others = sorted((c[0] for c in correlations if c is not best), reverse=True)
-    margin = best[0] - others[0] if others else 0.0
-    return KeyEstimate(tonic=best[2], mode=best[1], score=best[0], runner_up_margin=margin)
+    centred = weights - weights.mean()
+    spread = np.sqrt(np.dot(centred, centred) * _INV_DOF)
+    scores = [
+        min(1.0, max(-1.0, float(np.dot(centred, ref) * _INV_DOF / spread / ref_spread)))
+        for _mode, _tonic, ref, ref_spread in _KEY_CANDIDATES
+    ]
+    best = int(np.argmax(scores))  # the first maximum: major, then the lower tonic
+    mode, tonic, _ref, _spread = _KEY_CANDIDATES[best]
+    margin = scores[best] - max(scores[:best] + scores[best + 1:])
+    return KeyEstimate(tonic=tonic, mode=mode, score=scores[best], runner_up_margin=margin)
 
 
 def key_features(score: Score) -> dict:

@@ -20,6 +20,12 @@ from .model import NoteEvent, Part, Score, SpelledPitch, TempoMark
 PARSER_ID = "midi"
 PARSER_VERSION = "1"
 
+# Input caps: a few bytes of delta time can describe hours of music, so the
+# importer refuses a file whose music ends past MAX_QUARTERS (quantized) or
+# that would be cut into more than MAX_MEASURES measures.
+MAX_QUARTERS = 40_000
+MAX_MEASURES = 10_000
+
 ALLOWED_GRIDS = (
     Fraction(1),
     Fraction(1, 2),
@@ -278,6 +284,8 @@ def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, grid, diags)
     """
     last_onset = _quantize(last_onset_tick, tpq, grid.grid)
     last_end = _quantize(last_end_tick, tpq, grid.grid)
+    if last_end > MAX_QUARTERS:
+        raise MidiError(f"music ends after {last_end} quarters, over the cap of {MAX_QUARTERS}")
     sigs = sorted({(t, n, d) for t, n, d in sig_events})
     if not sigs or sigs[0][0] > 0:
         sigs.insert(0, (0, 4, 4))
@@ -300,6 +308,8 @@ def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, grid, diags)
         while (seg_end is not None and pos < seg_end) or (
             seg_end is None and (pos < last_end or pos <= last_onset or not starts)
         ):
+            if len(starts) == MAX_MEASURES:
+                raise MidiError(f"more than {MAX_MEASURES} measures")
             starts.append(pos)
             pos += mlen
     if not starts:

@@ -11,6 +11,7 @@ import io
 import math
 import re
 import zipfile
+import zlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +49,10 @@ TEMPO_WORDS = {
     "vivace", "vivacissimo", "presto", "prestissimo",
 }
 
+# Largest uncompressed member read from a .mxl container. Deflate packs up to
+# about 1000:1, so a small container could otherwise inflate past memory.
+MAX_MXL_MEMBER_BYTES = 64 * 2**20
+
 _BEAT_UNIT_QUARTERS = {
     "breve": Fraction(8), "whole": Fraction(4), "half": Fraction(2),
     "quarter": Fraction(1), "eighth": Fraction(1, 2), "16th": Fraction(1, 4),
@@ -84,6 +89,21 @@ class _RawPart:
     has_lyrics: bool = False
 
 
+def _read_member(zf: zipfile.ZipFile, name: str) -> bytes:
+    """A container member, refused over MAX_MXL_MEMBER_BYTES by its declared
+    size and, should the header lie, by the bytes it inflates to."""
+    if zf.getinfo(name).file_size > MAX_MXL_MEMBER_BYTES:
+        raise MusicXMLError(f".mxl member {name!r} is over {MAX_MXL_MEMBER_BYTES} bytes")
+    try:
+        with zf.open(name) as member:
+            data = member.read(MAX_MXL_MEMBER_BYTES + 1)
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+        raise MusicXMLError(f"bad .mxl member {name!r}: {exc}") from exc
+    if len(data) > MAX_MXL_MEMBER_BYTES:
+        raise MusicXMLError(f".mxl member {name!r} is over {MAX_MXL_MEMBER_BYTES} bytes")
+    return data
+
+
 def _unzip_mxl(data: bytes) -> bytes:
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
@@ -93,7 +113,7 @@ def _unzip_mxl(data: bytes) -> bytes:
         if "META-INF/container.xml" not in zf.namelist():
             raise MusicXMLError(".mxl container is missing META-INF/container.xml")
         try:
-            container = ET.fromstring(zf.read("META-INF/container.xml"))
+            container = ET.fromstring(_read_member(zf, "META-INF/container.xml"))
         except ET.ParseError as exc:
             raise MusicXMLError(f"bad container manifest: {exc}") from exc
         rootfile = container.find("./rootfiles/rootfile")
@@ -102,7 +122,7 @@ def _unzip_mxl(data: bytes) -> bytes:
         path = rootfile.attrib["full-path"]
         if path not in zf.namelist():
             raise MusicXMLError(f"rootfile {path!r} not present in container")
-        return zf.read(path)
+        return _read_member(zf, path)
 
 
 def parse_musicxml(data: bytes, source_id: str = "score") -> tuple[Score, ParseDiagnostics]:

@@ -151,7 +151,8 @@ def process(table: FeatureTable, config: ProcessorConfig) -> FeatureTable:
     if all_missing:
         dropped = ", ".join(out_columns[i] for i in all_missing)
         log.info("dropping all-missing columns: %s", dropped)
-        keep_pos = [i for i in range(len(out_columns)) if i not in set(all_missing)]
+        missing = set(all_missing)
+        keep_pos = [i for i in range(len(out_columns)) if i not in missing]
         out_columns = [out_columns[i] for i in keep_pos]
         out_rows = [[row[i] for i in keep_pos] for row in out_rows]
 

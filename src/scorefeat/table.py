@@ -13,18 +13,21 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Cell = Union[int, float, str, None]
 
 IDENTITY_COLUMNS = ("FileName", "WindowStart", "WindowEnd")
 
 _INT_RE = re.compile(r"^-?\d+$")
+_PLAIN_CELL_TYPES = frozenset((int, float, str))
 
 
 def as_cell(value) -> Cell:
     """Coerce a feature value to a plain cell (int, float, str, or None)."""
-    if value is None or isinstance(value, str):
+    if value is None or type(value) in _PLAIN_CELL_TYPES:
+        return value  # the very object the checks below would return
+    if isinstance(value, str):
         return value
     if isinstance(value, bool):
         return int(value)
@@ -54,19 +57,20 @@ class FeatureTable:
             if len(row) != len(self.columns):
                 raise ValueError("row width does not match column count")
 
-    def append_row(self, values: Mapping[str, Cell]) -> None:
-        """Add a row, extending columns with any new names (missing elsewhere)."""
-        index = {name: i for i, name in enumerate(self.columns)}
-        for name in values:
-            if name not in index:
-                index[name] = len(self.columns)
-                self.columns.append(name)
-                for row in self.rows:
-                    row.append(None)
-        row: list[Cell] = [None] * len(self.columns)
-        for name, value in values.items():
-            row[index[name]] = as_cell(value)
-        self.rows.append(row)
+    @classmethod
+    def from_rows(cls, records: Iterable[Mapping[str, object]]) -> "FeatureTable":
+        """One row per record. Columns are the union of the record keys in
+        first-seen order; a name a record lacks is a missing cell."""
+        records = list(records)
+        columns = list(dict.fromkeys(name for record in records for name in record))
+        index = {name: i for i, name in enumerate(columns)}
+        rows = []
+        for record in records:
+            row: list[Cell] = [None] * len(columns)
+            for name, value in record.items():
+                row[index[name]] = as_cell(value)
+            rows.append(row)
+        return cls(columns=columns, rows=rows)
 
     def column(self, name: str) -> list[Cell]:
         i = self.columns.index(name)
@@ -79,8 +83,7 @@ class FeatureTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(["" if c is None else _format_cell(c) for c in row])
+        writer.writerows(self.rows)  # None -> empty field, floats by repr
         return buf.getvalue()
 
     @classmethod
@@ -107,12 +110,6 @@ class FeatureTable:
             return tuple((row[i] is None, row[i]) for i in idx)
 
         return FeatureTable(columns=list(self.columns), rows=sorted(self.rows, key=key))
-
-
-def _format_cell(cell: Cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)  # shortest round-trip decimal
-    return str(cell)
 
 
 def _parse_cell(text: str) -> Cell:

@@ -107,6 +107,17 @@ class TestRun:
         failures = [e for e in entries if e["kind"] == "failure"]
         assert len(failures) == 1 and "broken" in failures[0]["path"]
 
+    def test_report_tallies_skipped_elements(self, tmp_path):
+        doc = musicxml_doc([("Oboe", [[{"step": "G", "octave": 4, "dur": 16}]])])
+        doc = doc.replace(b'<measure number="1">', b'<measure number="1"><print new-system="yes"/>')
+        (tmp_path / "a.musicxml").write_bytes(doc)
+        report = tmp_path / "report.jsonl"
+        code = run(["--xml-dir", str(tmp_path), "--output", str(tmp_path / "f.csv"),
+                    "--report", str(report)])
+        assert code == 0
+        summary = json.loads(report.read_text().splitlines()[-1])
+        assert summary["kind"] == "summary" and summary["skipped"] == {"print": 1}
+
     def test_bad_flag_exit_one_writes_nothing(self, corpus):
         out = corpus / "features.csv"
         code = run(["--xml-dir", str(corpus), "--output", str(out), "--bogus"])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from statistics import correlation
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -37,6 +38,26 @@ def brute_force_key(weights):
             if best is None or k < best[0]:
                 best = (k, tonic, mode)
     return best[1], best[2]
+
+
+def reference_key(profile):
+    """The estimator before its candidates were precomputed: one
+    ``np.corrcoef`` per rotated reference profile. Returns (tonic, mode,
+    score, runner_up_margin)."""
+    if profile.total <= 0:
+        raise ValueError("key estimation needs at least one positive weight")
+    weights = np.asarray(profile.weights, dtype=float)
+    if np.ptp(weights) == 0 or np.count_nonzero(weights) == 1:
+        return int(np.argmax(weights)), "major", None, 0.0
+    correlations = []
+    for mode, ref in (("major", np.asarray(KRUMHANSL_MAJOR)),
+                      ("minor", np.asarray(KRUMHANSL_MINOR))):
+        for tonic in range(12):
+            r = float(np.corrcoef(weights, np.roll(ref, tonic))[0, 1])
+            correlations.append((r, mode, tonic))
+    best = max(correlations, key=lambda c: c[0])  # stable: major/low tonic first
+    others = sorted((c[0] for c in correlations if c is not best), reverse=True)
+    return best[2], best[1], best[0], best[0] - others[0]
 
 
 def scale_profile(pcs, transpose=0):
@@ -82,6 +103,22 @@ class TestKeyEstimation:
             return
         assert b.mode == a.mode
         assert b.tonic == (a.tonic + k) % 12
+
+    @given(st.lists(st.one_of(st.floats(0, 1e3), st.integers(0, 8).map(float)),
+                    min_size=12, max_size=12))
+    @example([0.0, 0, 0, 1, 0, 0] * 2)  # Eb and A major tie exactly; Eb wins
+    @example([1.0] * 12)  # flat: no correlation
+    def test_matches_corrcoef_reference_exactly(self, weights):
+        profile = PitchClassProfile(weights=tuple(weights))
+        try:
+            expected = reference_key(profile)
+        except ValueError:
+            with pytest.raises(ValueError):
+                estimate_key_ks(profile)
+            return
+        est = estimate_key_ks(profile)
+        got = (est.tonic, est.mode, est.score, est.runner_up_margin)
+        assert repr(got) == repr(expected)
 
     def test_single_pitch_class_fallback(self):
         est = estimate_key_ks(scale_profile((7,)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from scorefeat import midi
 from scorefeat.midi import MidiError, QuantizationGrid, import_midi
 from scorefeat.model import midi_number, note_count
 from util import midi_bytes, midi_meta_track, midi_note_events
@@ -101,6 +102,27 @@ class TestErrors:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             QuantizationGrid(grid=Fraction(1, 5))
+
+    def test_note_past_quarter_cap_fatal(self):
+        # 36 bytes: one note of 2**20 ticks at 1 tick per quarter, which
+        # would plan 262,144 measures of 4/4
+        data = one_note_file(off=2**20, tpq=1)
+        assert len(data) == 36
+        with pytest.raises(MidiError, match="over the cap"):
+            import_midi(data)
+
+    def test_measure_cap_fatal(self):
+        # 1/64 time: 1000 quarters make 16,000 measures
+        data = one_note_file(off=1000, tpq=1, meta=midi_meta_track(timesig=(1, 64)))
+        with pytest.raises(MidiError, match=f"more than {midi.MAX_MEASURES} measures"):
+            import_midi(data)
+
+    def test_measure_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(midi, "MAX_MEASURES", 4)
+        score, _ = import_midi(one_note_file(off=480 * 16))
+        assert score.num_measures == 4
+        with pytest.raises(MidiError, match="more than 4 measures"):
+            import_midi(one_note_file(off=480 * 17))
 
 
 class TestSemantics:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from scorefeat import musicxml
 from scorefeat.model import midi_number, note_count
 from scorefeat.musicxml import MusicXMLError, parse_musicxml
 from util import musicxml_doc, mxl_bytes, random_musicxml
@@ -62,6 +63,33 @@ class TestContainer:
     def test_mxl_without_manifest_is_fatal(self):
         with pytest.raises(MusicXMLError, match="container.xml"):
             parse_musicxml(mxl_bytes(MINIMAL, manifest=False))
+
+    def test_rootfile_over_size_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(musicxml, "MAX_MXL_MEMBER_BYTES", len(MINIMAL))
+        parse_musicxml(mxl_bytes(MINIMAL))  # at the cap: read
+        monkeypatch.setattr(musicxml, "MAX_MXL_MEMBER_BYTES", len(MINIMAL) - 1)
+        with pytest.raises(MusicXMLError, match="over"):
+            parse_musicxml(mxl_bytes(MINIMAL))
+
+    def test_rootfile_with_understated_size_refused(self, monkeypatch):
+        monkeypatch.setattr(musicxml, "MAX_MXL_MEMBER_BYTES", len(MINIMAL) - 1)
+        data = _declare_size(mxl_bytes(MINIMAL), "score.musicxml", 100)
+        with pytest.raises(MusicXMLError):
+            parse_musicxml(data)
+
+
+def _declare_size(container: bytes, name: str, size: int) -> bytes:
+    """``container`` with the central-directory uncompressed size of member
+    ``name`` overwritten by ``size``."""
+    data = bytearray(container)
+    pos = 0
+    while True:
+        pos = data.index(b"PK\x01\x02", pos)
+        name_len = int.from_bytes(data[pos + 28 : pos + 30], "little")
+        if data[pos + 46 : pos + 46 + name_len] == name.encode():
+            data[pos + 24 : pos + 28] = size.to_bytes(4, "little")
+            return bytes(data)
+        pos += 4
 
 
 class TestFatalErrors:

@@ -19,14 +19,34 @@ class TestCells:
         cell = as_cell(np.float64(0.5))
         assert type(cell) is float and cell == 0.5
 
+    def test_plain_values_pass_through_unchanged(self):
+        for value in (10**30, 0.1 + 0.2, "violin"):
+            assert as_cell(value) is value
+
 
 class TestAppend:
     def test_union_extends_with_missing(self):
-        t = FeatureTable()
-        t.append_row({"A": 1})
-        t.append_row({"B": 2})
+        t = FeatureTable.from_rows([{"A": 1}, {"B": 2}])
         assert t.columns == ["A", "B"]
         assert t.rows == [[1, None], [None, 2]]
+
+    def test_columns_in_first_seen_order(self):
+        t = FeatureTable.from_rows([{"B": 1, "A": 2}, {"C": 3, "A": 4}, {}])
+        assert t.columns == ["B", "A", "C"]
+        assert t.rows == [[1, 2, None], [None, 4, 3], [None, None, None]]
+
+    def test_cells_coerced(self):
+        import numpy as np
+
+        t = FeatureTable.from_rows([
+            {"F": Fraction(3, 2), "G": Fraction(4, 2), "T": True, "N": np.float64(0.5)},
+        ])
+        assert t.rows == [[1.5, 2, 1, 0.5]]
+        assert [type(c) for c in t.rows[0]] == [float, int, int, float]
+
+    def test_no_records_no_columns(self):
+        t = FeatureTable.from_rows([])
+        assert t.columns == [] and t.rows == []
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -35,9 +55,10 @@ class TestAppend:
 
 class TestCsv:
     def test_round_trip(self):
-        t = FeatureTable()
-        t.append_row({"FileName": "a", "X": 1, "Y": 1.5, "Names": "violin,voice"})
-        t.append_row({"FileName": "b", "X": None, "Y": 0.1 + 0.2, "Q": 'say "hi"'})
+        t = FeatureTable.from_rows([
+            {"FileName": "a", "X": 1, "Y": 1.5, "Names": "violin,voice"},
+            {"FileName": "b", "X": None, "Y": 0.1 + 0.2, "Q": 'say "hi"'},
+        ])
         text = t.to_csv()
         back = FeatureTable.from_csv(text)
         assert back.columns == t.columns
@@ -50,6 +71,12 @@ class TestCsv:
     def test_quoting_of_commas(self):
         t = FeatureTable(columns=["A"], rows=[["x,y"]])
         assert '"x,y"' in t.to_csv()
+
+    def test_row_written_cell_by_cell(self):
+        t = FeatureTable.from_rows([
+            {"A": 1, "B": None, "C": 0.1 + 0.2, "D": 'say "hi", twice', "E": 1e-20},
+        ])
+        assert t.to_csv() == 'A,B,C,D,E\n1,,0.30000000000000004,"say ""hi"", twice",1e-20\n'
 
     def test_shortest_round_trip_floats(self):
         t = FeatureTable(columns=["A"], rows=[[0.1]])
