@@ -24,7 +24,7 @@ from .harmony import (
     parse_rn_label,
     serialize_harmony,
 )
-from .midi import MidiError, QuantizationGrid, import_midi
+from .midi import MidiError, import_midi
 from .model import (
     Lyric,
     NoteEvent,
@@ -65,7 +65,6 @@ __all__ = [
     "ParseDiagnostics",
     "Part",
     "ProcessorConfig",
-    "QuantizationGrid",
     "RegistryError",
     "RunReport",
     "Score",

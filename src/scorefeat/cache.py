@@ -60,12 +60,11 @@ def store_score(cache_dir: Path, key: str, score: Score, hooks: Sequence[str] = 
         raise
 
 
-def load_score(
-    cache_dir: Path, key: str, hooks: Optional[Sequence[str]] = None
-) -> Optional[Score]:
+def load_score(cache_dir: Path, key: str, hooks: Sequence[str]) -> Optional[Score]:
     """Cached Score, or None on miss or any kind of corruption.
 
-    With ``hooks`` given, an entry written under other hooks is a miss too.
+    An entry written under other ``hooks`` than these (names, in order) is a
+    miss too.
     """
     target = cache_path(cache_dir, key)
     try:
@@ -89,6 +88,6 @@ def load_score(
         log.warning("cache entry %s holds a foreign object; reparsing", target)
         return None
     stored_hooks, score = entry
-    if hooks is not None and stored_hooks != tuple(hooks):
+    if stored_hooks != tuple(hooks):
         return None
     return score

@@ -61,13 +61,8 @@ def core_score(score: Score, part_values, upstream) -> dict:
         "KeySignature": score.key_signature,
     }
 
-    def counts(parts: list[Part]) -> list[int]:
-        return [
-            part_values.get(p.part_id, {}).get("NumNotes", note_count(p)) for p in parts
-        ]
-
     for prefix, members in part_groups(score):
-        values = counts(members)
+        values = [part_values[p.part_id]["NumNotes"] for p in members]
         out[f"{prefix}_NumNotes"] = sum(values)
         out[f"{prefix}_NumNotesMean"] = sum(values) / len(values)
     return out

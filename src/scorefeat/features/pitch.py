@@ -137,7 +137,6 @@ def key_features(score: Score) -> dict:
     out = {
         "Key": est.name,
         "KeyMode": est.mode,
-        "KeySignature": score.key_signature,
         "KeySignatureMatchesEstimate": int(score.key_signature == implied),
     }
     if est.score is not None:

@@ -75,7 +75,7 @@ class HarmonicAnnotation:
         return (self.measure_index, self.beat)
 
 
-def parse_rn_label(label: str, local_key: str = "") -> ParsedLabel:
+def parse_rn_label(label: str) -> ParsedLabel:
     """Parse one Roman-numeral label; unparsable labels get degree "unknown"."""
     m = _LABEL_RE.match(label.strip())
     if not m:
@@ -172,7 +172,7 @@ def parse_harmony_file(text: str) -> list[HarmonicAnnotation]:
     annotations = []
     prev_key: Optional[str] = None
     for measure, beat, label, key, line_no in rows:
-        parsed = parse_rn_label(label, key)
+        parsed = parse_rn_label(label)
         if parsed.degree == "unknown":
             log.warning("line %d: unparsable label %r kept with degree=unknown", line_no, label)
         annotations.append(

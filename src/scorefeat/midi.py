@@ -1,13 +1,17 @@
 """Standard MIDI File (format 0/1) importer with grid quantization.
 
 MIDI carries no spellings, lyrics, or harmony; pitches are spelled from the
-key-signature meta event (sharps by default, flats for flat keys) and note
-times are snapped to a configurable grid so duration features stay rational.
+key-signature meta event (sharps by default, flats for flat keys). Note times
+are read in the header's ticks per quarter and snapped to the fixed ``GRID``
+(a sixteenth note), so duration features stay rational. The measure starts
+planned from the time-signature events become the score's measure offsets,
+and each note lands in the last measure that starts at or before its onset.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -18,7 +22,7 @@ from .instruments import OrdinalAllocator, detect_instrument_family, part_identi
 from .model import NoteEvent, Part, Score, SpelledPitch, TempoMark
 
 PARSER_ID = "midi"
-PARSER_VERSION = "1"
+PARSER_VERSION = "2"
 
 # Input caps: a few bytes of delta time can describe hours of music, so the
 # importer refuses a file whose music ends past MAX_QUARTERS (quantized) or
@@ -26,14 +30,9 @@ PARSER_VERSION = "1"
 MAX_QUARTERS = 40_000
 MAX_MEASURES = 10_000
 
-ALLOWED_GRIDS = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 4),
-    Fraction(1, 8),
-    Fraction(1, 3),
-    Fraction(1, 6),
-)
+# Snap grid for onsets and durations, in quarter notes. Durations are floored
+# at one grid unit so no note quantizes away.
+GRID = Fraction(1, 4)
 
 _SHARP_SPELLING = {
     0: ("C", 0), 1: ("C", 1), 2: ("D", 0), 3: ("D", 1), 4: ("E", 0), 5: ("F", 0),
@@ -61,22 +60,6 @@ _GM_RANGES = (
 
 class MidiError(ValueError):
     """Fatal problem in a Standard MIDI File."""
-
-
-@dataclass(frozen=True)
-class QuantizationGrid:
-    """Snap grid for onsets and durations, as a fraction of a quarter note.
-
-    Durations are floored at one grid unit so no note quantizes away.
-    ``ticks_per_quarter`` is taken from the file header when left unset.
-    """
-
-    grid: Fraction = Fraction(1, 4)
-    ticks_per_quarter: Optional[int] = None
-
-    def __post_init__(self):
-        if self.grid not in ALLOWED_GRIDS:
-            raise ValueError(f"grid must be one of {ALLOWED_GRIDS}, got {self.grid}")
 
 
 def gm_sound(program: int) -> str:
@@ -126,13 +109,8 @@ class _TrackData:
     end_tick: int = 0
 
 
-def import_midi(
-    data: bytes,
-    grid: Optional[QuantizationGrid] = None,
-    source_id: str = "score",
-) -> tuple[Score, ParseDiagnostics]:
+def import_midi(data: bytes, source_id: str = "score") -> tuple[Score, ParseDiagnostics]:
     """Import an SMF format 0/1 file into a quantized Score."""
-    grid = grid or QuantizationGrid()
     diags = ParseDiagnostics()
 
     r = _Reader(data)
@@ -149,7 +127,7 @@ def import_midi(
         raise MidiError(f"unknown SMF format {fmt}")
     if division & 0x8000:
         raise MidiError("SMPTE time division is unsupported")
-    tpq = grid.ticks_per_quarter or division
+    tpq = division
     if tpq <= 0:
         raise MidiError("ticks per quarter must be positive")
 
@@ -177,12 +155,12 @@ def import_midi(
     prefer_flats = key_fifths is not None and key_fifths < 0
 
     measure_starts, time_signatures = _plan_measures(
-        sig_events, tpq, *_last_ticks(tracks), grid, diags
+        sig_events, tpq, *_last_ticks(tracks), diags
     )
 
-    parts = _build_parts(tracks, tpq, grid, measure_starts, prefer_flats, diags)
+    parts = _build_parts(tracks, tpq, measure_starts, prefer_flats, diags)
     tempo_marks = tuple(
-        TempoMark(measure_index=_measure_at(measure_starts, Fraction(t, tpq)), bpm=bpm)
+        TempoMark(measure_index=bisect_right(measure_starts, Fraction(t, tpq)), bpm=bpm)
         for t, bpm in sorted(tempo_events)
     )
 
@@ -267,12 +245,11 @@ def _round_half_up(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
-def _quantize(tick: int, tpq: int, grid: Fraction) -> Fraction:
-    steps = _round_half_up(Fraction(tick, tpq) / grid)
-    return steps * grid
+def _quantize(tick: int, tpq: int) -> Fraction:
+    return _round_half_up(Fraction(tick, tpq) / GRID) * GRID
 
 
-def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, grid, diags):
+def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, diags):
     """Measure start offsets (quarters) and the time-signature list.
 
     After the last time signature, measures are planned while they start
@@ -280,10 +257,10 @@ def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, grid, diags)
     a final note that ends on a barline adds no empty measure, one whose onset
     quantizes onto it still gets its own. A time signature that starts after
     the music (at or past the last end, past the last onset) is dropped.
-    There is always at least one measure.
+    There is always at least one measure, and the first starts at 0.
     """
-    last_onset = _quantize(last_onset_tick, tpq, grid.grid)
-    last_end = _quantize(last_end_tick, tpq, grid.grid)
+    last_onset = _quantize(last_onset_tick, tpq)
+    last_end = _quantize(last_end_tick, tpq)
     if last_end > MAX_QUARTERS:
         raise MidiError(f"music ends after {last_end} quarters, over the cap of {MAX_QUARTERS}")
     sigs = sorted({(t, n, d) for t, n, d in sig_events})
@@ -318,24 +295,13 @@ def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, grid, diags)
     return starts, tuple(signatures)
 
 
-def _measure_at(measure_starts, onset: Fraction) -> int:
-    lo, hi = 0, len(measure_starts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if measure_starts[mid] <= onset:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo + 1
-
-
 def _spell(midi: int, prefer_flats: bool) -> SpelledPitch:
     table = _FLAT_SPELLING if prefer_flats else _SHARP_SPELLING
     step, alter = table[midi % 12]
     return SpelledPitch(step=step, alter=alter, octave=midi // 12 - 1)
 
 
-def _build_parts(tracks, tpq, grid, measure_starts, prefer_flats, diags):
+def _build_parts(tracks, tpq, measure_starts, prefer_flats, diags):
     channel_notes: dict[tuple[int, int], list] = {}
     channel_programs: dict[tuple[int, int], int] = {}
     track_names: dict[int, Optional[str]] = {}
@@ -382,15 +348,15 @@ def _build_parts(tracks, tpq, grid, measure_starts, prefer_flats, diags):
         dyn_marks: list[tuple[Fraction, str]] = []
         last_token: Optional[str] = None
         for s_tick, e_tick, pitch, vel in sorted(raw):
-            onset = _quantize(s_tick, tpq, grid.grid)
-            steps = _round_half_up(Fraction(e_tick - s_tick, tpq) / grid.grid)
-            duration = max(1, steps) * grid.grid
+            onset = _quantize(s_tick, tpq)
+            steps = _round_half_up(Fraction(e_tick - s_tick, tpq) / GRID)
+            duration = max(1, steps) * GRID
             events.append(
                 NoteEvent(
                     kind="note",
                     onset=onset,
                     duration=duration,
-                    measure_index=_measure_at(measure_starts, onset),
+                    measure_index=bisect_right(measure_starts, onset),
                     pitch=_spell(pitch, prefer_flats),
                 )
             )

@@ -157,20 +157,21 @@ class TempoMark:
 class Score:
     """Immutable parsed score. Safe to share freely across threads.
 
-    ``first_measure`` and ``measure_offsets`` exist so that window slices can
-    keep original measure numbering and absolute onsets while still knowing
-    where their measures sit in time.
+    ``measure_offsets`` holds the absolute quarter-note offset at which each
+    measure starts, one per measure from ``first_measure`` on. The parser
+    that builds a score computes them once; window slices keep their share
+    of them, with the original measure numbering and un-rebased onsets.
     """
 
     source_id: str
     parts: tuple[Part, ...]
     num_measures: int
     time_signatures: tuple[tuple[int, int, int], ...]  # (measure_index, num, den)
+    measure_offsets: tuple[Fraction, ...]
     key_signature: int = 0  # fifths, -7..+7
     tempo_marks: tuple[TempoMark, ...] = ()
     annotations: Optional[tuple["HarmonicAnnotation", ...]] = None
     first_measure: int = 1
-    measure_offsets: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
         if self.num_measures < 1:
@@ -181,7 +182,7 @@ class Score:
             raise ValueError("first time signature must sit at the first measure")
         if not -7 <= self.key_signature <= 7:
             raise ValueError(f"key signature out of range: {self.key_signature}")
-        if self.measure_offsets is not None and len(self.measure_offsets) != self.num_measures:
+        if len(self.measure_offsets) != self.num_measures:
             raise ValueError("measure_offsets length must equal num_measures")
         seen = set()
         for p in self.parts:
@@ -214,22 +215,15 @@ class Score:
         """Absolute quarter-note offset at the start of a measure."""
         if not self.first_measure <= measure_index <= self.last_measure:
             raise ValueError(f"measure {measure_index} not in score range")
-        if self.measure_offsets is not None:
-            return self.measure_offsets[measure_index - self.first_measure]
-        offset = Fraction(0)
-        for m in range(self.first_measure, measure_index):
-            offset += self.measure_quarters(m)
-        return offset
+        return self.measure_offsets[measure_index - self.first_measure]
 
     def total_quarters(self) -> Fraction:
         """Span of the score (or window) in quarter notes."""
-        if self.measure_offsets is not None:
-            return (
-                self.measure_offsets[-1]
-                + self.measure_quarters(self.last_measure)
-                - self.measure_offsets[0]
-            )
-        return sum((self.measure_quarters(m) for m in self.measure_indices()), Fraction(0))
+        return (
+            self.measure_offsets[-1]
+            + self.measure_quarters(self.last_measure)
+            - self.measure_offsets[0]
+        )
 
 
 def counted_notes(part: Part) -> list[NoteEvent]:
@@ -327,7 +321,7 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
     if end_measure < score.last_measure:
         window_end = score.measure_offset(end_measure + 1)
     else:
-        window_end = score.measure_offset(score.first_measure) + score.total_quarters()
+        window_end = score.measure_offset(end_measure) + score.measure_quarters(end_measure)
 
     parts = []
     for part in score.parts:
@@ -356,11 +350,7 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
             a for a in score.annotations if start_measure <= a.measure_index <= end_measure
         )
 
-    offsets = None
-    if score.measure_offsets is not None:
-        lo = start_measure - score.first_measure
-        offsets = score.measure_offsets[lo : lo + eff_length]
-
+    lo = start_measure - score.first_measure
     return replace(
         score,
         parts=tuple(parts),
@@ -369,5 +359,5 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
         tempo_marks=tuple(tempo),
         annotations=annotations,
         first_measure=start_measure,
-        measure_offsets=offsets,
+        measure_offsets=score.measure_offsets[lo : lo + eff_length],
     )

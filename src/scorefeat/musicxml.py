@@ -15,6 +15,7 @@ import zlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .diagnostics import ParseDiagnostics
@@ -36,7 +37,7 @@ from .model import (
 )
 
 PARSER_ID = "musicxml"
-PARSER_VERSION = "1"
+PARSER_VERSION = "2"
 
 DYNAMIC_TOKENS = {
     "pppp", "ppp", "pp", "p", "mp", "mf", "f", "ff", "fff", "ffff",
@@ -256,8 +257,6 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
             bpm = _sound_tempo(el, diags, loc)
             if bpm is not None:
                 tempo_raw.append((mi, cursor, None, bpm))
-        elif el.tag in ("barline", "print", "harmony", "figured-bass", "grouping"):
-            diags.skip(el.tag)
         else:
             diags.skip(el.tag)
 
@@ -477,20 +476,18 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
     num_measures = max((len(rp.measure_lengths) for rp in raw_parts), default=0)
     num_measures = max(num_measures, 1)
 
-    sig_score = Score(  # temporary shell for signature lookups
-        source_id=source_id, parts=(), num_measures=num_measures,
-        time_signatures=tuple(time_signatures),
-    )
+    # a measure lasts as long as its longest part; an empty one as its signature says
+    nominal_at = {m: Fraction(num * 4, den) for m, num, den in time_signatures}
+    nominal = nominal_at[1]
     lengths: list[Fraction] = []
-    for m in range(num_measures):
+    for m in range(1, num_measures + 1):
+        nominal = nominal_at.get(m, nominal)
         content = max(
-            (rp.measure_lengths[m] for rp in raw_parts if m < len(rp.measure_lengths)),
+            (rp.measure_lengths[m - 1] for rp in raw_parts if m <= len(rp.measure_lengths)),
             default=Fraction(0),
         )
-        lengths.append(content if content > 0 else sig_score.measure_quarters(m + 1))
-    offsets = [Fraction(0)]
-    for length in lengths[:-1]:
-        offsets.append(offsets[-1] + length)
+        lengths.append(content if content > 0 else nominal)
+    offsets = list(accumulate(lengths[:-1], initial=Fraction(0)))
 
     parts = []
     ordinals = OrdinalAllocator()

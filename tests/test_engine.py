@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scorefeat import musicxml as musicxml_parser
 from scorefeat.cache import cache_key, cache_path, load_score, store_score
 from scorefeat.engine import (
     ConfigError,
@@ -98,14 +99,14 @@ class TestCache:
         f.write_bytes(SIMPLE)
         config = ExtractorConfig(cache_dir=tmp_path / "cache")
         load_or_parse(f, config, RunReport())
-        key = cache_key(SIMPLE, "musicxml", "1")
+        key = cache_key(SIMPLE, "musicxml", musicxml_parser.PARSER_VERSION)
         entry = cache_path(config.cache_dir, key)
         entry.write_bytes(entry.read_bytes()[:10])
         report = RunReport()
         score = load_or_parse(f, config, report)
         assert report.parsed == 1  # fault injected, reparse happened
         assert score.num_measures == 2
-        assert load_score(config.cache_dir, key) == score  # rewritten
+        assert load_score(config.cache_dir, key, []) == score  # rewritten
 
     def test_entry_of_older_format_is_a_miss(self, tmp_path):
         import pickle
@@ -113,11 +114,11 @@ class TestCache:
         from scorefeat.musicxml import parse_musicxml
 
         score, _ = parse_musicxml(SIMPLE)
-        key = cache_key(SIMPLE, "musicxml", "1")
+        key = cache_key(SIMPLE, "musicxml", musicxml_parser.PARSER_VERSION)
         entry = cache_path(tmp_path, key)
         entry.parent.mkdir(parents=True)
         entry.write_bytes(b"MSF1" + pickle.dumps(score))
-        assert load_score(tmp_path, key) is None
+        assert load_score(tmp_path, key, []) is None
 
     def test_unsupported_suffix_rejected_despite_cached_bytes(self, tmp_path):
         config = ExtractorConfig(cache_dir=tmp_path / "cache")
@@ -178,8 +179,8 @@ class TestHooks:
         f.write_bytes(GRACED)
         config = ExtractorConfig(cache_dir=tmp_path / "cache", hooks=["drop_graces"])
         load_or_parse(f, config, RunReport())
-        key = cache_key(GRACED, "musicxml", "1")
-        cached = load_score(config.cache_dir, key)
+        key = cache_key(GRACED, "musicxml", musicxml_parser.PARSER_VERSION)
+        cached = load_score(config.cache_dir, key, ["drop_graces"])
         assert all(not e.grace for p in cached.parts for e in p.events)
 
     def test_unhooked_run_misses_hooked_entry(self, tmp_path):

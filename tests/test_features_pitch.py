@@ -153,6 +153,11 @@ class TestKeyFeatures:
     def test_empty_score_missing(self):
         assert key_features(score([part([], measures=1)])) == {}
 
+    def test_key_signature_comes_from_core_alone(self):
+        s = self._scale_score([(pc + 9) % 12 for pc in MAJOR_PCS], fifths=3)
+        assert "KeySignature" not in key_features(s)
+        assert run_module("core", s)["KeySignature"] == 3
+
     def test_duration_weighting(self):
         # long G-major content outweighs a short chromatic blip
         events = [note("G", onset=0, dur=8, measure=1),

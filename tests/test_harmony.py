@@ -38,14 +38,14 @@ class TestLabelGrammar:
         ],
     )
     def test_hand_parsed_oracle(self, label, degree, quality, inversion, applied):
-        parsed = parse_rn_label(label, "C")
+        parsed = parse_rn_label(label)
         assert (parsed.degree, parsed.quality, parsed.inversion, parsed.applied_of) == (
             degree, quality, inversion, applied,
         )
 
     @pytest.mark.parametrize("label", ["Ger6", "Cad64", "@none", "7", ""])
     def test_unparsable_kept_as_unknown(self, label):
-        assert parse_rn_label(label, "C").degree == "unknown"
+        assert parse_rn_label(label).degree == "unknown"
 
 
 class TestFunctions:
@@ -78,7 +78,7 @@ class TestFunctions:
             for suf in ("", "o", "7", "6")
         ]
         for label in labels:
-            parsed = parse_rn_label(label, "C")
+            parsed = parse_rn_label(label)
             fn = classify_function(parsed.degree, parsed.applied_of, parsed.quality)
             assert fn in ("T", "D", "S", "other")
 

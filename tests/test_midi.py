@@ -1,11 +1,15 @@
 import random
 import struct
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scorefeat import midi
-from scorefeat.midi import MidiError, QuantizationGrid, import_midi
+from scorefeat.midi import MidiError, import_midi
 from scorefeat.model import midi_number, note_count
 from util import midi_bytes, midi_meta_track, midi_note_events
 
@@ -77,6 +81,38 @@ class TestBasics:
         assert score.tempo_marks[0].bpm == pytest.approx(90, abs=0.01)
 
 
+def reference_measure_at(measure_starts, onset):
+    """The importer's former measure lookup, a hand-written binary search for
+    the last measure starting at or before ``onset`` (1-based), kept as the
+    reference for ``bisect_right``."""
+    lo, hi = 0, len(measure_starts) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if measure_starts[mid] <= onset:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo + 1
+
+
+class TestMeasureLookup:
+    lengths = st.lists(
+        st.fractions(min_value=Fraction(1, 16), max_value=8, max_denominator=16),
+        min_size=1, max_size=30,
+    )
+
+    @given(lengths, st.fractions(min_value=0, max_value=300))
+    @example([Fraction(4)], Fraction(4))
+    @example([Fraction(3), Fraction(3)], Fraction(3))
+    def test_bisect_matches_reference(self, lengths, onset):
+        # measure starts as the importer plans them: from 0, strictly rising;
+        # every start and every mid-measure point is checked besides ``onset``
+        starts = list(accumulate(lengths[:-1], initial=Fraction(0)))
+        onsets = [onset, *starts, *(s + n / 2 for s, n in zip(starts, lengths))]
+        for q in onsets:
+            assert bisect_right(starts, q) == reference_measure_at(starts, q)
+
+
 class TestErrors:
     def test_format_2_unsupported(self):
         data = midi_bytes([midi_note_events([(0, 480, 60, 64)])], fmt=2)
@@ -98,10 +134,6 @@ class TestErrors:
     def test_not_midi(self):
         with pytest.raises(MidiError):
             import_midi(b"RIFFxxxx")
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            QuantizationGrid(grid=Fraction(1, 5))
 
     def test_note_past_quarter_cap_fatal(self):
         # 36 bytes: one note of 2**20 ticks at 1 tick per quarter, which

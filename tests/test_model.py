@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scorefeat.model import (
     PitchRangeError,
+    Score,
     SpelledPitch,
     WindowRangeError,
     governing_indices,
@@ -58,6 +59,17 @@ class TestMidiNumber:
         for table in (_SHARP_SPELLING, _FLAT_SPELLING):
             step, alter = table[m % 12]
             assert midi_number(SpelledPitch(step, alter, m // 12 - 1)) == m
+
+
+class TestScore:
+    def test_measure_offsets_required(self):
+        with pytest.raises(TypeError, match="measure_offsets"):
+            Score(source_id="s", parts=(), num_measures=1, time_signatures=((1, 4, 4),))
+
+    def test_measure_offsets_one_per_measure(self):
+        with pytest.raises(ValueError, match="measure_offsets"):
+            Score(source_id="s", parts=(), num_measures=2, time_signatures=((1, 4, 4),),
+                  measure_offsets=(Fraction(0),))
 
 
 class TestCounting:

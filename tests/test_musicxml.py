@@ -222,6 +222,21 @@ class TestContent:
         assert [e.duration for e in score.parts[0].events] == [Fraction(4), Fraction(4)]
         assert any("divisions" in msg for _, msg in diags.warnings)
 
+    def test_empty_measure_takes_its_length_from_the_signature(self):
+        # 4/4, then 3/4 from measure 2; measure 3 is empty, so its length is
+        # the signature's 3 quarters
+        doc = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16}],
+                                        [{"step": "D", "octave": 4, "dur": 12}],
+                                        [],
+                                        [{"step": "E", "octave": 4, "dur": 12}]])])
+        doc = doc.replace(b'<measure number="2">', b'<measure number="2"><attributes><time>'
+                          b'<beats>3</beats><beat-type>4</beat-type></time></attributes>')
+        score, _ = parse_musicxml(doc)
+        assert score.time_signatures == ((1, 4, 4), (2, 3, 4))
+        assert score.measure_offsets == (0, 4, 7, 10)
+        assert score.parts[0].events[-1].onset == 10
+        assert score.total_quarters() == 13
+
 
 class TestRoundTrip:
     def test_random_inventories_round_trip(self):

@@ -68,6 +68,7 @@ def score(parts, measures=None, sig=(4, 4), fifths=0, tempo=(), source="fixture"
         parts=tuple(parts),
         num_measures=measures,
         time_signatures=((1, sig[0], sig[1]),),
+        measure_offsets=tuple(Fraction(4 * sig[0], sig[1]) * i for i in range(measures)),
         key_signature=fifths,
         tempo_marks=tuple(tempo),
         annotations=tuple(annotations) if annotations is not None else None,
