@@ -2,9 +2,9 @@
 
 Entries live at ``<cache_dir>/<2-char key prefix>/<key>.score`` and carry a
 magic header plus format version, then the names of the hooks that shaped
-the score and the score itself; anything unreadable is treated as a miss
-so corruption can never be fatal. Writes go through a temp file and rename,
-so concurrent workers never observe partial entries.
+the score, the score itself and its parse's diagnostics; anything unreadable
+is treated as a miss so corruption can never be fatal. Writes go through a
+temp file and rename, so concurrent workers never observe partial entries.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .diagnostics import ParseDiagnostics
 from .model import Score
 
 log = logging.getLogger(__name__)
 
-CACHE_MAGIC = b"MSF2"
+CACHE_MAGIC = b"MSF3"
 
 
 def cache_key(source_bytes: bytes, parser_id: str, parser_version: str) -> str:
@@ -39,13 +40,16 @@ def cache_path(cache_dir: Path, key: str) -> Path:
     return Path(cache_dir) / key[:2] / f"{key}.score"
 
 
-def store_score(cache_dir: Path, key: str, score: Score, hooks: Sequence[str] = ()) -> None:
+def store_score(
+    cache_dir: Path, key: str, score: Score, diags: ParseDiagnostics, hooks: Sequence[str]
+) -> None:
     """Atomic write: temp file in the target directory, then rename.
 
-    ``hooks`` names the hooks, in order, that were run on ``score``."""
+    ``diags`` is what the parse of ``score`` reported; ``hooks`` names the
+    hooks, in order, that were run on ``score`` after it."""
     target = cache_path(cache_dir, key)
     target.parent.mkdir(parents=True, exist_ok=True)
-    entry = (tuple(hooks), score)
+    entry = (tuple(hooks), score, diags)
     payload = CACHE_MAGIC + pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
@@ -60,8 +64,10 @@ def store_score(cache_dir: Path, key: str, score: Score, hooks: Sequence[str] = 
         raise
 
 
-def load_score(cache_dir: Path, key: str, hooks: Sequence[str]) -> Optional[Score]:
-    """Cached Score, or None on miss or any kind of corruption.
+def load_score(
+    cache_dir: Path, key: str, hooks: Sequence[str]
+) -> Optional[tuple[Score, ParseDiagnostics]]:
+    """Cached (score, diagnostics), or None on miss or any kind of corruption.
 
     An entry written under other ``hooks`` than these (names, in order) is a
     miss too.
@@ -81,13 +87,14 @@ def load_score(cache_dir: Path, key: str, hooks: Sequence[str]) -> Optional[Scor
         return None
     if not (
         isinstance(entry, tuple)
-        and len(entry) == 2
+        and len(entry) == 3
         and isinstance(entry[0], tuple)
         and isinstance(entry[1], Score)
+        and isinstance(entry[2], ParseDiagnostics)
     ):
         log.warning("cache entry %s holds a foreign object; reparsing", target)
         return None
-    stored_hooks, score = entry
+    stored_hooks, score, diags = entry
     if stored_hooks != tuple(hooks):
         return None
-    return score
+    return score, diags

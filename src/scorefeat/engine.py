@@ -1,20 +1,21 @@
 """Stage one of the pipeline: windowing, hooks, caching, and table assembly.
 
-Per-score work (parse or cache load, hooks, harmony pairing, feature
-modules) fans out over a thread pool; rows are assembled in input order so
-parallel and serial runs produce the same table.
+Each file's work (parse or cache load, hooks, harmony pairing, feature
+modules) is one call that shares no state with the others and returns the
+file's rows and its own report. The calls may run on a thread pool; their
+rows and reports are assembled in input order, so the table and the report
+read the same at any parallelism.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import cache as score_cache
 from . import features as stock  # noqa: F401  (imports register the stock modules)
@@ -65,7 +66,7 @@ class ExtractorConfig:
     window_overlap: int = 0
     cache_dir: Optional[Path] = None
     hooks: list[str] = field(default_factory=list)
-    parallelism: int = 0  # 0 -> cpu count
+    parallelism: int = 1
 
     def __post_init__(self):
         if self.xml_dir is not None:
@@ -90,21 +91,20 @@ class ExtractorConfig:
                 raise ConfigError("window_overlap must satisfy 0 <= overlap < window_size")
         elif self.window_overlap:
             raise ConfigError("window_overlap requires window_size")
+        if self.parallelism < 1:
+            raise ConfigError("parallelism must be >= 1")
         for hook in self.hooks:
             try:
                 get_hook(hook)
             except RegistryError as exc:
                 raise ConfigError(str(exc)) from exc
 
-    @property
-    def jobs(self) -> int:
-        return self.parallelism if self.parallelism > 0 else (os.cpu_count() or 1)
-
 
 @dataclass
 class RunReport:
-    """Per-run outcome ledger: failures, warnings, skipped-element tallies
-    from fresh parses, and cache statistics."""
+    """Outcome ledger of one file, or of a run as its files' reports merged
+    in input order: failures, parser warnings, skipped-element tallies and
+    cache statistics."""
 
     failures: list[dict] = field(default_factory=list)
     warnings: list[dict] = field(default_factory=list)
@@ -112,23 +112,21 @@ class RunReport:
     parsed: int = 0
     cache_hits: int = 0
     cache_writes: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def add_failure(self, path, stage: str, error: Exception | str) -> None:
-        with self._lock:
-            self.failures.append({"path": str(path), "stage": stage, "error": str(error)})
+        self.failures.append({"path": str(path), "stage": stage, "error": str(error)})
 
     def add_warning(self, path, message: str) -> None:
-        with self._lock:
-            self.warnings.append({"path": str(path), "message": message})
+        self.warnings.append({"path": str(path), "message": message})
 
-    def add_skipped(self, tallies: Mapping[str, int]) -> None:
-        with self._lock:
-            self.skipped.update(tallies)
-
-    def count(self, counter: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + n)
+    def merge(self, other: RunReport) -> None:
+        """Append ``other``'s entries after this report's and add its counts."""
+        self.failures += other.failures
+        self.warnings += other.warnings
+        self.skipped.update(other.skipped)
+        self.parsed += other.parsed
+        self.cache_hits += other.cache_hits
+        self.cache_writes += other.cache_writes
 
     def to_json_lines(self) -> str:
         import json
@@ -178,13 +176,12 @@ def _stem(path: Path) -> str:
     return path.name[: -len(path.suffix)] if path.suffix else path.name
 
 
-def load_or_parse(
-    path, config: ExtractorConfig, report: Optional[RunReport] = None
-) -> Score:
+def load_or_parse(path, config: ExtractorConfig, report: RunReport) -> Score:
     """Cache-aware parse. Cached entries already carry hook effects, so hooks
     are only run on a fresh parse; an entry written under other hooks, or a
     corrupt one, falls back to reparsing. Files with the same bytes share an
-    entry, so a hit takes its ``source_id`` from ``path``."""
+    entry, so a hit takes its ``source_id`` from ``path``. A hit reports the
+    warnings and skipped tallies its parse gave, as a fresh parse does."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix not in _PARSERS:
@@ -193,30 +190,26 @@ def load_or_parse(
     data = path.read_bytes()
     key = score_cache.cache_key(data, parser.PARSER_ID, parser.PARSER_VERSION)
 
+    cached = None
     if config.cache_dir is not None:
         cached = score_cache.load_score(config.cache_dir, key, config.hooks)
-        if cached is not None:
-            if report:
-                report.count("cache_hits")
-            stem = _stem(path)
-            if cached.source_id != stem:
-                cached = replace(cached, source_id=stem)
-            return cached
+    if cached is not None:
+        score, diags = cached
+        report.cache_hits += 1
+        stem = _stem(path)
+        if score.source_id != stem:
+            score = replace(score, source_id=stem)
+    else:
+        score, diags = getattr(parser, parse_name)(data, source_id=_stem(path))
+        report.parsed += 1
+        score = run_hooks(score, [get_hook(name) for name in config.hooks])
+        if config.cache_dir is not None:
+            score_cache.store_score(config.cache_dir, key, score, diags, config.hooks)
+            report.cache_writes += 1
 
-    score, diags = getattr(parser, parse_name)(data, source_id=_stem(path))
-    if report:
-        report.count("parsed")
-        for location, message in diags.warnings:
-            report.add_warning(path, f"{location}: {message}")
-        report.add_skipped(diags.skipped_elements)
-
-    hooks = [get_hook(name) for name in config.hooks]
-    score = run_hooks(score, hooks)
-
-    if config.cache_dir is not None:
-        score_cache.store_score(config.cache_dir, key, score, config.hooks)
-        if report:
-            report.count("cache_writes")
+    for location, message in diags.warnings:
+        report.add_warning(path, f"{location}: {message}")
+    report.skipped.update(diags.skipped_elements)
     return score
 
 
@@ -267,12 +260,14 @@ def _score_units(score: Score, config: ExtractorConfig):
         yield slice_window(score, start, length), (start, start + length - 1)
 
 
-def _process_path(path: Path, config, order, registry, report: RunReport):
+def _process_path(path: Path, config, order, registry) -> tuple[list[dict], RunReport]:
+    """One file's rows and its own report; shares no state with other calls."""
+    report = RunReport()
     try:
         score = load_or_parse(path, config, report)
     except Exception as exc:  # parse or hook failures stay per-file
         report.add_failure(path, "parse", exc)
-        return []
+        return [], report
 
     harmony_path = _find_harmony_file(path, config)
     if harmony_path is not None:
@@ -292,8 +287,8 @@ def _process_path(path: Path, config, order, registry, report: RunReport):
             rows.append({**identity, **extract_unit(unit, order, registry)})
     except Exception as exc:  # a feature crash must not kill the whole run
         report.add_failure(path, "features", exc)
-        return []
-    return rows
+        return [], report
+    return rows, report
 
 
 def extract(
@@ -303,8 +298,9 @@ def extract(
 ) -> FeatureTable:
     """Extract one row per score (or per window) across all input paths.
 
-    Failures are collected into the report and the run continues; row order
-    is (input order, window start) regardless of parallelism.
+    Failures are collected into the report and the run continues. Rows are
+    in (input order, window start) order and report entries in input order,
+    regardless of parallelism.
     """
     config.validate()
     report = report if report is not None else RunReport()
@@ -315,18 +311,14 @@ def extract(
         raise ConfigError(str(exc)) from exc
 
     paths = [Path(p) for p in paths]
-    results: list[list[dict]] = [[] for _ in paths]
-    jobs = min(config.jobs, max(len(paths), 1))
+    work = partial(_process_path, config=config, order=order, registry=registry)
+    jobs = min(config.parallelism, len(paths))
     if jobs <= 1:
-        for i, path in enumerate(paths):
-            results[i] = _process_path(path, config, order, registry, report)
+        results = list(map(work, paths))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_process_path, path, config, order, registry, report): i
-                for i, path in enumerate(paths)
-            }
-            for future, i in futures.items():
-                results[i] = future.result()
+            results = list(pool.map(work, paths))
 
-    return FeatureTable.from_rows(row for rows in results for row in rows)
+    for _rows, file_report in results:
+        report.merge(file_report)
+    return FeatureTable.from_rows(row for rows, _report in results for row in rows)

@@ -55,7 +55,6 @@ def core_part(part: Part, score: Score, upstream) -> dict:
 def core_score(score: Score, part_values, upstream) -> dict:
     num, den = score.time_signatures[0][1:]
     out = {
-        "FileName": score.source_id,
         "NumMeasures": score.num_measures,
         "TimeSignature": f"{num}/{den}",
         "KeySignature": score.key_signature,

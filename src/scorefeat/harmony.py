@@ -70,10 +70,6 @@ class HarmonicAnnotation:
     applied_of: Optional[str]
     is_key_change: bool
 
-    @property
-    def position(self) -> tuple[int, Fraction]:
-        return (self.measure_index, self.beat)
-
 
 def parse_rn_label(label: str) -> ParsedLabel:
     """Parse one Roman-numeral label; unparsable labels get degree "unknown"."""

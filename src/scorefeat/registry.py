@@ -89,20 +89,15 @@ def resolve_feature_order(
     def rank(name: str):
         return (name != CORE_MODULE, req_rank.get(name, len(req_rank)), name)
 
-    pending = dict.fromkeys(sorted(wanted, key=rank))
-    ordered: list[str] = []
-    satisfied: set[str] = set()
+    placed: list[str] = []
+    pending = sorted(wanted, key=rank)
     while pending:
-        progressed = False
-        for name in list(pending):
-            deps = [d for d in registry[name].depends_on if d in wanted]
-            if all(d in satisfied for d in deps):
-                ordered.append(name)
-                satisfied.add(name)
-                del pending[name]
-                progressed = True
+        for name in pending:
+            if all(d in placed or d not in wanted for d in registry[name].depends_on):
                 break
-        if not progressed:
+        else:
             cycle = ", ".join(sorted(pending))
             raise RegistryError(f"dependency cycle among feature modules: {cycle}")
-    return ordered
+        placed.append(name)
+        pending.remove(name)
+    return placed

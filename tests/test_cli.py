@@ -127,6 +127,11 @@ class TestRun:
     def test_missing_input_dir_exit_one(self, tmp_path):
         assert run(["--xml-dir", str(tmp_path / "nope")]) == 1
 
+    def test_zero_jobs_exit_one(self, corpus):
+        out = corpus / "features.csv"
+        assert run(["--xml-dir", str(corpus), "--output", str(out), "--jobs", "0"]) == 1
+        assert not out.exists()
+
     def test_jsonl_output(self, corpus):
         out = corpus / "features.jsonl"
         code = run(["--xml-dir", str(corpus), "--output", str(out), "--format", "jsonl"])

@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from scorefeat import musicxml as musicxml_parser
-from scorefeat.cache import cache_key, cache_path, load_score, store_score
+from scorefeat.cache import CACHE_MAGIC, cache_key, cache_path, load_score, store_score
+from scorefeat.diagnostics import ParseDiagnostics
 from scorefeat.engine import (
     ConfigError,
     ExtractorConfig,
@@ -106,7 +108,7 @@ class TestCache:
         score = load_or_parse(f, config, report)
         assert report.parsed == 1  # fault injected, reparse happened
         assert score.num_measures == 2
-        assert load_score(config.cache_dir, key, []) == score  # rewritten
+        assert load_score(config.cache_dir, key, [])[0] == score  # rewritten
 
     def test_entry_of_older_format_is_a_miss(self, tmp_path):
         import pickle
@@ -119,6 +121,33 @@ class TestCache:
         entry.parent.mkdir(parents=True)
         entry.write_bytes(b"MSF1" + pickle.dumps(score))
         assert load_score(tmp_path, key, []) is None
+
+    def test_entry_without_diagnostics_is_a_miss(self, tmp_path):
+        import pickle
+
+        from scorefeat.musicxml import parse_musicxml
+
+        score, _ = parse_musicxml(SIMPLE)
+        key = cache_key(SIMPLE, "musicxml", musicxml_parser.PARSER_VERSION)
+        entry = cache_path(tmp_path, key)
+        entry.parent.mkdir(parents=True)
+        for stored in [((), score), ((), score, None)]:
+            entry.write_bytes(CACHE_MAGIC + pickle.dumps(stored))
+            assert load_score(tmp_path, key, []) is None
+
+    def test_hit_reports_the_parse_diagnostics(self, tmp_path):
+        doc = SIMPLE.replace(b'<measure number="1">',
+                             b'<measure number="1"><print new-system="yes"/><sound tempo="fast"/>')
+        f = tmp_path / "a.musicxml"
+        f.write_bytes(doc)
+        config = ExtractorConfig(cache_dir=tmp_path / "cache")
+        cold, warm = RunReport(), RunReport()
+        extract(config, [f], report=cold)
+        extract(config, [f], report=warm)
+        assert cold.parsed == 1 and warm.cache_hits == 1
+        assert cold.skipped == warm.skipped == {"print": 1}
+        assert cold.warnings == warm.warnings
+        assert len(warm.warnings) == 1 and "fast" in warm.warnings[0]["message"]
 
     def test_unsupported_suffix_rejected_despite_cached_bytes(self, tmp_path):
         config = ExtractorConfig(cache_dir=tmp_path / "cache")
@@ -135,7 +164,7 @@ class TestCache:
         from scorefeat.musicxml import parse_musicxml
 
         score, _ = parse_musicxml(SIMPLE)
-        store_score(tmp_path, key, score)
+        store_score(tmp_path, key, score, ParseDiagnostics(), [])
         assert cache_path(tmp_path, key).parent.name == key[:2]
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -180,7 +209,7 @@ class TestHooks:
         config = ExtractorConfig(cache_dir=tmp_path / "cache", hooks=["drop_graces"])
         load_or_parse(f, config, RunReport())
         key = cache_key(GRACED, "musicxml", musicxml_parser.PARSER_VERSION)
-        cached = load_score(config.cache_dir, key, ["drop_graces"])
+        cached, _diags = load_score(config.cache_dir, key, ["drop_graces"])
         assert all(not e.grace for p in cached.parts for e in p.events)
 
     def test_unhooked_run_misses_hooked_entry(self, tmp_path):
@@ -197,7 +226,7 @@ class TestHooks:
         f = tmp_path / "a.musicxml"
         f.write_bytes(GRACED)
         cache_dir = tmp_path / "cache"
-        load_or_parse(f, ExtractorConfig(cache_dir=cache_dir, hooks=["drop_graces"]))
+        load_or_parse(f, ExtractorConfig(cache_dir=cache_dir, hooks=["drop_graces"]), RunReport())
         report = RunReport()
         score = load_or_parse(f, ExtractorConfig(cache_dir=cache_dir), report)
         assert report.parsed == 1 and report.cache_hits == 0
@@ -297,6 +326,27 @@ class TestExtract:
         parallel = extract(ExtractorConfig(parallelism=8), paths)
         assert serial.columns == parallel.columns
         assert serial.rows == parallel.rows
+
+    def test_report_is_in_input_order_at_any_parallelism(self, tmp_path):
+        def slow_a(score):
+            if score.source_id == "a":
+                time.sleep(0.2)  # lets b finish first on a pool
+            return score
+
+        register_hook("slow_a", slow_a)
+        a = self._write(tmp_path, "a.musicxml", SIMPLE)
+        (tmp_path / "a.harmony.tsv").write_text("not\ta\theader\n1\t2\t3\n")
+        b = self._write(tmp_path, "b.mid", b"not a standard MIDI file")
+        lines = {}
+        for jobs in (1, 2, 8):
+            report = RunReport()
+            extract(ExtractorConfig(hooks=["slow_a"], parallelism=jobs), [a, b], report=report)
+            lines[jobs] = report.to_json_lines()
+        assert lines[1] == lines[2] == lines[8]
+        assert [(f["path"], f["stage"]) for f in report.failures] == [
+            (str(tmp_path / "a.harmony.tsv"), "harmony"),
+            (str(b), "parse"),
+        ]
 
     def test_cached_equals_uncached(self, tmp_path):
         rng = random.Random(78)

@@ -35,6 +35,10 @@ class TestCore:
         assert out["PartVoiceI_NumNotes"] == 10
         assert out["PartVoiceI_SoundingMeasures"] == 3
 
+    def test_no_identity_cells(self):
+        out = run_module("core", score([_melody(4, measures=4)], measures=4))
+        assert "FileName" not in out
+
     def test_sound_sums_and_means(self):
         s = score([_melody(8, dur=2, ordinal=1, measures=4),
                    _melody(4, dur=4, ordinal=2, measures=4)], measures=4)
