@@ -189,6 +189,7 @@ def load_or_parse(path, config: ExtractorConfig, report: RunReport) -> Score:
     parser, parse_name = _PARSERS[suffix]
     data = path.read_bytes()
     key = score_cache.cache_key(data, parser.PARSER_ID, parser.PARSER_VERSION)
+    stem = _stem(path)
 
     cached = None
     if config.cache_dir is not None:
@@ -196,11 +197,10 @@ def load_or_parse(path, config: ExtractorConfig, report: RunReport) -> Score:
     if cached is not None:
         score, diags = cached
         report.cache_hits += 1
-        stem = _stem(path)
         if score.source_id != stem:
             score = replace(score, source_id=stem)
     else:
-        score, diags = getattr(parser, parse_name)(data, source_id=_stem(path))
+        score, diags = getattr(parser, parse_name)(data, source_id=stem)
         report.parsed += 1
         score = run_hooks(score, [get_hook(name) for name in config.hooks])
         if config.cache_dir is not None:
