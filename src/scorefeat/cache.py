@@ -1,10 +1,11 @@
 """Content-addressed disk cache for parsed scores.
 
 Entries live at ``<cache_dir>/<2-char key prefix>/<key>.score`` and carry a
-magic header plus format version, then the names of the hooks that shaped
-the score, the score itself and its parse's diagnostics; anything unreadable
-is treated as a miss so corruption can never be fatal. Writes go through a
-temp file and rename, so concurrent workers never observe partial entries.
+magic header plus format version, then the hooks that shaped the score (name
+and qualified function name each), the score itself and its parse's
+diagnostics; anything unreadable is treated as a miss so corruption can never
+be fatal. Writes go through a temp file and rename, so concurrent workers
+never observe partial entries.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 
 from .diagnostics import ParseDiagnostics
 from .model import Score
+from .registry import get_hook
 
 log = logging.getLogger(__name__)
 
@@ -40,16 +42,26 @@ def cache_path(cache_dir: Path, key: str) -> Path:
     return Path(cache_dir) / key[:2] / f"{key}.score"
 
 
+def _hook_identities(hooks: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    """(name, ``module.qualname`` of the registered function) per hook.
+
+    A callable without ``__qualname__``, such as a ``functools.partial`` or a
+    class instance, is known by its type's qualified name."""
+    fns = [get_hook(name) for name in hooks]
+    return tuple((name, f"{fn.__module__}.{getattr(fn, '__qualname__', type(fn).__qualname__)}")
+                 for name, fn in zip(hooks, fns))
+
+
 def store_score(
     cache_dir: Path, key: str, score: Score, diags: ParseDiagnostics, hooks: Sequence[str]
 ) -> None:
     """Atomic write: temp file in the target directory, then rename.
 
     ``diags`` is what the parse of ``score`` reported; ``hooks`` names the
-    hooks, in order, that were run on ``score`` after it."""
+    registered hooks, in order, that were run on ``score`` after it."""
     target = cache_path(cache_dir, key)
     target.parent.mkdir(parents=True, exist_ok=True)
-    entry = (tuple(hooks), score, diags)
+    entry = (_hook_identities(hooks), score, diags)
     payload = CACHE_MAGIC + pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
@@ -69,8 +81,8 @@ def load_score(
 ) -> Optional[tuple[Score, ParseDiagnostics]]:
     """Cached (score, diagnostics), or None on miss or any kind of corruption.
 
-    An entry written under other ``hooks`` than these (names, in order) is a
-    miss too.
+    An entry written under other ``hooks`` than these (names, in order, and
+    the qualified names of the functions registered under them) is a miss too.
     """
     target = cache_path(cache_dir, key)
     try:
@@ -95,6 +107,6 @@ def load_score(
         log.warning("cache entry %s holds a foreign object; reparsing", target)
         return None
     stored_hooks, score, diags = entry
-    if stored_hooks != tuple(hooks):
+    if stored_hooks != _hook_identities(hooks):
         return None
     return score, diags

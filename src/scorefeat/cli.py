@@ -245,3 +245,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..instruments import camel_case
 from ..model import (
     FAMILIES,
     Part,
     Score,
-    counted_notes,
     governing_indices,
     note_count,
     sounding_measures,
@@ -120,18 +117,18 @@ def dynamics_features(part: Part) -> dict:
     if not marks:
         return {}
 
-    weights: dict[int, Fraction] = {}
-    boundaries = [pos for pos, _ in marks]
+    cols = part.notes
+    weights: dict[int, int] = {}  # mark index -> governed ticks
+    boundaries = [int(pos * cols.ticks_per_quarter) for pos, _ in marks]
     levels = [DEFAULT_DYNAMIC_LEVELS[tok] for _, tok in marks]
-    notes = counted_notes(part)
-    for event, idx in zip(notes, governing_indices(boundaries, (e.onset for e in notes))):
+    for ticks, idx in zip(cols.duration, governing_indices(boundaries, cols.onset)):
         if idx < 0:
             continue  # sounding before the first marking: no level in force
-        weights[idx] = weights.get(idx, Fraction(0)) + event.duration
+        weights[idx] = weights.get(idx, 0) + ticks
 
-    total = sum(weights.values(), Fraction(0))
+    total = sum(weights.values())
     if total > 0:
-        mean = float(sum(levels[i] * w for i, w in weights.items()) / total)
+        mean = sum(levels[i] * w for i, w in weights.items()) / total
     else:
         mean = sum(levels) / len(levels)  # marks without governed notes
 
@@ -148,7 +145,7 @@ def lyrics_features(part: Part) -> dict:
     """Syllable-alignment features; only vocal parts emit anything."""
     if not part.is_vocal:
         return {}
-    counted = counted_notes(part)
+    counted = part.notes.heads
     out = {}
     if part.measure_count > 0:
         out["SoundingMeasuresRatio"] = len(sounding_measures(part)) / part.measure_count

@@ -33,10 +33,7 @@ def harmony_features(score: Score) -> dict:
             out[f"Function_{labels[fn]}_Frac"] = tallies[fn] / len(annotations)
 
     out["HarmonicRhythmPerMeasure"] = len(annotations) / score.num_measures
-    total_beats = sum(
-        (Fraction(*score.time_signature_at(m)) * 4 for m in score.measure_indices()),
-        Fraction(0),
-    )
+    total_beats = sum(map(score.measure_quarters, score.measure_indices()), Fraction(0))
     if total_beats > 0:
         out["HarmonicRhythmPerBeat"] = float(len(annotations) / total_beats)
 

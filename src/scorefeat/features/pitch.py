@@ -17,10 +17,8 @@ from ..model import (
     STEP_ORDER,
     Part,
     Score,
-    counted_notes,
     governing_indices,
     melodic_line,
-    merged_durations,
     midi_number,
 )
 from .core import part_groups
@@ -80,8 +78,9 @@ def profile_from_score(score: Score) -> PitchClassProfile:
     for part in score.parts:
         if not _pitched(part):
             continue
-        for head, duration in merged_durations(part):
-            weights[head.pitch.pitch_class] += float(duration)
+        cols = part.notes
+        for midi, ticks in zip(cols.midi, cols.merged):
+            weights[midi % 12] += ticks / cols.ticks_per_quarter
     return PitchClassProfile(weights=tuple(weights))
 
 
@@ -147,19 +146,13 @@ def key_features(score: Score) -> dict:
 def ambitus_features(score: Score) -> dict:
     """Part, sound, family, and score ambitus off one extremes pass per part
     (percussion excluded)."""
-    extremes = {}  # part_id -> (lowest event, highest event)
+    extremes = {}  # part_id -> ((midi, event) lowest, (midi, event) highest)
     for p in score.parts:
         if not _pitched(p):
             continue
-        lo = hi = None
-        for e in counted_notes(p):
-            m = midi_number(e.pitch)
-            if lo is None or m < lo[0]:
-                lo = (m, e)
-            if hi is None or m > hi[0]:
-                hi = (m, e)
-        if lo is not None:
-            extremes[p.part_id] = (lo, hi)
+        pairs = list(zip(p.notes.midi, p.notes.heads))
+        if pairs:  # min and max keep the first of equal extremes
+            extremes[p.part_id] = (min(pairs, key=lambda t: t[0]), max(pairs, key=lambda t: t[0]))
 
     def emit(prefix: str, members) -> dict:
         pairs = [extremes[p.part_id] for p in members if p.part_id in extremes]
@@ -301,13 +294,14 @@ def scale_degree_features(
     annotations exist, against each note's governing local key."""
     if not _pitched(part):
         return {}
-    notes = counted_notes(part)
-    if not notes:
+    cols = part.notes
+    if not cols.heads:
         return {}
+    pitch_classes = [m % 12 for m in cols.midi]
     out = {}
     if global_key is not None:
         tonic, mode = global_key
-        degrees = [_degree_of(e.pitch.pitch_class, tonic, mode) for e in notes]
+        degrees = [_degree_of(pc, tonic, mode) for pc in pitch_classes]
         out.update(_degree_fractions("Degree", degrees))
 
     annotations = score.annotations
@@ -315,16 +309,17 @@ def scale_degree_features(
         keys = [(key_tonic_pc(a.local_key), key_mode(a.local_key)) for a in annotations]
         governing = governing_indices(
             [(a.measure_index, a.beat) for a in annotations],
-            [(e.measure_index, e.onset - score.measure_offset(e.measure_index)) for e in notes],
+            [(e.measure_index, e.onset - score.measure_offset(e.measure_index))
+             for e in cols.heads],
         )
         local_degrees = []
-        for e, idx in zip(notes, governing):
+        for pc, idx in zip(pitch_classes, governing):
             if idx < 0:
                 continue
             tonic, mode = keys[idx]
             if tonic is None or mode is None:
                 continue
-            local_degrees.append(_degree_of(e.pitch.pitch_class, tonic, mode))
+            local_degrees.append(_degree_of(pc, tonic, mode))
         if local_degrees:
             out.update(_degree_fractions("LocalDegree", local_degrees))
     return out

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from ..model import Part, Score, merged_durations, note_count, sounding_measures
+from ..model import Part, Score, note_count, sounding_measures
 from .core import part_groups
 
 _DURATION_CLASSES = (
@@ -29,7 +30,7 @@ def density_features(score: Score) -> dict:
     total = score.total_quarters()
     counts = {}
     for p in score.parts:
-        sounded = sum((d for _, d in merged_durations(p)), Fraction(0))
+        sounded = Fraction(sum(p.notes.merged), p.notes.ticks_per_quarter)
         counts[p.part_id] = (note_count(p), len(sounding_measures(p)), sounded)
 
     def emit(prefix: str, members) -> dict:
@@ -64,20 +65,21 @@ def duration_class(duration: Fraction, dots: int) -> str:
 
 def rhythm_features(part: Part) -> dict:
     """Average/spread of durations (tie chains merged) plus figure fractions."""
-    merged = merged_durations(part)
-    if not merged:
+    cols = part.notes
+    n = len(cols.heads)
+    if not n:
         return {}
-    n = len(merged)
-    durations = np.array([float(d) for _, d in merged])
+    tpq, dots = cols.ticks_per_quarter, [e.dots for e in cols.heads]
+    durations = np.array([d / tpq for d in cols.merged])
     out = {
         "AvgDuration": float(durations.mean()),
         "DurationStd": float(durations.std()),  # population
-        "DottedFrac": sum(1 for e, _ in merged if e.dots == 1) / n,
-        "DoubleDottedFrac": sum(1 for e, _ in merged if e.dots == 2) / n,
+        "DottedFrac": dots.count(1) / n,
+        "DoubleDottedFrac": dots.count(2) / n,
     }
     histogram = dict.fromkeys(DURATION_CLASS_NAMES, 0)
-    for event, _ in merged:
-        histogram[duration_class(event.duration, event.dots)] += 1
+    for (ticks, k), count in Counter(zip(cols.duration, dots)).items():
+        histogram[duration_class(Fraction(ticks, tpq), k)] += count
     for name in DURATION_CLASS_NAMES:
         out[f"Duration_{name}_Frac"] = histogram[name] / n
     return out

@@ -9,7 +9,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -62,10 +64,6 @@ class SpelledPitch:
     @property
     def name(self) -> str:
         return f"{self.step}{ALTER_SYMBOLS[self.alter]}{self.octave}"
-
-    @property
-    def pitch_class(self) -> int:
-        return (STEP_SEMITONES[self.step] + self.alter) % 12
 
 
 def midi_number(pitch: SpelledPitch) -> int:
@@ -120,6 +118,23 @@ class NoteEvent:
 
 
 @dataclass(frozen=True)
+class NoteColumns:
+    """A part's counted notes (tie-chain heads that are not grace), one row
+    each in event order, in partitura's ``note_array`` layout. A tick is
+    ``1 / ticks_per_quarter`` quarter: the LCM of the denominators of the
+    part's onsets, durations and dynamic-mark positions, so all are exact."""
+
+    ticks_per_quarter: int
+    heads: tuple[NoteEvent, ...]
+    onset: tuple[int, ...]
+    duration: tuple[int, ...]  # the head's own notated duration
+    merged: tuple[int, ...]  # with its tie continuations folded in
+    midi: tuple[int, ...]
+    measure: tuple[int, ...]
+    line: tuple[int, ...]  # rows of the melodic line: the highest note per onset
+
+
+@dataclass(frozen=True)
 class Part:
     """One performer line: ordered events plus instrument identity.
 
@@ -144,6 +159,39 @@ class Part:
         onsets = [e.onset for e in self.events]
         if onsets != sorted(onsets):
             raise ValueError(f"part {self.part_id}: events not sorted by onset")
+
+    def __getstate__(self) -> dict:
+        """Pickled state: the fields only, never the ``notes`` columns."""
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
+    @cached_property
+    def notes(self) -> NoteColumns:
+        """One pass on first use; a tie continuation without an open chain is dropped."""
+        events = self.events
+        denominators = {q.denominator for e in events for q in (e.onset, e.duration)}
+        tpq = lcm(*denominators, *(pos.denominator for pos, _ in self.dynamic_marks))
+        rows, line = [], []  # rows: [head, onset, duration, merged, midi, measure]
+        open_chains: dict[int, list] = {}  # midi number -> row of the chain head
+        for e in events:
+            if e.kind != "note" or e.grace:
+                continue
+            m = midi_number(e.pitch)
+            d = e.duration.numerator * (tpq // e.duration.denominator)
+            if e.tie in ("none", "start"):
+                o = e.onset.numerator * (tpq // e.onset.denominator)
+                if not rows or rows[-1][1] != o:
+                    line.append(len(rows))
+                elif m > rows[line[-1]][4]:
+                    line[-1] = len(rows)
+                rows.append([e, o, d, d, m, e.measure_index])
+                if e.tie == "start":
+                    open_chains[m] = rows[-1]
+            elif (row := open_chains.get(m)) is not None:
+                row[3] += d
+                if e.tie == "stop":
+                    del open_chains[m]
+        columns = zip(*rows) if rows else [()] * 6
+        return NoteColumns(tpq, *columns, tuple(line))
 
 
 @dataclass(frozen=True)
@@ -226,64 +274,26 @@ class Score:
         )
 
 
-def counted_notes(part: Part) -> list[NoteEvent]:
-    """Sounding notes that count: no rests, no grace notes, and a tie chain
-    counts once via its starting event."""
-    return [
-        e
-        for e in part.events
-        if e.kind == "note" and not e.grace and e.tie in ("none", "start")
-    ]
-
-
 def note_count(part: Part) -> int:
-    return len(counted_notes(part))
+    return len(part.notes.heads)
 
 
 def sounding_measures(part: Part) -> set[int]:
     """Measure indices containing at least one counted note (tie chains are
     attributed to the measure where they start)."""
-    return {e.measure_index for e in counted_notes(part)}
+    return set(part.notes.measure)
 
 
 def merged_durations(part: Part) -> list[tuple[NoteEvent, Fraction]]:
     """(chain-head event, full duration) per counted note, with tie
     continuations folded into their chain head."""
-    result: list[tuple[NoteEvent, Fraction]] = []
-    open_chains: dict[int, int] = {}  # midi number -> index into result
-    for e in part.events:
-        if e.kind != "note" or e.grace:
-            continue
-        key = midi_number(e.pitch)
-        if e.tie in ("none", "start"):
-            result.append((e, e.duration))
-            if e.tie == "start":
-                open_chains[key] = len(result) - 1
-        else:  # continue | stop
-            idx = open_chains.get(key)
-            if idx is not None:
-                head, total = result[idx]
-                result[idx] = (head, total + e.duration)
-                if e.tie == "stop":
-                    del open_chains[key]
-            # dangling continuation without a head: ignore (parser warned)
-    return result
+    cols = part.notes
+    return [(e, Fraction(d, cols.ticks_per_quarter)) for e, d in zip(cols.heads, cols.merged)]
 
 
 def melodic_line(part: Part) -> list[NoteEvent]:
     """Counted notes reduced to one per onset: the highest chord notehead."""
-    line: list[NoteEvent] = []
-    kept = 0
-    for e in counted_notes(part):  # already onset-sorted per Part invariant
-        m = midi_number(e.pitch)
-        if line and line[-1].onset == e.onset:
-            if m > kept:
-                line[-1] = e
-                kept = m
-        else:
-            line.append(e)
-            kept = m
-    return line
+    return [part.notes.heads[i] for i in part.notes.line]
 
 
 def governing_indices(positions: Sequence, queries: Iterable) -> list[int]:

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scorefeat
 from scorefeat.cli import load_config, run
 from scorefeat.engine import ConfigError
 from scorefeat.table import FeatureTable
@@ -131,6 +136,17 @@ class TestRun:
         out = corpus / "features.csv"
         assert run(["--xml-dir", str(corpus), "--output", str(out), "--jobs", "0"]) == 1
         assert not out.exists()
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        src = str(Path(scorefeat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "scorefeat.cli", "--config", str(tmp_path / "missing.yaml")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "error:" in done.stderr
 
     def test_jsonl_output(self, corpus):
         out = corpus / "features.jsonl"

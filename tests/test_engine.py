@@ -1,5 +1,8 @@
 import random
+import re
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -232,6 +235,26 @@ class TestHooks:
         assert report.parsed == 1 and report.cache_hits == 0
         assert any(e.grace for p in score.parts for e in p.events)
 
+    def test_reregistered_hook_misses_the_old_entry(self, tmp_path):
+        from dataclasses import replace
+
+        def f(score):
+            return replace(score, key_signature=1)
+
+        def g(score):
+            return replace(score, key_signature=2)
+
+        src = tmp_path / "a.musicxml"
+        src.write_bytes(SIMPLE)
+        config = ExtractorConfig(cache_dir=tmp_path / "cache", hooks=["h"])
+        register_hook("h", f)
+        assert load_or_parse(src, config, RunReport()).key_signature == 1
+        register_hook("h", g)
+        report = RunReport()
+        score = load_or_parse(src, config, report)
+        assert report.parsed == 1 and report.cache_hits == 0
+        assert score.key_signature == 2
+
     def test_hook_failure_is_per_file(self, tmp_path):
         def boom(score):
             raise RuntimeError("bad hook")
@@ -356,6 +379,46 @@ class TestExtract:
         warm = extract(ExtractorConfig(cache_dir=tmp_path / "cache"), [path])
         plain = extract(ExtractorConfig(), [path])
         assert cold.to_csv() == warm.to_csv() == plain.to_csv()
+
+    @staticmethod
+    def _scale_divisions(doc: bytes, factors) -> bytes:
+        """``doc`` with measure m of its i-th part counted in ``factors[i] * m``
+        times finer divisions: the same music, with ``<divisions>`` differing
+        across parts and changing at every barline."""
+        scale = iter(factors)
+
+        def scale_part(part):
+            k = next(scale)
+            divisions = int(re.search(rb"<divisions>(\d+)</divisions>", part[0])[1])
+
+            def scale_measure(measure):
+                f = k * int(measure[2])
+                body = re.sub(rb"<(divisions|duration)>(\d+)</\1>",
+                              lambda m: b"<%s>%d</%s>" % (m[1], int(m[2]) * f, m[1]), measure[3])
+                if b"<divisions>" not in body:
+                    body = b"<attributes><divisions>%d</divisions></attributes>" % (
+                        divisions * f) + body
+                return measure[1] + body + b"</measure>"
+
+            return re.sub(rb'(<measure number="(\d+)">)(.*?)</measure>', scale_measure,
+                          part[0], flags=re.S)
+
+        return re.sub(rb'<part id=".*?</part>', scale_part, doc, flags=re.S)
+
+    @given(st.randoms(use_true_random=False),
+           st.lists(st.integers(2, 9), min_size=3, max_size=3, unique=True))
+    def test_csv_invariant_under_division_scaling(self, rng, factors):
+        doc, _ = random_musicxml(rng)
+        scaled = self._scale_divisions(doc, factors)
+        assert scaled.count(b"<divisions>") == doc.count(b"<measure ") > 0
+        tables = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in (("plain", doc), ("scaled", scaled)):
+                path = Path(tmp) / name / "s.musicxml"
+                path.parent.mkdir()
+                path.write_bytes(data)
+                tables.append(extract(ExtractorConfig(), [path]).to_csv())
+        assert tables[0] == tables[1]
 
     def test_unknown_feature_rejected(self, tmp_path):
         path = self._write(tmp_path, "a.musicxml", SIMPLE)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorefeat.model import (
+    NoteEvent,
+    Part,
     PitchRangeError,
     Score,
     SpelledPitch,
@@ -18,7 +21,8 @@ from scorefeat.model import (
     slice_window,
     sounding_measures,
 )
-from util import P, note, part, random_model_score, rest, score
+from scorefeat.musicxml import parse_musicxml
+from util import P, note, part, random_model_score, random_musicxml, rest, score
 
 spelled = st.builds(
     SpelledPitch,
@@ -130,6 +134,123 @@ class TestCounting:
             ]
         )
         assert [e.pitch.name for e in melodic_line(p)] == ["E5", "G3"]
+
+
+# The event loops the note columns replaced, kept as references.
+
+def reference_counted_notes(part: Part) -> list[NoteEvent]:
+    return [
+        e
+        for e in part.events
+        if e.kind == "note" and not e.grace and e.tie in ("none", "start")
+    ]
+
+
+def reference_merged_durations(part: Part) -> list[tuple[NoteEvent, Fraction]]:
+    result: list[tuple[NoteEvent, Fraction]] = []
+    open_chains: dict[int, int] = {}  # midi number -> index into result
+    for e in part.events:
+        if e.kind != "note" or e.grace:
+            continue
+        key = midi_number(e.pitch)
+        if e.tie in ("none", "start"):
+            result.append((e, e.duration))
+            if e.tie == "start":
+                open_chains[key] = len(result) - 1
+        else:  # continue | stop
+            idx = open_chains.get(key)
+            if idx is not None:
+                head, total = result[idx]
+                result[idx] = (head, total + e.duration)
+                if e.tie == "stop":
+                    del open_chains[key]
+    return result
+
+
+def reference_melodic_line(part: Part) -> list[NoteEvent]:
+    line: list[NoteEvent] = []
+    kept = 0
+    for e in reference_counted_notes(part):
+        m = midi_number(e.pitch)
+        if line and line[-1].onset == e.onset:
+            if m > kept:
+                line[-1] = e
+                kept = m
+        else:
+            line.append(e)
+            kept = m
+    return line
+
+
+def _parsed_random_musicxml(rng: random.Random) -> Score:
+    return parse_musicxml(random_musicxml(rng)[0])[0]
+
+
+_CHORD_WITH_TIE = score([part([
+    note("C", onset=0, dur=1, tie="start"),
+    note("G", onset=0, dur=1, tie="start"),
+    note("E", onset=0, dur=1),
+    note("C", onset=1, dur=Fraction(1, 3), tie="continue"),
+    note("G", onset=1, dur=2, tie="stop"),
+    note("C", onset=Fraction(4, 3), dur=Fraction(2, 3), tie="stop"),
+    note("A", octave=5, onset=3, dur=1),
+], dynamics=[(Fraction(1, 5), "p")])])
+_GRACE = score([part([
+    note("D", octave=5, onset=0, dur=0, grace=True),
+    note("C", onset=0, dur=1),
+    note("B", onset=1, dur=Fraction(1, 2), grace=True),
+    note("E", onset=1, dur=1),
+])])
+_DANGLING = score([part([
+    note("F", onset=0, dur=1, tie="stop"),
+    note("F", onset=1, dur=1, tie="continue"),
+    note("A", onset=2, dur=1, tie="start"),
+    note("B", onset=3, dur=1, tie="stop"),
+    note("G", onset=4, dur=1, tie="start"),
+    note("G", onset=5, dur=1, tie="stop"),
+    note("G", onset=6, dur=1, tie="stop"),  # its chain closed a beat ago
+], measures=2)])
+
+
+class TestNoteColumns:
+    @given(st.one_of(
+        st.randoms(use_true_random=False).map(random_model_score),
+        st.randoms(use_true_random=False).map(_parsed_random_musicxml),
+    ))
+    @example(_CHORD_WITH_TIE)
+    @example(_GRACE)
+    @example(_DANGLING)
+    def test_columns_match_the_event_loops(self, s):
+        for p in s.parts:
+            cols = p.notes
+            tpq = cols.ticks_per_quarter
+            heads = reference_counted_notes(p)
+            merged = reference_merged_durations(p)
+            assert [id(e) for e in cols.heads] == [id(e) for e in heads]
+            assert [id(e) for e, _ in merged] == [id(e) for e in heads]
+            assert [Fraction(t, tpq) for t in cols.merged] == [d for _, d in merged]
+            assert [Fraction(t, tpq) for t in cols.onset] == [e.onset for e in heads]
+            assert [Fraction(t, tpq) for t in cols.duration] == [e.duration for e in heads]
+            assert list(cols.midi) == [midi_number(e.pitch) for e in heads]
+            assert list(cols.measure) == [e.measure_index for e in heads]
+            line = [id(e) for e in reference_melodic_line(p)]
+            assert [id(cols.heads[i]) for i in cols.line] == line
+
+    def test_chord_with_tie_pinned(self):
+        cols = _CHORD_WITH_TIE.parts[0].notes
+        assert cols.ticks_per_quarter == 15
+        assert [e.pitch.name for e in cols.heads] == ["C4", "G4", "E4", "A5"]
+        assert cols.merged == (30, 45, 15, 15)
+        assert [cols.heads[i].pitch.name for i in cols.line] == ["G4", "A5"]
+
+    def test_columns_never_enter_the_pickle(self):
+        s = random_model_score(random.Random(5))
+        fresh = pickle.dumps(s, protocol=pickle.HIGHEST_PROTOCOL)
+        for p in s.parts:
+            p.notes
+        assert pickle.dumps(s, protocol=pickle.HIGHEST_PROTOCOL) == fresh
+        assert "notes" not in repr(s.parts[0])
+        assert pickle.loads(fresh) == s
 
 
 class TestSliceWindow:
