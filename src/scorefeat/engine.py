@@ -13,7 +13,7 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -181,7 +181,8 @@ def load_or_parse(path, config: ExtractorConfig, report: RunReport) -> Score:
     are only run on a fresh parse; an entry written under other hooks, or a
     corrupt one, falls back to reparsing. Files with the same bytes share an
     entry, so a hit takes its ``source_id`` from ``path``. A hit reports the
-    warnings and skipped tallies its parse gave, as a fresh parse does."""
+    warnings and skipped tallies its parse gave, as a fresh parse does. A
+    score that an entry cannot hold is used uncached, with a warning."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix not in _PARSERS:
@@ -204,8 +205,11 @@ def load_or_parse(path, config: ExtractorConfig, report: RunReport) -> Score:
         report.parsed += 1
         score = run_hooks(score, [get_hook(name) for name in config.hooks])
         if config.cache_dir is not None:
-            score_cache.store_score(config.cache_dir, key, score, diags, config.hooks)
-            report.cache_writes += 1
+            try:
+                score_cache.store_score(config.cache_dir, key, score, diags, config.hooks)
+                report.cache_writes += 1
+            except TypeError as exc:  # a hook left a value that JSON cannot encode
+                report.add_warning(path, f"not cached: {exc}")
 
     for location, message in diags.warnings:
         report.add_warning(path, f"{location}: {message}")
@@ -219,6 +223,7 @@ def _find_harmony_file(path: Path, config: ExtractorConfig) -> Optional[Path]:
     return candidate if candidate.is_file() else None
 
 
+@lru_cache(maxsize=16384)
 def _scoped_name(name: str) -> str:
     if name in IDENTITY_COLUMNS or name.startswith(_SCOPED_PREFIXES):
         return name

@@ -76,7 +76,10 @@ def _register_stock() -> None:
         FeatureModuleDescriptor(
             "harmony", score_fn=lambda score, pv, up: harmony_features(score)
         ),
-        FeatureModuleDescriptor("rhythm", part_fn=lambda part, score, up: rhythm_features(part)),
+        FeatureModuleDescriptor(
+            "rhythm",
+            part_fn=lambda part, score, up: rhythm_features(part, score.ticks_per_quarter),
+        ),
         FeatureModuleDescriptor("scale", depends_on=("key",), part_fn=_scale_part),
         FeatureModuleDescriptor(
             "dynamics", part_fn=lambda part, score, up: dynamics_features(part)

@@ -119,7 +119,7 @@ def dynamics_features(part: Part) -> dict:
 
     cols = part.notes
     weights: dict[int, int] = {}  # mark index -> governed ticks
-    boundaries = [int(pos * cols.ticks_per_quarter) for pos, _ in marks]
+    boundaries = [pos for pos, _ in marks]
     levels = [DEFAULT_DYNAMIC_LEVELS[tok] for _, tok in marks]
     for ticks, idx in zip(cols.duration, governing_indices(boundaries, cols.onset)):
         if idx < 0:

@@ -8,6 +8,7 @@ Musical Pitch* (1990), rotated through all 24 candidate keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,9 +79,8 @@ def profile_from_score(score: Score) -> PitchClassProfile:
     for part in score.parts:
         if not _pitched(part):
             continue
-        cols = part.notes
-        for midi, ticks in zip(cols.midi, cols.merged):
-            weights[midi % 12] += ticks / cols.ticks_per_quarter
+        for midi, ticks in zip(part.notes.midi, part.notes.merged):
+            weights[midi % 12] += ticks / score.ticks_per_quarter
     return PitchClassProfile(weights=tuple(weights))
 
 
@@ -177,6 +177,7 @@ def ambitus_features(score: Score) -> dict:
     return out
 
 
+@lru_cache(maxsize=8192)
 def interval_name(a, b) -> tuple[int, str]:
     """(signed semitones, quality+size name) between two spelled pitches.
 
@@ -307,10 +308,13 @@ def scale_degree_features(
     annotations = score.annotations
     if annotations:
         keys = [(key_tonic_pc(a.local_key), key_mode(a.local_key)) for a in annotations]
+        # An annotation at ``beat`` governs a note ``q`` ticks into the
+        # measure iff beat * tpq <= q, iff ceil(beat * tpq) <= q (q is whole).
+        tpq = score.ticks_per_quarter
         governing = governing_indices(
-            [(a.measure_index, a.beat) for a in annotations],
-            [(e.measure_index, e.onset - score.measure_offset(e.measure_index))
-             for e in cols.heads],
+            [(a.measure_index, -(-a.beat.numerator * tpq // a.beat.denominator))
+             for a in annotations],
+            [(m, q - score.measure_offset(m)) for m, q in zip(cols.measure, cols.onset)],
         )
         local_degrees = []
         for pc, idx in zip(pitch_classes, governing):

@@ -27,16 +27,15 @@ _DOT_FACTORS = {0: Fraction(1), 1: Fraction(3, 2), 2: Fraction(7, 4)}
 def density_features(score: Score) -> dict:
     """Part, sound, and family density features off one duration pass per part:
     note counts against measure counts and sounding span."""
-    total = score.total_quarters()
+    total = score.total_quarters() * score.ticks_per_quarter  # ticks
     counts = {}
     for p in score.parts:
-        sounded = Fraction(sum(p.notes.merged), p.notes.ticks_per_quarter)
-        counts[p.part_id] = (note_count(p), len(sounding_measures(p)), sounded)
+        counts[p.part_id] = (note_count(p), len(sounding_measures(p)), sum(p.notes.merged))
 
     def emit(prefix: str, members) -> dict:
         notes = sum(counts[p.part_id][0] for p in members)
         sounding = sum(counts[p.part_id][1] for p in members)
-        sounded = sum((counts[p.part_id][2] for p in members), Fraction(0))
+        sounded = sum(counts[p.part_id][2] for p in members)
         values = {"NotesPerMeasure": notes / (score.num_measures * len(members))}
         if sounding:
             values["NotesPerSoundingMeasure"] = notes / sounding
@@ -63,13 +62,14 @@ def duration_class(duration: Fraction, dots: int) -> str:
     return "other"
 
 
-def rhythm_features(part: Part) -> dict:
-    """Average/spread of durations (tie chains merged) plus figure fractions."""
+def rhythm_features(part: Part, tpq: int) -> dict:
+    """Average/spread of durations (tie chains merged) plus figure fractions;
+    ``tpq`` is the score's ticks per quarter note."""
     cols = part.notes
     n = len(cols.heads)
     if not n:
         return {}
-    tpq, dots = cols.ticks_per_quarter, [e.dots for e in cols.heads]
+    dots = [e.dots for e in cols.heads]
     durations = np.array([d / tpq for d in cols.merged])
     out = {
         "AvgDuration": float(durations.mean()),

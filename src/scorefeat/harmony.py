@@ -16,6 +16,7 @@ import logging
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .model import Score
@@ -196,6 +197,7 @@ def serialize_harmony(annotations: Sequence[HarmonicAnnotation]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=1024)
 def key_mode(key: str) -> Optional[str]:
     """"C"/"Bb" -> major, "a"/"f#" -> minor, junk -> None."""
     k = key.strip()
@@ -204,6 +206,7 @@ def key_mode(key: str) -> Optional[str]:
     return "major" if k[0].isupper() else "minor"
 
 
+@lru_cache(maxsize=1024)
 def key_tonic_pc(key: str) -> Optional[int]:
     """Pitch class of a key name like "C", "bb", "F#"."""
     from .model import STEP_SEMITONES

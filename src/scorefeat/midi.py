@@ -3,9 +3,10 @@
 MIDI carries no spellings, lyrics, or harmony; pitches are spelled from the
 key-signature meta event (sharps by default, flats for flat keys). Note times
 are read in the header's ticks per quarter and snapped to the fixed ``GRID``
-(a sixteenth note), so duration features stay rational. The measure starts
-planned from the time-signature events become the score's measure offsets,
-and each note lands in the last measure that starts at or before its onset.
+(a sixteenth note). The measure starts planned from the time-signature events
+become the score's measure offsets, and each note lands in the last measure
+that starts at or before its onset. The score's tick base is the grid's,
+refined only where a time signature puts a barline off the grid.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 from .diagnostics import ParseDiagnostics
 from .features.core import nearest_dynamic_token
 from .instruments import OrdinalAllocator, detect_instrument_family, part_identifier
-from .model import NoteEvent, Part, Score, SpelledPitch, TempoMark
+from .model import NoteEvent, Part, Score, SpelledPitch, TempoMark, tick_base, to_ticks
 
 PARSER_ID = "midi"
 PARSER_VERSION = "2"
@@ -158,7 +159,9 @@ def import_midi(data: bytes, source_id: str = "score") -> tuple[Score, ParseDiag
         sig_events, tpq, *_last_ticks(tracks), diags
     )
 
-    parts = _build_parts(tracks, tpq, measure_starts, prefer_flats, diags)
+    base = tick_base([GRID, *measure_starts])
+    start_ticks = [to_ticks(q, base) for q in measure_starts]
+    parts = _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags)
     tempo_marks = tuple(
         TempoMark(measure_index=bisect_right(measure_starts, Fraction(t, tpq)), bpm=bpm)
         for t, bpm in sorted(tempo_events)
@@ -172,7 +175,8 @@ def import_midi(data: bytes, source_id: str = "score") -> tuple[Score, ParseDiag
             time_signatures=time_signatures,
             key_signature=key_fifths if key_fifths is not None else 0,
             tempo_marks=tempo_marks,
-            measure_offsets=tuple(measure_starts),
+            measure_offsets=tuple(start_ticks),
+            ticks_per_quarter=base,
         ),
         diags,
     )
@@ -301,7 +305,9 @@ def _spell(midi: int, prefer_flats: bool) -> SpelledPitch:
     return SpelledPitch(step=step, alter=alter, octave=midi // 12 - 1)
 
 
-def _build_parts(tracks, tpq, measure_starts, prefer_flats, diags):
+def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
+    """One part per (track, channel) with notes, in ticks of ``base`` per
+    quarter; ``start_ticks`` are the measure starts in those ticks."""
     channel_notes: dict[tuple[int, int], list] = {}
     channel_programs: dict[tuple[int, int], int] = {}
     track_names: dict[int, Optional[str]] = {}
@@ -345,18 +351,17 @@ def _build_parts(tracks, tpq, measure_starts, prefer_flats, diags):
         ordinal = ordinals.assign(sound, None)
 
         events = []
-        dyn_marks: list[tuple[Fraction, str]] = []
+        dyn_marks: list[tuple[int, str]] = []
         last_token: Optional[str] = None
         for s_tick, e_tick, pitch, vel in sorted(raw):
-            onset = _quantize(s_tick, tpq)
+            onset = to_ticks(_quantize(s_tick, tpq), base)
             steps = _round_half_up(Fraction(e_tick - s_tick, tpq) / GRID)
-            duration = max(1, steps) * GRID
             events.append(
                 NoteEvent(
                     kind="note",
                     onset=onset,
-                    duration=duration,
-                    measure_index=bisect_right(measure_starts, onset),
+                    duration=to_ticks(max(1, steps) * GRID, base),
+                    measure_index=bisect_right(start_ticks, onset),
                     pitch=_spell(pitch, prefer_flats),
                 )
             )
@@ -374,7 +379,7 @@ def _build_parts(tracks, tpq, measure_starts, prefer_flats, diags):
                 is_vocal=(family == "voices"),
                 events=tuple(events),
                 dynamic_marks=tuple(dyn_marks),
-                measure_count=len(measure_starts),
+                measure_count=len(start_ticks),
             )
         )
     if not parts:
@@ -387,7 +392,7 @@ def _build_parts(tracks, tpq, measure_starts, prefer_flats, diags):
                 family="other",
                 is_vocal=False,
                 events=(),
-                measure_count=len(measure_starts),
+                measure_count=len(start_ticks),
             )
         )
     return tuple(parts)

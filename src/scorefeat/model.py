@@ -1,7 +1,9 @@
 """Immutable score model and the counting/slicing primitives feature code builds on.
 
-All positions and durations are exact rationals (quarter-note units) so that
-tuplets never accumulate floating-point error across a score.
+All positions and durations are whole ticks: one tick is ``1 /
+Score.ticks_per_quarter`` quarter note, a base that each parser picks so
+that every time it read is exact (partitura's ``onset_div``/``divs_pq``).
+Tuplets never accumulate floating-point error across a score.
 """
 
 from __future__ import annotations
@@ -74,6 +76,21 @@ def midi_number(pitch: SpelledPitch) -> int:
     return n
 
 
+def tick_base(quarters: Iterable[Fraction]) -> int:
+    """Ticks per quarter note that make each of ``quarters`` a whole number
+    of ticks: the LCM of their denominators. Parsers keep exact ``Fraction``
+    quarters while they read and convert once, when they build the score."""
+    return lcm(*{q.denominator for q in quarters})
+
+
+def to_ticks(quarters: Fraction, ticks_per_quarter: int) -> int:
+    """``quarters`` in whole ticks of ``ticks_per_quarter`` per quarter note."""
+    scale, rest = divmod(ticks_per_quarter, quarters.denominator)
+    if rest:
+        raise ValueError(f"{quarters} quarters is no whole number of 1/{ticks_per_quarter} ticks")
+    return quarters.numerator * scale
+
+
 @dataclass(frozen=True)
 class Lyric:
     text: str
@@ -84,14 +101,14 @@ class Lyric:
 class NoteEvent:
     """One note or rest in a part.
 
-    Onsets are absolute quarter-note offsets from the start of the original
-    score; window slices keep them un-rebased. Grace notes carry zero
-    duration and are excluded from counting features.
+    Onsets are absolute tick offsets from the start of the original score;
+    window slices keep them un-rebased. Grace notes carry zero duration and
+    are excluded from counting features.
     """
 
     kind: str  # "note" | "rest"
-    onset: Fraction
-    duration: Fraction
+    onset: int  # ticks
+    duration: int  # ticks
     measure_index: int  # 1-based
     pitch: Optional[SpelledPitch] = None
     tie: str = "none"  # none | start | continue | stop
@@ -108,6 +125,8 @@ class NoteEvent:
             raise ValueError(f"invalid tie state {self.tie!r}")
         if self.dots not in (0, 1, 2):
             raise ValueError(f"dots must be 0..2, got {self.dots}")
+        if type(self.onset) is not int or type(self.duration) is not int:
+            raise TypeError("onset and duration must be whole ticks (int)")
         if self.onset < 0:
             raise ValueError("onset must be non-negative")
         if self.grace:
@@ -120,11 +139,9 @@ class NoteEvent:
 @dataclass(frozen=True)
 class NoteColumns:
     """A part's counted notes (tie-chain heads that are not grace), one row
-    each in event order, in partitura's ``note_array`` layout. A tick is
-    ``1 / ticks_per_quarter`` quarter: the LCM of the denominators of the
-    part's onsets, durations and dynamic-mark positions, so all are exact."""
+    each in event order, in partitura's ``note_array`` layout, in the
+    score's ticks."""
 
-    ticks_per_quarter: int
     heads: tuple[NoteEvent, ...]
     onset: tuple[int, ...]
     duration: tuple[int, ...]  # the head's own notated duration
@@ -148,7 +165,7 @@ class Part:
     family: str
     is_vocal: bool
     events: tuple[NoteEvent, ...]
-    dynamic_marks: tuple[tuple[Fraction, str], ...] = ()
+    dynamic_marks: tuple[tuple[int, str], ...] = ()  # (tick, token)
     measure_count: int = 0
 
     def __post_init__(self):
@@ -159,26 +176,21 @@ class Part:
         onsets = [e.onset for e in self.events]
         if onsets != sorted(onsets):
             raise ValueError(f"part {self.part_id}: events not sorted by onset")
-
-    def __getstate__(self) -> dict:
-        """Pickled state: the fields only, never the ``notes`` columns."""
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+        if any(type(pos) is not int for pos, _ in self.dynamic_marks):
+            raise TypeError("dynamic mark positions must be whole ticks (int)")
 
     @cached_property
     def notes(self) -> NoteColumns:
         """One pass on first use; a tie continuation without an open chain is dropped."""
-        events = self.events
-        denominators = {q.denominator for e in events for q in (e.onset, e.duration)}
-        tpq = lcm(*denominators, *(pos.denominator for pos, _ in self.dynamic_marks))
         rows, line = [], []  # rows: [head, onset, duration, merged, midi, measure]
         open_chains: dict[int, list] = {}  # midi number -> row of the chain head
-        for e in events:
+        for e in self.events:
             if e.kind != "note" or e.grace:
                 continue
             m = midi_number(e.pitch)
-            d = e.duration.numerator * (tpq // e.duration.denominator)
+            d = e.duration
             if e.tie in ("none", "start"):
-                o = e.onset.numerator * (tpq // e.onset.denominator)
+                o = e.onset
                 if not rows or rows[-1][1] != o:
                     line.append(len(rows))
                 elif m > rows[line[-1]][4]:
@@ -191,7 +203,7 @@ class Part:
                 if e.tie == "stop":
                     del open_chains[m]
         columns = zip(*rows) if rows else [()] * 6
-        return NoteColumns(tpq, *columns, tuple(line))
+        return NoteColumns(*columns, tuple(line))
 
 
 @dataclass(frozen=True)
@@ -205,17 +217,18 @@ class TempoMark:
 class Score:
     """Immutable parsed score. Safe to share freely across threads.
 
-    ``measure_offsets`` holds the absolute quarter-note offset at which each
-    measure starts, one per measure from ``first_measure`` on. The parser
-    that builds a score computes them once; window slices keep their share
-    of them, with the original measure numbering and un-rebased onsets.
+    ``measure_offsets`` holds the absolute tick at which each measure
+    starts, one per measure from ``first_measure`` on. The parser that
+    builds a score computes them once; window slices keep their share of
+    them, with the original measure numbering and un-rebased onsets.
     """
 
     source_id: str
     parts: tuple[Part, ...]
     num_measures: int
     time_signatures: tuple[tuple[int, int, int], ...]  # (measure_index, num, den)
-    measure_offsets: tuple[Fraction, ...]
+    measure_offsets: tuple[int, ...]
+    ticks_per_quarter: int
     key_signature: int = 0  # fifths, -7..+7
     tempo_marks: tuple[TempoMark, ...] = ()
     annotations: Optional[tuple["HarmonicAnnotation", ...]] = None
@@ -232,6 +245,10 @@ class Score:
             raise ValueError(f"key signature out of range: {self.key_signature}")
         if len(self.measure_offsets) != self.num_measures:
             raise ValueError("measure_offsets length must equal num_measures")
+        if type(self.ticks_per_quarter) is not int or self.ticks_per_quarter < 1:
+            raise ValueError(f"ticks_per_quarter must be an int >= 1: {self.ticks_per_quarter!r}")
+        if any(type(q) is not int for q in self.measure_offsets):
+            raise TypeError("measure_offsets must be whole ticks (int)")
         seen = set()
         for p in self.parts:
             key = (p.instrument_sound, p.sound_ordinal)
@@ -259,19 +276,16 @@ class Score:
         num, den = self.time_signature_at(measure_index)
         return Fraction(num * 4, den)
 
-    def measure_offset(self, measure_index: int) -> Fraction:
-        """Absolute quarter-note offset at the start of a measure."""
+    def measure_offset(self, measure_index: int) -> int:
+        """Absolute tick at the start of a measure."""
         if not self.first_measure <= measure_index <= self.last_measure:
             raise ValueError(f"measure {measure_index} not in score range")
         return self.measure_offsets[measure_index - self.first_measure]
 
     def total_quarters(self) -> Fraction:
         """Span of the score (or window) in quarter notes."""
-        return (
-            self.measure_offsets[-1]
-            + self.measure_quarters(self.last_measure)
-            - self.measure_offsets[0]
-        )
+        span = self.measure_offsets[-1] - self.measure_offsets[0]
+        return Fraction(span, self.ticks_per_quarter) + self.measure_quarters(self.last_measure)
 
 
 def note_count(part: Part) -> int:
@@ -284,11 +298,10 @@ def sounding_measures(part: Part) -> set[int]:
     return set(part.notes.measure)
 
 
-def merged_durations(part: Part) -> list[tuple[NoteEvent, Fraction]]:
-    """(chain-head event, full duration) per counted note, with tie
+def merged_durations(part: Part) -> list[tuple[NoteEvent, int]]:
+    """(chain-head event, full duration in ticks) per counted note, with tie
     continuations folded into their chain head."""
-    cols = part.notes
-    return [(e, Fraction(d, cols.ticks_per_quarter)) for e, d in zip(cols.heads, cols.merged)]
+    return list(zip(part.notes.heads, part.notes.merged))
 
 
 def melodic_line(part: Part) -> list[NoteEvent]:
@@ -331,7 +344,8 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
     if end_measure < score.last_measure:
         window_end = score.measure_offset(end_measure + 1)
     else:
-        window_end = score.measure_offset(end_measure) + score.measure_quarters(end_measure)
+        nominal = score.measure_quarters(end_measure) * score.ticks_per_quarter
+        window_end = score.measure_offset(end_measure) + nominal
 
     parts = []
     for part in score.parts:

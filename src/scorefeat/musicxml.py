@@ -34,6 +34,8 @@ from .model import (
     SpelledPitch,
     TempoMark,
     midi_number,
+    tick_base,
+    to_ticks,
 )
 
 PARSER_ID = "musicxml"
@@ -488,6 +490,14 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
         )
         lengths.append(content if content > 0 else nominal)
     offsets = list(accumulate(lengths[:-1], initial=Fraction(0)))
+    tpq = tick_base([
+        *lengths,
+        *(q for rp in raw_parts for n in rp.notes for q in (n.offset, n.duration)),
+        *(off for rp in raw_parts for _mi, off, _token in rp.dynamics),
+    ])
+
+    def ticks(measure_index: int, offset: Fraction) -> int:
+        return to_ticks(offsets[measure_index - 1] + offset, tpq)
 
     parts = []
     ordinals = OrdinalAllocator()
@@ -499,8 +509,8 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
         events = tuple(
             NoteEvent(
                 kind=n.kind,
-                onset=offsets[n.measure_index - 1] + n.offset,
-                duration=n.duration,
+                onset=ticks(n.measure_index, n.offset),
+                duration=to_ticks(n.duration, tpq),
                 measure_index=n.measure_index,
                 pitch=n.pitch,
                 tie=n.tie,
@@ -511,7 +521,7 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
             for n in sorted(rp.notes, key=lambda n: (n.measure_index, n.offset))
         )
         dyn = tuple(
-            (offsets[mi - 1] + off, token)
+            (ticks(mi, off), token)
             for mi, off, token in sorted(rp.dynamics, key=lambda d: (d[0], d[1]))
         )
         parts.append(
@@ -539,5 +549,6 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
         time_signatures=tuple(time_signatures),
         key_signature=key_fifths if key_fifths is not None else 0,
         tempo_marks=tempo_marks,
-        measure_offsets=tuple(offsets),
+        measure_offsets=tuple(to_ticks(q, tpq) for q in offsets),
+        ticks_per_quarter=tpq,
     )

@@ -28,6 +28,7 @@ from util import (
     mxl_bytes,
     note,
     part,
+    quarters,
     random_model_score,
     random_musicxml,
     score,
@@ -342,7 +343,8 @@ def _check_against_oracle(s, row):
             elif midi in open_heads and e.tie == "stop":
                 del open_heads[midi]
         if chains:
-            quarter = sum(1 for e in chains if _nominal_class(e) == "quarter")
+            quarter = sum(1 for e in chains
+                          if _nominal_class(quarters(s, e.duration), e.dots) == "quarter")
             assert row[f"Part{p.part_id}_Duration_quarter_Frac"] == approx(
                 quarter / len(chains)
             )
@@ -377,11 +379,11 @@ def _check_against_oracle(s, row):
         assert row["Score_NumModulations"] == changes
 
 
-def _nominal_class(e):
+def _nominal_class(duration, dots):
     from fractions import Fraction
 
-    dot_factor = {0: Fraction(1), 1: Fraction(3, 2), 2: Fraction(7, 4)}[e.dots]
-    nominal = e.duration / dot_factor
+    dot_factor = {0: Fraction(1), 1: Fraction(3, 2), 2: Fraction(7, 4)}[dots]
+    nominal = duration / dot_factor
     table = {Fraction(4): "whole", Fraction(2): "half", Fraction(1): "quarter",
              Fraction(1, 2): "eighth", Fraction(1, 4): "sixteenth"}
     if nominal in table:
@@ -405,7 +407,7 @@ def test_criterion_8_parser_round_trip():
                     (12 * (e.pitch.octave + 1)
                      + {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}[e.pitch.step]
                      + e.pitch.alter,
-                     e.duration)
+                     quarters(parsed, e.duration))
                     for e in _counted(p.events)
                 ]
                 assert got == inventory

@@ -126,16 +126,18 @@ class TestCache:
         assert load_score(tmp_path, key, []) is None
 
     def test_entry_without_diagnostics_is_a_miss(self, tmp_path):
-        import pickle
+        import json
 
         from scorefeat.musicxml import parse_musicxml
 
-        score, _ = parse_musicxml(SIMPLE)
+        score, diags = parse_musicxml(SIMPLE)
         key = cache_key(SIMPLE, "musicxml", musicxml_parser.PARSER_VERSION)
+        store_score(tmp_path, key, score, diags, [])
         entry = cache_path(tmp_path, key)
-        entry.parent.mkdir(parents=True)
-        for stored in [((), score), ((), score, None)]:
-            entry.write_bytes(CACHE_MAGIC + pickle.dumps(stored))
+        doc = json.loads(entry.read_bytes()[len(CACHE_MAGIC):])
+        for field in ("warnings", "skipped"):
+            stored = {k: v for k, v in doc.items() if k != field}
+            entry.write_bytes(CACHE_MAGIC + json.dumps(stored).encode())
             assert load_score(tmp_path, key, []) is None
 
     def test_hit_reports_the_parse_diagnostics(self, tmp_path):
@@ -254,6 +256,23 @@ class TestHooks:
         score = load_or_parse(src, config, report)
         assert report.parsed == 1 and report.cache_hits == 0
         assert score.key_signature == 2
+
+    def test_score_an_entry_cannot_hold_is_used_uncached(self, tmp_path):
+        from dataclasses import replace
+
+        import numpy as np
+
+        register_hook("numpy_key", lambda score: replace(score, key_signature=np.int64(2)))
+        src = tmp_path / "a.musicxml"
+        src.write_bytes(SIMPLE)
+        plain = extract(ExtractorConfig(hooks=["numpy_key"]), [src])
+        report = RunReport()
+        cached = extract(ExtractorConfig(cache_dir=tmp_path / "cache", hooks=["numpy_key"]),
+                         [src], report=report)
+        assert cached.to_csv() == plain.to_csv()
+        assert report.failures == [] and report.cache_writes == 0
+        assert "not cached" in report.warnings[0]["message"]
+        assert not list((tmp_path / "cache").rglob("*.score"))
 
     def test_hook_failure_is_per_file(self, tmp_path):
         def boom(score):

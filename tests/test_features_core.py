@@ -163,7 +163,7 @@ class TestDynamics:
         )
         s, _ = parse_musicxml(doc)
         p = s.parts[0]
-        assert [pos for pos, _ in p.dynamic_marks] == [0, 3, 2]
+        assert [pos / s.ticks_per_quarter for pos, _ in p.dynamic_marks] == [0, 3, 2]
         out = dynamics_features(p)
         # front-to-back scan: quarters 0-2 stop at ff (3 > onset) and keep p;
         # from quarter 3 on every mark is reached, so the last one, pp, governs

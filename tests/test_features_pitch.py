@@ -361,3 +361,18 @@ class TestScaleDegrees:
         out = scale_degree_features(s.parts[0], s, (0, "major"))
         assert out["LocalDegree_1_Frac"] == pytest.approx(1 / 2)
         assert out["LocalDegree_2_Frac"] == pytest.approx(1 / 2)
+
+    def test_annotation_between_two_ticks(self):
+        # beat 1/7 falls between ticks 68 and 69 of 480 per quarter: it
+        # governs the note at 1 quarter but not the D at tick 68 (17/120 < 1/7)
+        events = [note("C", onset=0, dur=Fraction(17, 120)),
+                  note("D", onset=Fraction(17, 120), dur=Fraction(103, 120)),
+                  note("E", onset=1, dur=3)]
+        s = score([part(events)])
+        assert s.parts[0].events[1].onset == 68
+        anns = parse_harmony_file("measure\tbeat\tlabel\tkey\n1\t0\tI\tC\n1\t1/7\tI\tG\n")
+        out = scale_degree_features(s.parts[0], attach_annotations(s, anns))
+        # C and D in C major, E in G major
+        assert {k: v for k, v in out.items() if v} == pytest.approx(
+            {"LocalDegree_1_Frac": 1 / 3, "LocalDegree_2_Frac": 1 / 3,
+             "LocalDegree_6_Frac": 1 / 3})

@@ -5,7 +5,6 @@ import pytest
 
 from scorefeat.features.time import (
     duration_class,
-    rhythm_features,
     texture_features,
 )
 from util import note, part, random_model_score, rest, run_module, score
@@ -28,6 +27,11 @@ class TestDensity:
         assert out["NotesPerMeasure"] == 0.0
         assert "NotesPerSoundingMeasure" not in out
 
+    def test_tie_chain_sounds_its_full_length(self):
+        events = [note("C", onset=0, dur=2, tie="start"), note("C", onset=2, dur=2, tie="stop")]
+        s = score([part(events)])
+        assert run_module("density", s, s.parts[0])["SoundingDensity"] == 1.0
+
     def test_full_sounding_density(self):
         events = [note("C", onset=4 * m, dur=4, measure=m + 1) for m in range(4)]
         s = score([part(events, measures=4)], measures=4)
@@ -38,22 +42,22 @@ class TestRhythm:
     def test_average_duration(self):
         p = part([note("C", onset=0, dur=1), note("D", onset=1, dur=1),
                   note("E", onset=2, dur=2)])
-        out = rhythm_features(p)
+        out = run_module("rhythm", p)
         assert out["AvgDuration"] == pytest.approx(4 / 3)
 
     def test_dotted_fraction(self):
         events = [note("C", onset=0, dur=Fraction(3, 2), dots=1),
                   note("D", onset=Fraction(3, 2), dur=Fraction(1, 2)),
                   note("E", onset=2, dur=1), note("F", onset=3, dur=1)]
-        assert rhythm_features(part(events))["DottedFrac"] == 0.25
+        assert run_module("rhythm", part(events))["DottedFrac"] == 0.25
 
     def test_tie_chain_merged_into_one_duration(self):
         p = part([note("C", onset=0, dur=2, tie="start"),
                   note("C", onset=2, dur=2, tie="stop")])
-        assert rhythm_features(p)["AvgDuration"] == 4.0
+        assert run_module("rhythm", p)["AvgDuration"] == 4.0
 
     def test_empty_part_missing(self):
-        assert rhythm_features(part([])) == {}
+        assert run_module("rhythm", part([])) == {}
 
     @pytest.mark.parametrize(
         "dur,dots,expected",
@@ -77,7 +81,7 @@ class TestRhythm:
         for _ in range(10):
             s = random_model_score(rng, max_parts=2)
             for p in s.parts:
-                out = rhythm_features(p)
+                out = run_module("rhythm", s, p)
                 if not out:
                     continue
                 total = sum(v for k, v in out.items()

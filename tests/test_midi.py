@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scorefeat import midi
 from scorefeat.midi import MidiError, import_midi
 from scorefeat.model import midi_number, note_count
-from util import midi_bytes, midi_meta_track, midi_note_events
+from util import midi_bytes, midi_meta_track, midi_note_events, quarters
 
 
 def one_note_file(on=0, off=480, pitch=60, vel=80, tpq=480, meta=None):
@@ -25,16 +25,16 @@ class TestBasics:
         assert len(score.parts) == 1
         p = score.parts[0]
         assert note_count(p) == 1
-        assert p.events[0].duration == Fraction(1)
+        assert quarters(score, p.events[0].duration) == Fraction(1)
         assert midi_number(p.events[0].pitch) == 60
 
     def test_quantization_to_nearest_sixteenth(self):
         score, _ = import_midi(one_note_file(off=250))
-        assert score.parts[0].events[0].duration == Fraction(1, 2)
+        assert quarters(score, score.parts[0].events[0].duration) == Fraction(1, 2)
 
     def test_duration_floored_at_one_grid_unit(self):
         score, _ = import_midi(one_note_file(off=10))
-        assert score.parts[0].events[0].duration == Fraction(1, 4)
+        assert quarters(score, score.parts[0].events[0].duration) == Fraction(1, 4)
 
     def test_two_tracks_two_parts_in_track_order(self):
         t1 = midi_note_events([(0, 480, 60, 64)], channel=0)
@@ -50,6 +50,22 @@ class TestBasics:
         score, _ = import_midi(data)
         assert score.num_measures == 3
         assert [e.measure_index for e in score.parts[0].events] == [1, 2, 3]
+
+    def test_tick_base_is_the_grid(self):
+        score, _ = import_midi(one_note_file(on=7, off=250, meta=midi_meta_track(timesig=(6, 8))))
+        assert score.ticks_per_quarter == 4
+        assert [(e.onset, e.duration) for e in score.parts[0].events] == [(0, 2)]
+
+    @pytest.mark.parametrize("signature_tick,timesig,tpq,offsets", [
+        (0, (5, 32), 8, [0, 5, 10, 15, 20]),  # 5/8-quarter measures
+        (7, (3, 4), 480, [0, 7]),  # a barline 7/480 quarter in
+    ])
+    def test_tick_base_refined_for_off_grid_barlines(self, signature_tick, timesig, tpq,
+                                                     offsets):
+        meta = [(signature_tick, event) for _, event in midi_meta_track(timesig=timesig)]
+        score, _ = import_midi(one_note_file(off=1440, meta=meta))
+        assert score.ticks_per_quarter == tpq
+        assert list(score.measure_offsets) == offsets
 
     def test_last_note_ending_on_barline_adds_no_measure(self):
         notes = [(0, 480 * 4, 60, 64), (480 * 4, 480 * 8, 64, 64)]

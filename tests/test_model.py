@@ -1,4 +1,3 @@
-import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from scorefeat.cache import cache_path, load_score, store_score
+from scorefeat.diagnostics import ParseDiagnostics
 from scorefeat.model import (
     NoteEvent,
     Part,
@@ -20,9 +21,11 @@ from scorefeat.model import (
     note_count,
     slice_window,
     sounding_measures,
+    tick_base,
+    to_ticks,
 )
 from scorefeat.musicxml import parse_musicxml
-from util import P, note, part, random_model_score, random_musicxml, rest, score
+from util import TPQ, P, note, part, random_model_score, random_musicxml, rest, score
 
 spelled = st.builds(
     SpelledPitch,
@@ -73,7 +76,7 @@ class TestScore:
     def test_measure_offsets_one_per_measure(self):
         with pytest.raises(ValueError, match="measure_offsets"):
             Score(source_id="s", parts=(), num_measures=2, time_signatures=((1, 4, 4),),
-                  measure_offsets=(Fraction(0),))
+                  measure_offsets=(0,), ticks_per_quarter=1)
 
 
 class TestCounting:
@@ -123,7 +126,7 @@ class TestCounting:
             ]
         )
         merged = merged_durations(p)
-        assert [(e.pitch.step, d) for e, d in merged] == [("C", 4), ("E", 1)]
+        assert [(e.pitch.step, d) for e, d in merged] == [("C", 4 * TPQ), ("E", TPQ)]
 
     def test_melodic_line_keeps_chord_top(self):
         p = part(
@@ -146,8 +149,8 @@ def reference_counted_notes(part: Part) -> list[NoteEvent]:
     ]
 
 
-def reference_merged_durations(part: Part) -> list[tuple[NoteEvent, Fraction]]:
-    result: list[tuple[NoteEvent, Fraction]] = []
+def reference_merged_durations(part: Part) -> list[tuple[NoteEvent, int]]:
+    result: list[tuple[NoteEvent, int]] = []
     open_chains: dict[int, int] = {}  # midi number -> index into result
     for e in part.events:
         if e.kind != "note" or e.grace:
@@ -223,14 +226,13 @@ class TestNoteColumns:
     def test_columns_match_the_event_loops(self, s):
         for p in s.parts:
             cols = p.notes
-            tpq = cols.ticks_per_quarter
             heads = reference_counted_notes(p)
             merged = reference_merged_durations(p)
             assert [id(e) for e in cols.heads] == [id(e) for e in heads]
             assert [id(e) for e, _ in merged] == [id(e) for e in heads]
-            assert [Fraction(t, tpq) for t in cols.merged] == [d for _, d in merged]
-            assert [Fraction(t, tpq) for t in cols.onset] == [e.onset for e in heads]
-            assert [Fraction(t, tpq) for t in cols.duration] == [e.duration for e in heads]
+            assert list(cols.merged) == [d for _, d in merged]
+            assert list(cols.onset) == [e.onset for e in heads]
+            assert list(cols.duration) == [e.duration for e in heads]
             assert list(cols.midi) == [midi_number(e.pitch) for e in heads]
             assert list(cols.measure) == [e.measure_index for e in heads]
             line = [id(e) for e in reference_melodic_line(p)]
@@ -238,19 +240,37 @@ class TestNoteColumns:
 
     def test_chord_with_tie_pinned(self):
         cols = _CHORD_WITH_TIE.parts[0].notes
-        assert cols.ticks_per_quarter == 15
         assert [e.pitch.name for e in cols.heads] == ["C4", "G4", "E4", "A5"]
-        assert cols.merged == (30, 45, 15, 15)
+        assert cols.merged == (2 * TPQ, 3 * TPQ, TPQ, TPQ)
         assert [cols.heads[i].pitch.name for i in cols.line] == ["G4", "A5"]
 
-    def test_columns_never_enter_the_pickle(self):
+    def test_columns_never_enter_the_entry(self, tmp_path):
         s = random_model_score(random.Random(5))
-        fresh = pickle.dumps(s, protocol=pickle.HIGHEST_PROTOCOL)
+        store_score(tmp_path, "ab", s, ParseDiagnostics(), [])
+        fresh = cache_path(tmp_path, "ab").read_bytes()
         for p in s.parts:
             p.notes
-        assert pickle.dumps(s, protocol=pickle.HIGHEST_PROTOCOL) == fresh
+        store_score(tmp_path, "ab", s, ParseDiagnostics(), [])
+        assert cache_path(tmp_path, "ab").read_bytes() == fresh
         assert "notes" not in repr(s.parts[0])
-        assert pickle.loads(fresh) == s
+        assert load_score(tmp_path, "ab", [])[0] == s
+
+
+class TestTickBase:
+    def test_lcm_of_the_denominators(self):
+        assert tick_base([Fraction(1, 3), Fraction(2, 5), Fraction(4), Fraction(7, 6)]) == 30
+        assert tick_base([]) == 1
+
+    def test_to_ticks_is_exact_or_raises(self):
+        assert to_ticks(Fraction(2, 5), 30) == 12
+        with pytest.raises(ValueError):
+            to_ticks(Fraction(1, 7), 30)
+
+    def test_events_take_whole_ticks_only(self):
+        with pytest.raises(TypeError):
+            NoteEvent(kind="rest", onset=Fraction(1, 2), duration=1, measure_index=1)
+        with pytest.raises(TypeError):
+            NoteEvent(kind="rest", onset=0, duration=1.5, measure_index=1)
 
 
 class TestSliceWindow:
@@ -274,7 +294,7 @@ class TestSliceWindow:
 
     def test_onsets_not_rebased(self):
         window = slice_window(self._ten_measures(), 3, 2)
-        assert [e.onset for e in window.parts[0].events] == [Fraction(8), Fraction(12)]
+        assert [e.onset for e in window.parts[0].events] == [8 * TPQ, 12 * TPQ]
 
     def test_disjoint_cover_partitions_note_count(self):
         # brute-force partition check over random scores
@@ -306,7 +326,7 @@ class TestSliceWindow:
         events = [note("C", onset=4 * m, dur=4, measure=m + 1) for m in range(4)]
         p = part(events, measures=4, dynamics=[(0, "p"), (12, "f")])
         w = slice_window(score([p], measures=4), 2, 2)
-        assert w.parts[0].dynamic_marks == ((Fraction(4), "p"),)
+        assert w.parts[0].dynamic_marks == ((4 * TPQ, "p"),)
 
 
 def _scan_governing(positions, query):

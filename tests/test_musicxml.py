@@ -6,7 +6,7 @@ import pytest
 from scorefeat import musicxml
 from scorefeat.model import midi_number, note_count
 from scorefeat.musicxml import MusicXMLError, parse_musicxml
-from util import musicxml_doc, mxl_bytes, random_musicxml
+from util import musicxml_doc, mxl_bytes, quarters, random_musicxml
 
 MINIMAL = musicxml_doc([("Voice", [[{"step": "C", "octave": 4, "dur": 16}]])])
 
@@ -32,7 +32,19 @@ class TestBasics:
             divisions=24,
         )
         score, _ = parse_musicxml(doc)
-        assert score.parts[0].events[0].duration == Fraction(3, 2)
+        assert quarters(score, score.parts[0].events[0].duration) == Fraction(3, 2)
+
+    def test_tick_base_is_the_lcm_of_what_was_read(self):
+        doc = musicxml_doc([("Violin", [[{"step": "C", "dur": 1}, {"step": "D", "dur": 11}],
+                                        [{"step": "E", "dur": 2}, {"step": "F", "dur": 18}]])],
+                           divisions=3)
+        doc = doc.replace(b'<measure number="2">',
+                          b'<measure number="2"><attributes><divisions>5</divisions></attributes>')
+        score, diags = parse_musicxml(doc)
+        assert not diags.warnings
+        assert score.ticks_per_quarter == 15
+        assert [e.onset for e in score.parts[0].events] == [0, 5, 60, 66]
+        assert score.measure_offsets == (0, 60)
 
     def test_two_violins_and_voice(self):
         doc = musicxml_doc(
@@ -119,8 +131,8 @@ class TestContent:
         score, _ = parse_musicxml(doc)
         events = counted(score.parts[0])
         assert len(events) == 3
-        assert events[0].onset == events[1].onset == Fraction(0)
-        assert events[2].onset == Fraction(2)
+        assert events[0].onset == events[1].onset == 0
+        assert quarters(score, events[2].onset) == Fraction(2)
 
     def test_grace_note_zero_duration(self):
         doc = musicxml_doc(
@@ -159,7 +171,7 @@ class TestContent:
         p = score.parts[0]
         assert p.is_vocal
         assert [e.lyric.syllabic for e in p.events] == ["begin", "end"]
-        assert p.dynamic_marks == ((Fraction(0), "p"),)
+        assert p.dynamic_marks == ((0, "p"),)
 
     def test_duration_mismatch_warns_not_fatal(self):
         doc = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 8}]])])
@@ -201,7 +213,7 @@ class TestContent:
         doc = MINIMAL.replace(b"<duration>16</duration>", b"<duration>16.0</duration>")
         doc = doc.replace(b"<divisions>4</divisions>", b"<divisions>4.0</divisions>")
         score, diags = parse_musicxml(doc)
-        assert score.parts[0].events[0].duration == Fraction(4)
+        assert quarters(score, score.parts[0].events[0].duration) == Fraction(4)
         assert not diags.warnings
 
     def test_decimal_direction_offset(self):
@@ -210,7 +222,8 @@ class TestContent:
         doc = doc.replace(b"</direction-type></direction>",
                           b"</direction-type><offset>2.0</offset></direction>")
         score, diags = parse_musicxml(doc)
-        assert score.parts[0].dynamic_marks == ((Fraction(1, 2), "p"),)
+        (pos, token), = score.parts[0].dynamic_marks
+        assert (quarters(score, pos), token) == (Fraction(1, 2), "p")
         assert not diags.warnings
 
     def test_zero_divisions_keeps_previous_value(self):
@@ -219,7 +232,7 @@ class TestContent:
         doc = doc.replace(b'<measure number="2">',
                           b'<measure number="2"><attributes><divisions>0</divisions></attributes>')
         score, diags = parse_musicxml(doc)
-        assert [e.duration for e in score.parts[0].events] == [Fraction(4), Fraction(4)]
+        assert [quarters(score, e.duration) for e in score.parts[0].events] == [4, 4]
         assert any("divisions" in msg for _, msg in diags.warnings)
 
     def test_empty_measure_takes_its_length_from_the_signature(self):
@@ -233,8 +246,8 @@ class TestContent:
                           b'<beats>3</beats><beat-type>4</beat-type></time></attributes>')
         score, _ = parse_musicxml(doc)
         assert score.time_signatures == ((1, 4, 4), (2, 3, 4))
-        assert score.measure_offsets == (0, 4, 7, 10)
-        assert score.parts[0].events[-1].onset == 10
+        assert [quarters(score, q) for q in score.measure_offsets] == [0, 4, 7, 10]
+        assert quarters(score, score.parts[0].events[-1].onset) == 10
         assert score.total_quarters() == 13
 
 
@@ -247,5 +260,5 @@ class TestRoundTrip:
             assert not diags.warnings
             assert len(score.parts) == len(expected)
             for p, inventory in zip(score.parts, expected):
-                got = [(midi_number(e.pitch), e.duration) for e in counted(p)]
+                got = [(midi_number(e.pitch), quarters(score, e.duration)) for e in counted(p)]
                 assert got == inventory

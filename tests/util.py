@@ -14,12 +14,25 @@ from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from scorefeat.engine import extract_unit
-from scorefeat.model import Lyric, NoteEvent, Part, Score, SpelledPitch
+from scorefeat.model import Lyric, NoteEvent, Part, Score, SpelledPitch, to_ticks
 from scorefeat.instruments import detect_instrument_family, part_identifier
 from scorefeat.registry import feature_modules, resolve_feature_order
 
 # ---------------------------------------------------------------------------
-# direct model builders
+# direct model builders: times are given in quarter notes and stored in ticks
+# of TPQ per quarter, which fits every fraction the suite writes
+
+TPQ = 480
+
+
+def ticks(quarters) -> int:
+    return to_ticks(Fraction(quarters), TPQ)
+
+
+def quarters(s: Score, ticks: int) -> Fraction:
+    """A tick count of ``s`` in quarter notes."""
+    return Fraction(ticks, s.ticks_per_quarter)
+
 
 def P(step, alter=0, octave=4):
     return SpelledPitch(step=step, alter=alter, octave=octave)
@@ -32,14 +45,14 @@ def note(step, octave=4, alter=0, onset=0, dur=1, measure=1, tie="none",
         text, syllabic = lyric if isinstance(lyric, tuple) else (lyric, "single")
         lyr = Lyric(text=text, syllabic=syllabic)
     return NoteEvent(
-        kind="note", onset=Fraction(onset), duration=Fraction(dur),
+        kind="note", onset=ticks(onset), duration=ticks(dur),
         measure_index=measure, pitch=P(step, alter, octave), tie=tie,
         dots=dots, lyric=lyr, grace=grace,
     )
 
 
 def rest(onset=0, dur=1, measure=1):
-    return NoteEvent(kind="rest", onset=Fraction(onset), duration=Fraction(dur),
+    return NoteEvent(kind="rest", onset=ticks(onset), duration=ticks(dur),
                      measure_index=measure)
 
 
@@ -54,7 +67,7 @@ def part(events, sound="violin", ordinal=1, measures=None, dynamics=(), vocal=No
         family=family,
         is_vocal=(family == "voices") if vocal is None else vocal,
         events=tuple(sorted(events, key=lambda e: e.onset)),
-        dynamic_marks=tuple((Fraction(pos), tok) for pos, tok in dynamics),
+        dynamic_marks=tuple((ticks(pos), tok) for pos, tok in dynamics),
         measure_count=measures,
     )
 
@@ -68,7 +81,8 @@ def score(parts, measures=None, sig=(4, 4), fifths=0, tempo=(), source="fixture"
         parts=tuple(parts),
         num_measures=measures,
         time_signatures=((1, sig[0], sig[1]),),
-        measure_offsets=tuple(Fraction(4 * sig[0], sig[1]) * i for i in range(measures)),
+        measure_offsets=tuple(ticks(Fraction(4 * sig[0], sig[1]) * i) for i in range(measures)),
+        ticks_per_quarter=TPQ,
         key_signature=fifths,
         tempo_marks=tuple(tempo),
         annotations=tuple(annotations) if annotations is not None else None,
