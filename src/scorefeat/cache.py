@@ -21,23 +21,18 @@ import tempfile
 from collections import Counter
 from dataclasses import astuple, fields
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .diagnostics import ParseDiagnostics
 from .harmony import HarmonicAnnotation
-from .model import Lyric, NoteEvent, Part, Score, SpelledPitch, TempoMark
+from .model import Lyric, NoteEvent, Part, Score, SpelledPitch, TempoMark, spelled_pitch
 from .registry import get_hook
 
 log = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"MSF4"
 FORMAT_VERSION = 1
-
-# One instance per spelling across entries, so that caches keyed on pitches
-# (``interval_name``) hit by identity.
-_spelled_pitch = lru_cache(maxsize=1024)(SpelledPitch)
 
 
 def cache_key(source_bytes: bytes, parser_id: str, parser_version: str) -> str:
@@ -165,7 +160,7 @@ def load_score(
         if type(skipped) is not dict or not all(type(n) is int for n in skipped.values()):
             raise TypeError("skipped-element tallies must map names to ints")
         diags = ParseDiagnostics([(loc, msg) for loc, msg in doc["warnings"]], Counter(skipped))
-        pitches = [_spelled_pitch(*pitch) for pitch in doc["pitches"]]
+        pitches = [spelled_pitch(*pitch) for pitch in doc["pitches"]]
         score = _decode_score(doc["score"], pitches)
     # bad JSON or bytes, missing keys, rows of the wrong shape or type, values
     # the model's constructors reject, a zero denominator, too deep a nesting

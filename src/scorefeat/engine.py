@@ -10,7 +10,7 @@ read the same at any parallelism.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import ChainMap, Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -240,7 +240,8 @@ def extract_unit(score: Score, order: Sequence[str], registry) -> dict:
         descriptor = registry[name]
         if descriptor.part_fn is not None:
             for part in score.parts:
-                upstream = {**score_values, **part_values[part.part_id]}
+                # part keys shadow score keys; a write lands in the empty front map
+                upstream = ChainMap({}, part_values[part.part_id], score_values)
                 values = descriptor.part_fn(part, score, upstream) or {}
                 for key, value in values.items():
                     if value is None:

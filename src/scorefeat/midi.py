@@ -20,7 +20,9 @@ from typing import Optional
 from .diagnostics import ParseDiagnostics
 from .features.core import nearest_dynamic_token
 from .instruments import OrdinalAllocator, detect_instrument_family, part_identifier
-from .model import NoteEvent, Part, Score, SpelledPitch, TempoMark, tick_base, to_ticks
+from .model import (
+    NoteEvent, Part, Score, SpelledPitch, TempoMark, spelled_pitch, tick_base, to_ticks,
+)
 
 PARSER_ID = "midi"
 PARSER_VERSION = "2"
@@ -31,9 +33,10 @@ PARSER_VERSION = "2"
 MAX_QUARTERS = 40_000
 MAX_MEASURES = 10_000
 
-# Snap grid for onsets and durations, in quarter notes. Durations are floored
-# at one grid unit so no note quantizes away.
-GRID = Fraction(1, 4)
+# Snap grid for onsets and durations: GRID_STEPS steps to the quarter note (a
+# sixteenth). Durations are floored at one step so no note quantizes away.
+GRID_STEPS = 4
+GRID = Fraction(1, GRID_STEPS)
 
 _SHARP_SPELLING = {
     0: ("C", 0), 1: ("C", 1), 2: ("D", 0), 3: ("D", 1), 4: ("E", 0), 5: ("F", 0),
@@ -245,12 +248,13 @@ def _last_ticks(tracks) -> tuple[int, int]:
     return max(onsets, default=0), max(ends, default=0)
 
 
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def _grid_steps(ticks: int, tpq: int) -> int:
+    """``ticks`` at ``tpq`` per quarter in whole grid steps, rounded half up."""
+    return (2 * GRID_STEPS * ticks + tpq) // (2 * tpq)
 
 
 def _quantize(tick: int, tpq: int) -> Fraction:
-    return _round_half_up(Fraction(tick, tpq) / GRID) * GRID
+    return _grid_steps(tick, tpq) * GRID
 
 
 def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, diags):
@@ -302,12 +306,13 @@ def _plan_measures(sig_events, tpq, last_onset_tick, last_end_tick, diags):
 def _spell(midi: int, prefer_flats: bool) -> SpelledPitch:
     table = _FLAT_SPELLING if prefer_flats else _SHARP_SPELLING
     step, alter = table[midi % 12]
-    return SpelledPitch(step=step, alter=alter, octave=midi // 12 - 1)
+    return spelled_pitch(step, alter, midi // 12 - 1)
 
 
 def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
     """One part per (track, channel) with notes, in ticks of ``base`` per
     quarter; ``start_ticks`` are the measure starts in those ticks."""
+    step_ticks = base // GRID_STEPS  # ``base`` counts whole grid steps
     channel_notes: dict[tuple[int, int], list] = {}
     channel_programs: dict[tuple[int, int], int] = {}
     track_names: dict[int, Optional[str]] = {}
@@ -354,13 +359,13 @@ def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
         dyn_marks: list[tuple[int, str]] = []
         last_token: Optional[str] = None
         for s_tick, e_tick, pitch, vel in sorted(raw):
-            onset = to_ticks(_quantize(s_tick, tpq), base)
-            steps = _round_half_up(Fraction(e_tick - s_tick, tpq) / GRID)
+            onset = _grid_steps(s_tick, tpq) * step_ticks
+            steps = _grid_steps(e_tick - s_tick, tpq)
             events.append(
                 NoteEvent(
                     kind="note",
                     onset=onset,
-                    duration=to_ticks(max(1, steps) * GRID, base),
+                    duration=max(1, steps) * step_ticks,
                     measure_index=bisect_right(start_ticks, onset),
                     pitch=_spell(pitch, prefer_flats),
                 )

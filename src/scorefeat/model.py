@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -68,6 +68,12 @@ class SpelledPitch:
         return f"{self.step}{ALTER_SYMBOLS[self.alter]}{self.octave}"
 
 
+# One instance per spelling, so caches keyed on pitches (``interval_name``) hit
+# by identity. Parsers and the cache decoder call it positionally (keywords are
+# cached apart); ``typed`` keeps a decoded float or bool apart from an int.
+spelled_pitch = lru_cache(maxsize=1024, typed=True)(SpelledPitch)
+
+
 def midi_number(pitch: SpelledPitch) -> int:
     """MIDI note number of a spelled pitch (C4 = 60)."""
     n = 12 * (pitch.octave + 1) + STEP_SEMITONES[pitch.step] + pitch.alter
@@ -78,8 +84,7 @@ def midi_number(pitch: SpelledPitch) -> int:
 
 def tick_base(quarters: Iterable[Fraction]) -> int:
     """Ticks per quarter note that make each of ``quarters`` a whole number
-    of ticks: the LCM of their denominators. Parsers keep exact ``Fraction``
-    quarters while they read and convert once, when they build the score."""
+    of ticks: the LCM of their denominators."""
     return lcm(*{q.denominator for q in quarters})
 
 

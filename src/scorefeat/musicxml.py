@@ -16,6 +16,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Optional
 
 from .diagnostics import ParseDiagnostics
@@ -34,6 +35,7 @@ from .model import (
     SpelledPitch,
     TempoMark,
     midi_number,
+    spelled_pitch,
     tick_base,
     to_ticks,
 )
@@ -69,12 +71,13 @@ class MusicXMLError(ValueError):
 
 @dataclass
 class _RawNote:
-    """A parsed note before absolute onsets are known."""
+    """A parsed note before absolute onsets are known, timed in the
+    document's units (see ``_document_unit``)."""
 
     kind: str
     measure_index: int
-    offset: Fraction  # quarters from measure start
-    duration: Fraction
+    offset: int  # units from measure start
+    duration: int
     pitch: Optional[SpelledPitch]
     tie: str
     dots: int
@@ -87,8 +90,8 @@ class _RawPart:
     xml_id: str
     name: str
     notes: list[_RawNote] = field(default_factory=list)
-    dynamics: list[tuple[int, Fraction, str]] = field(default_factory=list)
-    measure_lengths: list[Fraction] = field(default_factory=list)
+    dynamics: list[tuple[int, int, str]] = field(default_factory=list)
+    measure_lengths: list[int] = field(default_factory=list)
     has_lyrics: bool = False
 
 
@@ -144,16 +147,17 @@ def parse_musicxml(data: bytes, source_id: str = "score") -> tuple[Score, ParseD
 
     diags = ParseDiagnostics()
     part_names = _read_part_list(root, diags)
+    unit = _document_unit(root)
 
     raw_parts: list[_RawPart] = []
     time_signatures: list[tuple[int, int, int]] = []
-    tempo_raw: list[tuple[int, Fraction, Optional[str], Optional[float]]] = []
+    tempo_raw: list[tuple[int, int, Optional[str], Optional[float]]] = []
     key_fifths: Optional[int] = None
 
     for part_el in root.findall("part"):
         xml_id = part_el.get("id", f"P{len(raw_parts) + 1}")
         raw = _RawPart(xml_id=xml_id, name=part_names.get(xml_id, xml_id))
-        state = _PartState()
+        state = _PartState(unit)
         for mi, measure_el in enumerate(part_el.findall("measure"), start=1):
             sig, fifths = _parse_measure(
                 measure_el, mi, raw, state, diags, tempo_raw
@@ -174,7 +178,7 @@ def parse_musicxml(data: bytes, source_id: str = "score") -> tuple[Score, ParseD
         raise MusicXMLError("score contains no parts")
 
     score = _build_score(
-        source_id, raw_parts, time_signatures, key_fifths, tempo_raw, diags
+        source_id, raw_parts, unit, time_signatures, key_fifths, tempo_raw, diags
     )
     return score, diags
 
@@ -192,18 +196,33 @@ def _read_part_list(root: ET.Element, diags: ParseDiagnostics) -> dict[str, str]
     return names
 
 
+def _document_unit(root: ET.Element) -> int:
+    """Units per quarter note in which every time the document states is a
+    whole number: the LCM of the numerators of its positive ``<divisions>``
+    times the LCM of the denominators of its ``<duration>`` and ``<offset>``
+    values. Unreadable values are left to the parse to report."""
+    def values(tag):
+        for el in root.iter(tag):
+            try:
+                yield _read_decimal(el.text or "")
+            except (ValueError, ZeroDivisionError):
+                pass
+
+    return (lcm(*(v.numerator for v in values("divisions") if v > 0))
+            * lcm(*(v.denominator for tag in ("duration", "offset") for v in values(tag))))
+
+
 class _PartState:
-    def __init__(self):
-        self.divisions = 1
+    def __init__(self, unit: int):
+        self.unit = unit
+        self.per_division = unit  # units per division; <divisions> is 1 until read
         self.active_sig: Optional[tuple[int, int]] = None
-        self.voice_sums: dict[str, Fraction] = {}
+        self.voice_sums: dict[str, int] = {}
 
 
 def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
     loc = f"part {raw.xml_id} measure {mi}"
-    cursor = Fraction(0)
-    max_cursor = Fraction(0)
-    prev_onset = Fraction(0)
+    cursor = max_cursor = prev_onset = 0
     sig: Optional[tuple[int, int]] = None
     fifths: Optional[int] = None
     state.voice_sums = {}
@@ -216,7 +235,7 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
                 if divisions is not None and divisions <= 0:
                     diags.warn(loc, f"divisions {div!r} not positive; previous value kept")
                 elif divisions is not None:
-                    state.divisions = divisions
+                    state.per_division = state.unit * divisions.denominator // divisions.numerator
             time_el = el.find("time")
             if time_el is not None:
                 if time_el.find("senza-misura") is not None:
@@ -246,12 +265,12 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
             )
             max_cursor = max(max_cursor, cursor)
         elif el.tag == "backup":
-            cursor -= _duration_quarters(el, state, diags, loc)
+            cursor -= _duration_units(el, state, diags, loc)
             if cursor < 0:
                 diags.warn(loc, "backup before start of measure; clamped")
-                cursor = Fraction(0)
+                cursor = 0
         elif el.tag == "forward":
-            cursor += _duration_quarters(el, state, diags, loc)
+            cursor += _duration_units(el, state, diags, loc)
             max_cursor = max(max_cursor, cursor)
         elif el.tag == "direction":
             _parse_direction(el, mi, cursor, raw, state, diags, tempo_raw, loc)
@@ -266,18 +285,27 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
     return sig, fifths
 
 
-def _decimal(text: str, what: str, diags, loc):
-    """An ``xs:decimal`` element value (an int when written as one, else a
-    Fraction), or None with a warning."""
+def _read_decimal(text: str):
+    """An ``xs:decimal`` element value: an int when written as one, else a
+    Fraction; ValueError when it is neither."""
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
         return Fraction(text)
+
+
+def _decimal(text: str, what: str, diags, loc):
+    """An ``xs:decimal`` element value, or None with a warning."""
+    try:
+        return _read_decimal(text)
     except ValueError:
         diags.warn(loc, f"unreadable {what} {text!r}")
         return None
+
+
+def _units(value, per: int) -> int:
+    """``value`` things of ``per`` units each, in units (exact: see _document_unit)."""
+    return value.numerator * per // value.denominator
 
 
 def _sound_tempo(el, diags, loc) -> Optional[float]:
@@ -296,13 +324,13 @@ def _sound_tempo(el, diags, loc) -> Optional[float]:
     return bpm
 
 
-def _duration_quarters(el, state, diags, loc) -> Fraction:
+def _duration_units(el, state, diags, loc) -> int:
     d = el.findtext("duration")
     if not d:
         diags.warn(loc, f"<{el.tag}> without duration")
-        return Fraction(0)
+        return 0
     duration = _decimal(d, "duration", diags, loc)
-    return Fraction(0) if duration is None else Fraction(duration, state.divisions)
+    return 0 if duration is None else _units(duration, state.per_division)
 
 
 def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
@@ -313,11 +341,11 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
     if el.find("cue") is not None:
         diags.skip("cue")
         if not is_chord and not is_grace:
-            dur = _duration_quarters(el, state, diags, loc)
+            dur = _duration_units(el, state, diags, loc)
             return cursor + dur, cursor
         return cursor, prev_onset
 
-    dur = Fraction(0) if is_grace else _duration_quarters(el, state, diags, loc)
+    dur = 0 if is_grace else _duration_units(el, state, diags, loc)
     onset = prev_onset if is_chord else cursor
 
     dots = len(el.findall("dot"))
@@ -379,7 +407,7 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
         )
 
     if not is_chord and not is_grace:
-        state.voice_sums[voice] = state.voice_sums.get(voice, Fraction(0)) + dur
+        state.voice_sums[voice] = state.voice_sums.get(voice, 0) + dur
         return onset + dur, onset
     return cursor, prev_onset
 
@@ -392,7 +420,7 @@ def _parse_pitch(pitch_el, diags, loc) -> Optional[SpelledPitch]:
         alter_f = float(alter_text) if alter_text else 0.0
         if alter_f != int(alter_f):
             diags.warn(loc, f"microtonal alter {alter_f} rounded")
-        pitch = SpelledPitch(step=step, alter=int(round(alter_f)), octave=int(octave_text))
+        pitch = spelled_pitch(step, int(round(alter_f)), int(octave_text))
         midi_number(pitch)  # range validation
         return pitch
     except (TypeError, ValueError, PitchRangeError) as exc:
@@ -403,7 +431,7 @@ def _parse_pitch(pitch_el, diags, loc) -> Optional[SpelledPitch]:
 def _parse_direction(el, mi, cursor, raw, state, diags, tempo_raw, loc):
     offset_el = el.findtext("offset")
     shift = _decimal(offset_el, "offset", diags, loc) if offset_el else None
-    offset = cursor if shift is None else cursor + Fraction(shift, state.divisions)
+    offset = cursor if shift is None else cursor + _units(shift, state.per_division)
 
     words_text: Optional[str] = None
     bpm: Optional[float] = None
@@ -458,17 +486,18 @@ def _parse_metronome(el, diags, loc) -> Optional[float]:
 
 
 def _check_measure_durations(raw, mi, state, diags):
-    sig = state.active_sig or (4, 4)
-    expected = Fraction(sig[0] * 4, sig[1])
+    num, den = state.active_sig or (4, 4)
+    expected = Fraction(num * 4, den)  # quarters; raises on a beat-type of 0
     for voice, total in state.voice_sums.items():
-        if total != 0 and total != expected:
+        if total != 0 and total * den != num * 4 * state.unit:
             diags.warn(
                 f"part {raw.xml_id} measure {mi}",
-                f"voice {voice} sums to {total} quarters, signature says {expected}",
+                f"voice {voice} sums to {Fraction(total, state.unit)} quarters, "
+                f"signature says {expected}",
             )
 
 
-def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, diags):
+def _build_score(source_id, raw_parts, unit, time_signatures, key_fifths, tempo_raw, diags):
     if not time_signatures:
         time_signatures = [(1, 4, 4)]
         diags.warn("score", "no time signature; assuming 4/4")
@@ -478,7 +507,8 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
     num_measures = max((len(rp.measure_lengths) for rp in raw_parts), default=0)
     num_measures = max(num_measures, 1)
 
-    # a measure lasts as long as its longest part; an empty one as its signature says
+    # a measure lasts as long as its longest part; an empty one as its signature
+    # says, which need not be whole units, so lengths are kept in quarters
     nominal_at = {m: Fraction(num * 4, den) for m, num, den in time_signatures}
     nominal = nominal_at[1]
     lengths: list[Fraction] = []
@@ -486,18 +516,21 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
         nominal = nominal_at.get(m, nominal)
         content = max(
             (rp.measure_lengths[m - 1] for rp in raw_parts if m <= len(rp.measure_lengths)),
-            default=Fraction(0),
+            default=0,
         )
-        lengths.append(content if content > 0 else nominal)
-    offsets = list(accumulate(lengths[:-1], initial=Fraction(0)))
-    tpq = tick_base([
-        *lengths,
-        *(q for rp in raw_parts for n in rp.notes for q in (n.offset, n.duration)),
+        lengths.append(Fraction(content, unit) if content > 0 else nominal)
+    # the coarsest base in which every length and every time read is whole:
+    # the units read need unit / gcd(unit, *them) ticks per quarter
+    read = gcd(
+        unit,
+        *(u for rp in raw_parts for n in rp.notes for u in (n.offset, n.duration)),
         *(off for rp in raw_parts for _mi, off, _token in rp.dynamics),
-    ])
+    )
+    tpq = lcm(tick_base(lengths), unit // read)
+    offsets = [to_ticks(q, tpq) for q in accumulate(lengths[:-1], initial=Fraction(0))]
 
-    def ticks(measure_index: int, offset: Fraction) -> int:
-        return to_ticks(offsets[measure_index - 1] + offset, tpq)
+    def ticks(measure_index: int, units: int) -> int:
+        return offsets[measure_index - 1] + units * tpq // unit  # exact: see tpq
 
     parts = []
     ordinals = OrdinalAllocator()
@@ -510,7 +543,7 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
             NoteEvent(
                 kind=n.kind,
                 onset=ticks(n.measure_index, n.offset),
-                duration=to_ticks(n.duration, tpq),
+                duration=n.duration * tpq // unit,
                 measure_index=n.measure_index,
                 pitch=n.pitch,
                 tie=n.tie,
@@ -549,6 +582,6 @@ def _build_score(source_id, raw_parts, time_signatures, key_fifths, tempo_raw, d
         time_signatures=tuple(time_signatures),
         key_signature=key_fifths if key_fifths is not None else 0,
         tempo_marks=tempo_marks,
-        measure_offsets=tuple(to_ticks(q, tpq) for q in offsets),
+        measure_offsets=tuple(offsets),
         ticks_per_quarter=tpq,
     )

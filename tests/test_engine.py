@@ -16,13 +16,14 @@ from scorefeat.engine import (
     ExtractorConfig,
     RunReport,
     extract,
+    extract_unit,
     load_or_parse,
     plan_windows,
     run_hooks,
 )
-from scorefeat.registry import register_hook
+from scorefeat.registry import FeatureModuleDescriptor, register_hook
 from scorefeat.table import IDENTITY_COLUMNS
-from util import musicxml_doc, random_musicxml
+from util import musicxml_doc, note, part, random_musicxml, score
 
 SIMPLE = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16}],
                                    [{"step": "D", "octave": 4, "dur": 16}]])])
@@ -290,6 +291,38 @@ class TestHooks:
     def test_unknown_hook_is_config_error(self):
         with pytest.raises(ConfigError):
             ExtractorConfig(hooks=["never_registered"]).validate()
+
+
+class TestUpstream:
+    def test_part_writes_stay_local_and_part_keys_shadow_score_keys(self):
+        seen = []
+
+        def scribble(p, _score, upstream):
+            seen.append(("scribble", p.part_id, dict(upstream)))
+            upstream["Key"] = upstream["Only"] = "written"
+            upstream["New"] = 1
+
+        def read_part(p, _score, upstream):
+            seen.append(("read", p.part_id, dict(upstream)))
+
+        def read_score(_score, part_values, upstream):
+            seen.append(("score", part_values, dict(upstream)))
+
+        registry = {
+            "s": FeatureModuleDescriptor("s", score_fn=lambda *_: {"Key": "s", "Only": "s"}),
+            "p": FeatureModuleDescriptor("p", part_fn=lambda p, *_: {"Key": p.part_id}),
+            "w": FeatureModuleDescriptor("w", part_fn=scribble),
+            "r": FeatureModuleDescriptor("r", part_fn=read_part, score_fn=read_score),
+        }
+        unit = score([part([note("C")]), part([note("E")], ordinal=2)])
+        row = extract_unit(unit, ["s", "p", "w", "r"], registry)
+        assert seen == [
+            (module, pid, {"Key": pid, "Only": "s"})
+            for module in ("scribble", "read") for pid in ("ViolinI", "ViolinII")
+        ] + [("score", {"ViolinI": {"Key": "ViolinI"}, "ViolinII": {"Key": "ViolinII"}},
+              {"Key": "s", "Only": "s"})]
+        assert row == {"Score_Key": "s", "Score_Only": "s",
+                       "PartViolinI_Key": "ViolinI", "PartViolinII_Key": "ViolinII"}
 
 
 class TestExtract:

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 from bisect import bisect_right
@@ -95,6 +96,37 @@ class TestBasics:
         data = midi_bytes([midi_meta_track(tempo_bpm=90) + midi_note_events([(0, 480, 60, 64)])])
         score, _ = import_midi(data)
         assert score.tempo_marks[0].bpm == pytest.approx(90, abs=0.01)
+
+
+def _grid_quarters(ticks, tpq, floor_one_step=False):
+    """``ticks`` in quarters, rounded half up to the sixteenth, in Fractions."""
+    steps = math.floor(Fraction(ticks, tpq) * 4 + Fraction(1, 2))
+    return Fraction(max(1, steps) if floor_one_step else steps, 4)
+
+
+@st.composite
+def tpq_and_spans(draw):
+    """A ticks-per-quarter and (onset, length) tick pairs of up to four bars."""
+    tpq = draw(st.integers(1, 960))
+    spans = draw(st.lists(st.tuples(st.integers(0, 16 * tpq), st.integers(0, 4 * tpq)),
+                          min_size=1, max_size=8))
+    return tpq, spans
+
+
+class TestQuantization:
+    @given(tpq_and_spans())
+    @example((8, [(1, 3), (5, 1), (3, 4)]))  # half steps: 1/2, 5/2, 3/2 -> 1, 3, 2
+    @example((24, [(3, 3), (9, 9), (0, 0)]))  # 1/2, 3/2 and a zero length
+    @example((2, [(1, 1), (3, 5)]))  # every tick of tpq 2 is two steps
+    @example((1, [(0, 0), (16, 4)]))
+    def test_round_half_up_to_the_sixteenth(self, case):
+        tpq, spans = case
+        notes = [(on, on + length, 40 + i, 64) for i, (on, length) in enumerate(spans)]
+        score, _ = import_midi(midi_bytes([midi_note_events(notes)], tpq=tpq))
+        got = {midi_number(e.pitch): (quarters(score, e.onset), quarters(score, e.duration))
+               for e in score.parts[0].events}
+        assert got == {pitch: (_grid_quarters(on, tpq), _grid_quarters(off - on, tpq, True))
+                       for on, off, pitch, _vel in notes}
 
 
 def reference_measure_at(measure_starts, onset):

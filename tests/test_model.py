@@ -21,11 +21,25 @@ from scorefeat.model import (
     note_count,
     slice_window,
     sounding_measures,
+    spelled_pitch,
     tick_base,
     to_ticks,
 )
+from scorefeat.midi import import_midi
 from scorefeat.musicxml import parse_musicxml
-from util import TPQ, P, note, part, random_model_score, random_musicxml, rest, score
+from util import (
+    TPQ,
+    P,
+    midi_bytes,
+    midi_note_events,
+    musicxml_doc,
+    note,
+    part,
+    random_model_score,
+    random_musicxml,
+    rest,
+    score,
+)
 
 spelled = st.builds(
     SpelledPitch,
@@ -66,6 +80,21 @@ class TestMidiNumber:
         for table in (_SHARP_SPELLING, _FLAT_SPELLING):
             step, alter = table[m % 12]
             assert midi_number(SpelledPitch(step, alter, m // 12 - 1)) == m
+
+
+class TestInternedSpellings:
+    def test_parsers_and_cache_share_one_instance(self, tmp_path):
+        xml, _ = parse_musicxml(musicxml_doc([("Violin", [[{"step": "C", "dur": 16}]])]))
+        mid, _ = import_midi(midi_bytes([midi_note_events([(0, 480, 60, 64)])]))
+        store_score(tmp_path, "key", xml, ParseDiagnostics(), [])
+        cached, _ = load_score(tmp_path, "key", [])
+        first, *others = [s.parts[0].events[0].pitch for s in (xml, mid, cached)]
+        assert all(p is first for p in others)
+
+    def test_a_float_read_from_an_entry_is_interned_apart(self):
+        decoded = spelled_pitch("C", 0.0, 4)
+        assert spelled_pitch("C", 0, 4) is not decoded
+        assert type(spelled_pitch("C", 0, 4).alter) is int
 
 
 class TestScore:

@@ -251,6 +251,96 @@ class TestContent:
         assert score.total_quarters() == 13
 
 
+def _edge_doc(measures, divisions=4, beats=4, beat_type=4, after_first_note=b"",
+              replace=()):
+    """A one-part document, with raw XML put after its first note and
+    ``replace`` applied as (old, new) byte pairs."""
+    doc = musicxml_doc([("Violin", measures)], divisions=divisions, beats=beats,
+                       beat_type=beat_type)
+    doc = doc.replace(b"</note>", b"</note>" + after_first_note, 1)
+    for old, new in replace:
+        doc = doc.replace(old, new)
+    return doc
+
+
+_SEVEN_AND_NINE = musicxml_doc([("Violin", [[{"step": "C", "dur": 3}, {"step": "D", "dur": 4},
+                                             {"step": "E", "dur": 21}]]),
+                                ("Viola", [[{"step": "C", "dur": 2}, {"step": "D", "dur": 7},
+                                            {"step": "E", "dur": 27}]])], divisions=7)
+_SEVEN_AND_NINE = _SEVEN_AND_NINE.replace(
+    b'<part id="P2"><measure number="1"><attributes><divisions>7',
+    b'<part id="P2"><measure number="1"><attributes><divisions>9')
+_DYNAMICS = _edge_doc([[{"step": "C", "dur": 16, "dynamic": "p"}],
+                       [{"step": "D", "dur": 8, "dynamic": "f"},
+                        {"step": "E", "dur": 8, "dynamic": "mf"}]])
+for _shift in (b"0.5", b"-1.5", b"-3"):  # one per direction, in document order
+    _DYNAMICS = _DYNAMICS.replace(b"</direction-type></direction>",
+                                  b"</direction-type><offset>%s</offset></direction>" % _shift, 1)
+
+# Documents whose times the parser reaches by a different route than plain
+# integer divisions, each with the exact times it must give: (document, ticks
+# per quarter, measure offsets, (onset, duration) per event and dynamic mark
+# positions in quarters, a text every warning must contain in order).
+EDGE_DOCS = {
+    "decimal divisions": (
+        _edge_doc([[{"step": "C", "dur": 5}, {"step": "D", "dur": 3}, {"step": "E", "dur": 2}]],
+                  replace=((b"<divisions>4<", b"<divisions>2.5<"),)),
+        5, [0], [(0, 2), (2, Fraction(6, 5)), (Fraction(16, 5), Fraction(4, 5))], [], []),
+    "decimal durations": (
+        _edge_doc([[{"step": "C", "dur": "1.5"}, {"step": "D", "dur": "3.3"},
+                    {"step": "E", "dur": "11.2"}]]),
+        40, [0], [(0, Fraction(3, 8)), (Fraction(3, 8), Fraction(33, 40)),
+                  (Fraction(6, 5), Fraction(14, 5))], [], []),
+    "negative and decimal dynamics offsets": (
+        _DYNAMICS, 8, [0, 4], [(0, 4), (4, 2), (6, 2)],
+        [Fraction(1, 8), Fraction(29, 8), Fraction(21, 4)], []),
+    "backup past the measure start": (
+        _edge_doc([[{"step": "C", "dur": 8}, {"step": "D", "dur": 8}], [{"step": "E", "dur": 16}]],
+                  after_first_note=b"<backup><duration>12</duration></backup>"),
+        1, [0, 2], [(0, 2), (0, 2), (2, 4)], [], ["backup before start of measure"]),
+    "chord, grace and cue notes": (
+        _edge_doc([[{"step": "C", "dur": 4}, {"step": "E", "dur": 4, "chord": True},
+                    {"step": "G", "dur": 0, "grace": True}, {"step": "F", "dur": 8}]],
+                  replace=((b"<note><grace/>", b"<note><cue/><pitch><step>D</step><octave>4"
+                            b"</octave></pitch><duration>4</duration></note><note><grace/>"),)),
+        1, [0], [(0, 1), (0, 1), (2, 0), (2, 2)], [],
+        ["voice 1 sums to 3 quarters, signature says 4"]),
+    **{f"divisions {text}": (
+        _edge_doc([[{"step": "C", "dur": 6}, {"step": "D", "dur": 10}], [{"step": "E", "dur": 6},
+                                                                    {"step": "F", "dur": 10}]],
+                  replace=((b'<measure number="2">', b'<measure number="2"><attributes>'
+                            b'<divisions>%s</divisions></attributes>' % text.encode()),)),
+        2, [0, 4], [(0, Fraction(3, 2)), (Fraction(3, 2), Fraction(5, 2)),
+                    (4, Fraction(3, 2)), (Fraction(11, 2), Fraction(5, 2))], [], [warning])
+       for text, warning in (("0", "divisions '0' not positive"),
+                             ("-2", "divisions '-2' not positive"),
+                             ("abc", "unreadable divisions 'abc'"))},
+    "parts with divisions 7 and 9": (
+        _SEVEN_AND_NINE, 63, [0],
+        [(0, Fraction(3, 7)), (Fraction(3, 7), Fraction(4, 7)), (1, 3),
+         (0, Fraction(2, 9)), (Fraction(2, 9), Fraction(7, 9)), (1, 3)], [], []),
+    "empty 3/8 measure at divisions 1": (
+        _edge_doc([[], [{"step": "C", "dur": 1}]], divisions=1, beats=3, beat_type=8),
+        2, [0, Fraction(3, 2)], [(Fraction(3, 2), 1)], [],
+        ["voice 1 sums to 1 quarters, signature says 3/2"]),
+}
+
+
+class TestExactTime:
+    @pytest.mark.parametrize("name", EDGE_DOCS)
+    def test_times_read_exactly(self, name):
+        doc, tpq, offsets, events, marks, warnings = EDGE_DOCS[name]
+        score, diags = parse_musicxml(doc)
+        assert score.ticks_per_quarter == tpq
+        assert [quarters(score, t) for t in score.measure_offsets] == offsets
+        assert [(quarters(score, e.onset), quarters(score, e.duration))
+                for p in score.parts for e in p.events] == events
+        assert [quarters(score, pos) for p in score.parts for pos, _ in p.dynamic_marks] == marks
+        assert len(diags.warnings) == len(warnings)
+        for (_loc, message), text in zip(diags.warnings, warnings):
+            assert text in message
+
+
 class TestRoundTrip:
     def test_random_inventories_round_trip(self):
         rng = random.Random(20250811)
