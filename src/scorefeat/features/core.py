@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from math import isqrt
+from typing import Sequence
+
 from ..instruments import camel_case
 from ..model import (
     FAMILIES,
@@ -29,6 +32,22 @@ def nearest_dynamic_token(velocity: int) -> str:
         CANONICAL_DYNAMICS,
         key=lambda t: (abs(DEFAULT_DYNAMIC_LEVELS[t] - velocity), DEFAULT_DYNAMIC_LEVELS[t]),
     )
+
+
+def sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for ints num >= 0 and den > 0: a
+    root of 55 bits or more, its last bit set when inexact, rounds once."""
+    k = max(0, (110 - num.bit_length() + den.bit_length()) // 2)
+    root = isqrt((num << 2 * k) // den)
+    return (root | (root * root * den != num << 2 * k)) / (1 << k)
+
+
+def mean_std(values: Sequence[int], scale: int = 1) -> tuple[float, float]:
+    """Mean and population standard deviation of ``values / scale``,
+    correctly rounded from exact sums."""
+    n, total = len(values), sum(values)
+    spread = n * sum(v * v for v in values) - total * total
+    return total / (n * scale), sqrt_ratio(spread, (n * scale) ** 2)
 
 
 def part_groups(score: Score):

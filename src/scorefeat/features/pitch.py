@@ -8,10 +8,10 @@ Musical Pitch* (1990), rotated through all 24 candidate keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..harmony import key_mode, key_tonic_pc
 from ..model import (
@@ -22,7 +22,7 @@ from ..model import (
     melodic_line,
     midi_number,
 )
-from .core import part_groups
+from .core import mean_std, part_groups, sqrt_ratio
 
 KRUMHANSL_MAJOR = (6.35, 2.23, 3.48, 2.33, 4.38, 4.09, 2.52, 5.19, 2.39, 3.66, 2.29, 2.88)
 KRUMHANSL_MINOR = (6.33, 2.68, 3.52, 5.38, 2.60, 3.53, 2.54, 4.75, 3.98, 2.69, 3.34, 3.17)
@@ -43,9 +43,9 @@ _MAJOR_BASE = {2: 2, 3: 4, 6: 9, 7: 11}
 
 @dataclass(frozen=True)
 class PitchClassProfile:
-    """Duration-weighted pitch-class histogram (index 0 = C)."""
+    """Duration-weighted pitch-class histogram (index 0 = C), in quarters."""
 
-    weights: tuple[float, ...]
+    weights: tuple
 
     def __post_init__(self):
         if len(self.weights) != 12:
@@ -75,56 +75,46 @@ def _pitched(part: Part) -> bool:
 
 
 def profile_from_score(score: Score) -> PitchClassProfile:
-    weights = [0.0] * 12
+    weights = [0] * 12
     for part in score.parts:
         if not _pitched(part):
             continue
         for midi, ticks in zip(part.notes.midi, part.notes.merged):
-            weights[midi % 12] += ticks / score.ticks_per_quarter
-    return PitchClassProfile(weights=tuple(weights))
+            weights[midi % 12] += ticks
+    return PitchClassProfile(weights=tuple(Fraction(w, score.ticks_per_quarter) for w in weights))
 
 
-# The 24 candidate keys in tie-break order (major tonics 0-11, then minor):
-# (mode, tonic, rotated reference minus its mean, its spread). Correlations
-# repeat np.corrcoef's arithmetic exactly, one np.dot per candidate: a single
-# matrix product sums in another order and would change the last bit of the
-# KS_Correlation cells, which the CSV writes in full.
-_INV_DOF = 1 / 11
-
-
-def _key_candidates() -> tuple:
-    out = []
-    for mode, profile in (("major", KRUMHANSL_MAJOR), ("minor", KRUMHANSL_MINOR)):
-        for tonic in range(12):
-            ref = np.roll(np.asarray(profile), tonic)
-            centred = ref - ref.mean()
-            out.append((mode, tonic, centred, np.sqrt(np.dot(centred, centred) * _INV_DOF)))
-    return tuple(out)
-
-
-_KEY_CANDIDATES = _key_candidates()
+# Krumhansl's profiles x100 and centred x12: ints with the same correlations.
+_REFS = [[12 * w - sum(ref) for w in ref]
+         for ref in ([round(100 * w) for w in p] for p in (KRUMHANSL_MAJOR, KRUMHANSL_MINOR))]
+_SQUARES = [sum(w * w for w in ref) for ref in _REFS]
+# The 24 candidate keys in tie-break order, major tonics 0-11 then minor:
+# (mode, tonic, rotated reference, its Σ squares, the other mode's). A
+# covariance's cov·|cov| times the last orders the candidates as r does.
+_KEY_CANDIDATES = tuple(
+    (mode, tonic, _REFS[i][-tonic:] + _REFS[i][:-tonic], _SQUARES[i], _SQUARES[1 - i])
+    for i, mode in enumerate(("major", "minor")) for tonic in range(12))
 
 
 def estimate_key_ks(profile: PitchClassProfile) -> KeyEstimate:
-    """Best of 24 candidate keys by Pearson correlation against rotated
+    """Best of 24 candidate keys by exact Pearson correlation against rotated
     reference profiles. Ties prefer major, then the lower tonic."""
     if profile.total <= 0:
         raise ValueError("key estimation needs at least one positive weight")
-    weights = np.asarray(profile.weights, dtype=float)
-    if np.ptp(weights) == 0 or np.count_nonzero(weights) == 1:
-        tonic = int(np.argmax(weights))
-        return KeyEstimate(tonic=tonic, mode="major", score=None, runner_up_margin=0.0)
+    ratios = [w.as_integer_ratio() for w in profile.weights]
+    scale = lcm(*(den for _, den in ratios))
+    weights = [num * (scale // den) for num, den in ratios]  # exact, x scale
+    spread = 12 * sum(w * w for w in weights) - sum(weights) ** 2  # 12·Σ(w - mean)²
+    if spread == 0 or weights.count(0) == 11:
+        return KeyEstimate(weights.index(max(weights)), "major", None, 0.0)
 
-    centred = weights - weights.mean()
-    spread = np.sqrt(np.dot(centred, centred) * _INV_DOF)
-    scores = [
-        min(1.0, max(-1.0, float(np.dot(centred, ref) * _INV_DOF / spread / ref_spread)))
-        for _mode, _tonic, ref, ref_spread in _KEY_CANDIDATES
-    ]
-    best = int(np.argmax(scores))  # the first maximum: major, then the lower tonic
-    mode, tonic, _ref, _spread = _KEY_CANDIDATES[best]
-    margin = scores[best] - max(scores[:best] + scores[best + 1:])
-    return KeyEstimate(tonic=tonic, mode=mode, score=scores[best], runner_up_margin=margin)
+    covs = [sum(w * r for w, r in zip(weights, ref)) for _, _, ref, _, _ in _KEY_CANDIDATES]
+    ranked = sorted(range(24), key=lambda i: -covs[i] * abs(covs[i]) * _KEY_CANDIDATES[i][4])
+    # both are >= 0: a mode's 12 covariances sum to 0 (its references are centred)
+    best, second = (sqrt_ratio(12 * covs[i] ** 2, spread * _KEY_CANDIDATES[i][3])
+                    for i in ranked[:2])
+    mode, tonic = _KEY_CANDIDATES[ranked[0]][:2]
+    return KeyEstimate(tonic=tonic, mode=mode, score=best, runner_up_margin=best - second)
 
 
 def key_features(score: Score) -> dict:
@@ -246,9 +236,7 @@ def melody_from_intervals(intervals: Sequence[tuple[int, str]]) -> dict:
     out["StepwiseFrac"] = stepwise / n
     out["LeapFrac"] = (n - stepwise) / n
 
-    magnitudes = np.abs(np.asarray(semis, dtype=float))
-    out["AbsIntervalMean"] = float(magnitudes.mean())
-    out["AbsIntervalStd"] = float(magnitudes.std())  # population
+    out["AbsIntervalMean"], out["AbsIntervalStd"] = mean_std([abs(s) for s in semis])
     up = [s for s in semis if s > 0]
     down = [-s for s in semis if s < 0]
     if up:

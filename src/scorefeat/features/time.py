@@ -7,10 +7,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from ..model import Part, Score, note_count, sounding_measures
-from .core import part_groups
+from .core import mean_std, part_groups
 
 _DURATION_CLASSES = (
     ("whole", Fraction(4)),
@@ -70,13 +68,10 @@ def rhythm_features(part: Part, tpq: int) -> dict:
     if not n:
         return {}
     dots = [e.dots for e in cols.heads]
-    durations = np.array([d / tpq for d in cols.merged])
-    out = {
-        "AvgDuration": float(durations.mean()),
-        "DurationStd": float(durations.std()),  # population
-        "DottedFrac": dots.count(1) / n,
-        "DoubleDottedFrac": dots.count(2) / n,
-    }
+    out = {}
+    out["AvgDuration"], out["DurationStd"] = mean_std(cols.merged, tpq)  # population std
+    out["DottedFrac"] = dots.count(1) / n
+    out["DoubleDottedFrac"] = dots.count(2) / n
     histogram = dict.fromkeys(DURATION_CLASS_NAMES, 0)
     for (ticks, k), count in Counter(zip(cols.duration, dots)).items():
         histogram[duration_class(Fraction(ticks, tpq), k)] += count

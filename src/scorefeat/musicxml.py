@@ -20,6 +20,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .diagnostics import ParseDiagnostics
+from .features.core import DEFAULT_DYNAMIC_LEVELS
 from .instruments import (
     OrdinalAllocator,
     detect_instrument_family,
@@ -41,12 +42,9 @@ from .model import (
 )
 
 PARSER_ID = "musicxml"
-PARSER_VERSION = "2"
+PARSER_VERSION = "3"
 
-DYNAMIC_TOKENS = {
-    "pppp", "ppp", "pp", "p", "mp", "mf", "f", "ff", "fff", "ffff",
-    "sf", "sfz", "sffz", "fz", "rf", "rfz", "fp", "sfp", "pf",
-}
+DYNAMIC_TOKENS = frozenset(DEFAULT_DYNAMIC_LEVELS)
 
 TEMPO_WORDS = {
     "grave", "largo", "larghetto", "lento", "adagio", "adagietto",
@@ -245,8 +243,12 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
                     beat_type = time_el.findtext("beat-type")
                     if beats and beat_type:
                         try:
-                            sig = (int(beats), int(beat_type))
+                            read = (int(beats), int(beat_type))
                         except ValueError:
+                            read = (0, 0)
+                        if min(read) > 0:
+                            sig = read
+                        else:
                             diags.warn(loc, f"unreadable time signature {beats}/{beat_type}")
             key_el = el.find("key")
             if key_el is not None:
@@ -298,7 +300,7 @@ def _decimal(text: str, what: str, diags, loc):
     """An ``xs:decimal`` element value, or None with a warning."""
     try:
         return _read_decimal(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         diags.warn(loc, f"unreadable {what} {text!r}")
         return None
 
@@ -397,6 +399,11 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
 
     if keep and kind == "rest" and dur == 0 and not is_grace:
         keep = False  # zero-length rest carries no information
+    elif keep and not is_grace and dur <= 0:
+        diags.warn(loc, f"{kind} duration {Fraction(dur, state.unit)} not positive; skipped")
+        diags.skip("non-positive-duration")
+        keep = False
+        dur = max(dur, -onset)  # the cursor stops at the measure start
 
     if keep:
         raw.notes.append(
@@ -487,7 +494,7 @@ def _parse_metronome(el, diags, loc) -> Optional[float]:
 
 def _check_measure_durations(raw, mi, state, diags):
     num, den = state.active_sig or (4, 4)
-    expected = Fraction(num * 4, den)  # quarters; raises on a beat-type of 0
+    expected = Fraction(num * 4, den)  # quarters
     for voice, total in state.voice_sums.items():
         if total != 0 and total * den != num * 4 * state.unit:
             diags.warn(

@@ -35,10 +35,8 @@ def as_cell(value) -> Cell:
         return int(value)
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else float(value)
-    if isinstance(value, float):
-        return float(value)  # also normalizes numpy float64 subclasses
     try:
-        return float(value)
+        return float(value)  # also float subclasses, such as numpy's float64
     except (TypeError, ValueError):
         raise TypeError(f"unsupported cell value {value!r}") from None
 

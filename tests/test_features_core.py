@@ -1,17 +1,23 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scorefeat.features.core import (
     CANONICAL_DYNAMICS,
     DEFAULT_DYNAMIC_LEVELS,
     dynamics_features,
     lyrics_features,
+    mean_std,
     nearest_dynamic_token,
     scoring_features,
+    sqrt_ratio,
     tempo_features,
 )
 from scorefeat.model import TempoMark, note_count
 from scorefeat.musicxml import parse_musicxml
-from util import musicxml_doc, note, part, run_module, score
+from util import musicxml_doc, note, part, rounds_to, run_module, score, sqrt_rounds_to
 
 
 def _melody(n, dur=1, measure_of=None, sound="violin", ordinal=1, measures=None,
@@ -23,6 +29,29 @@ def _melody(n, dur=1, measure_of=None, sound="violin", ordinal=1, measures=None,
         lyr = lyrics[i] if lyrics else None
         events.append(note("CDEFGAB"[i % 7], onset=onset, dur=dur, measure=m, lyric=lyr))
     return part(events, sound=sound, ordinal=ordinal, measures=measures, dynamics=dynamics)
+
+
+class TestExactStatistics:
+    @given(st.integers(0, 2**300), st.integers(1, 2**300))
+    @example(0, 1)
+    @example(4, 9)  # exact root
+    @example(2, 1)
+    @example(2**1000, 3)  # a root far above the 55 bits kept
+    @example(1, 2**1000)  # and far below
+    @example((2**53 + 1) ** 2, 4)  # an exact root halfway between two floats
+    def test_sqrt_ratio_is_correctly_rounded(self, num, den):
+        assert sqrt_rounds_to(sqrt_ratio(num, den), Fraction(num, den))
+
+    @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=40),
+           st.integers(1, 960))
+    @example([1, 1, 1], 3)  # no spread
+    @example([1, 2], 3)
+    def test_mean_std_are_correctly_rounded(self, values, scale):
+        mean, std = mean_std(values, scale)
+        exact = [Fraction(v, scale) for v in values]
+        exact_mean = sum(exact) / len(exact)
+        assert rounds_to(mean, exact_mean)
+        assert sqrt_rounds_to(std, sum((x - exact_mean) ** 2 for x in exact) / len(exact))
 
 
 class TestCore:

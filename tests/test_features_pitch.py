@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from statistics import correlation
@@ -15,12 +16,23 @@ from scorefeat.features.pitch import (
     interval_name,
     interval_sequence,
     key_features,
+    melody_from_intervals,
     profile_from_score,
     scale_degree_features,
 )
 from scorefeat.harmony import parse_harmony_file, attach_annotations
 from scorefeat.model import STEP_ORDER, SpelledPitch, midi_number
-from util import P, note, part, random_model_score, run_module, score
+from util import (
+    P,
+    nearest_sqrt,
+    note,
+    part,
+    random_model_score,
+    rounds_to,
+    run_module,
+    score,
+    sqrt_rounds_to,
+)
 
 MAJOR_PCS = (0, 2, 4, 5, 7, 9, 11)
 HARMONIC_MINOR_PCS = (0, 2, 3, 5, 7, 8, 11)
@@ -41,11 +53,8 @@ def brute_force_key(weights):
 
 
 def reference_key(profile):
-    """The estimator before its candidates were precomputed: one
-    ``np.corrcoef`` per rotated reference profile. Returns (tonic, mode,
-    score, runner_up_margin)."""
-    if profile.total <= 0:
-        raise ValueError("key estimation needs at least one positive weight")
+    """The numpy estimator this package used to have: one ``np.corrcoef`` per
+    rotated reference profile. Returns (tonic, mode, score, runner_up_margin)."""
     weights = np.asarray(profile.weights, dtype=float)
     if np.ptp(weights) == 0 or np.count_nonzero(weights) == 1:
         return int(np.argmax(weights)), "major", None, 0.0
@@ -58,6 +67,34 @@ def reference_key(profile):
     best = max(correlations, key=lambda c: c[0])  # stable: major/low tonic first
     others = sorted((c[0] for c in correlations if c is not best), reverse=True)
     return best[2], best[1], best[0], best[0] - others[0]
+
+
+def exact_key(profile):
+    """Oracle: Pearson correlations over Fractions, with the reference
+    profiles at their decimal values, ranked exactly (ties: major, then the
+    lower tonic). The winner's and the runner-up's correlations are the
+    floats nearest their exact values. Returns (tonic, mode, score,
+    runner_up_margin)."""
+    weights = [Fraction(w) for w in profile.weights]
+    if sum(weights) <= 0:
+        raise ValueError("key estimation needs at least one positive weight")
+    if len(set(weights)) == 1 or sum(1 for w in weights if w) == 1:
+        return weights.index(max(weights)), "major", None, 0.0
+    ranked = []
+    for mode, ref in (("major", KRUMHANSL_MAJOR), ("minor", KRUMHANSL_MINOR)):
+        ref = [Fraction(str(v)) for v in ref]
+        for tonic in range(12):
+            rotated = [ref[(pc - tonic) % 12] for pc in range(12)]
+            mx, my = sum(weights) / 12, sum(rotated) / 12
+            cov = sum((x - mx) * (y - my) for x, y in zip(weights, rotated))
+            square = cov * cov / (sum((x - mx) ** 2 for x in weights)
+                                  * sum((y - my) ** 2 for y in rotated))
+            signed = square if cov >= 0 else -square
+            ranked.append((-signed, len(ranked), tonic, mode, cov, square))
+    ranked.sort()
+    best, second = (math.copysign(nearest_sqrt(square), cov)
+                    for _, _, _, _, cov, square in ranked[:2])
+    return ranked[0][2], ranked[0][3], best, best - second
 
 
 def scale_profile(pcs, transpose=0):
@@ -108,10 +145,16 @@ class TestKeyEstimation:
                     min_size=12, max_size=12))
     @example([0.0, 0, 0, 1, 0, 0] * 2)  # Eb and A major tie exactly; Eb wins
     @example([1.0] * 12)  # flat: no correlation
+    @example([1000.0] * 11 + [math.nextafter(1000.0, 0)])  # corrcoef reads 0.292
     def test_matches_corrcoef_reference_exactly(self, weights):
+        """Key and correlation equal the exact oracle's, correctly rounded.
+        ``np.corrcoef``'s correlation is within 4 ulps of 1.0, times the
+        weights' condition number Σw²/Σ(w - mean)², of ours: it centres
+        rounded values, so near-equal weights lose digits (it reads 0.292
+        for 0.305 when eleven weights are 1000.0 and one is the float below)."""
         profile = PitchClassProfile(weights=tuple(weights))
         try:
-            expected = reference_key(profile)
+            expected = exact_key(profile)
         except ValueError:
             with pytest.raises(ValueError):
                 estimate_key_ks(profile)
@@ -119,6 +162,14 @@ class TestKeyEstimation:
         est = estimate_key_ks(profile)
         got = (est.tonic, est.mode, est.score, est.runner_up_margin)
         assert repr(got) == repr(expected)
+        _tonic, _mode, approx, _margin = reference_key(profile)
+        if est.score is None:
+            assert approx is None
+        else:
+            exact = [Fraction(w) for w in weights]
+            mean = sum(exact) / 12
+            condition = sum(w * w for w in exact) / sum((w - mean) ** 2 for w in exact)
+            assert abs(est.score - approx) <= 4 * math.ulp(1.0) * condition
 
     def test_single_pitch_class_fallback(self):
         est = estimate_key_ks(scale_profile((7,)))
@@ -157,6 +208,12 @@ class TestKeyFeatures:
         s = self._scale_score([(pc + 9) % 12 for pc in MAJOR_PCS], fifths=3)
         assert "KeySignature" not in key_features(s)
         assert run_module("core", s)["KeySignature"] == 3
+
+    def test_profile_is_exact_in_quarters(self):
+        events = [note("C", onset=0, dur=Fraction(1, 3)),
+                  note("E", onset=Fraction(1, 3), dur=Fraction(2, 3))]
+        profile = profile_from_score(score([part(events)]))
+        assert profile.weights == (Fraction(1, 3), 0, 0, 0, Fraction(2, 3)) + (0,) * 7
 
     def test_duration_weighting(self):
         # long G-major content outweighs a short chromatic blip
@@ -261,6 +318,15 @@ class TestIntervals:
 
 
 class TestMelody:
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=60))
+    def test_abs_interval_mean_and_std_are_correctly_rounded(self, semis):
+        out = melody_from_intervals([(s, "x") for s in semis])
+        sizes = [Fraction(abs(s)) for s in semis]
+        mean = sum(sizes) / len(sizes)
+        assert rounds_to(out["AbsIntervalMean"], mean)
+        assert sqrt_rounds_to(out["AbsIntervalStd"],
+                              sum((x - mean) ** 2 for x in sizes) / len(sizes))
+
     def test_fraction_example(self):
         p = part([note("C", onset=0, dur=1), note("D", onset=1, dur=1),
                   note("E", onset=2, dur=1), note("C", onset=3, dur=1)])

@@ -7,7 +7,16 @@ from scorefeat.features.time import (
     duration_class,
     texture_features,
 )
-from util import note, part, random_model_score, rest, run_module, score
+from util import (
+    note,
+    part,
+    random_model_score,
+    rest,
+    rounds_to,
+    run_module,
+    score,
+    sqrt_rounds_to,
+)
 
 
 class TestDensity:
@@ -58,6 +67,21 @@ class TestRhythm:
 
     def test_empty_part_missing(self):
         assert run_module("rhythm", part([])) == {}
+
+    def test_mean_and_std_are_correctly_rounded(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            s = random_model_score(rng)
+            for p in s.parts:
+                out = run_module("rhythm", s, p)
+                durations = [Fraction(d, s.ticks_per_quarter) for d in p.notes.merged]
+                if not durations:
+                    assert out == {}
+                    continue
+                mean = sum(durations) / len(durations)
+                variance = sum((d - mean) ** 2 for d in durations) / len(durations)
+                assert rounds_to(out["AvgDuration"], mean)
+                assert sqrt_rounds_to(out["DurationStd"], variance)
 
     @pytest.mark.parametrize(
         "dur,dots,expected",

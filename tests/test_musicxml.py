@@ -277,6 +277,12 @@ for _shift in (b"0.5", b"-1.5", b"-3"):  # one per direction, in document order
     _DYNAMICS = _DYNAMICS.replace(b"</direction-type></direction>",
                                   b"</direction-type><offset>%s</offset></direction>" % _shift, 1)
 
+# A zero-length rest is dropped silently; the other three are skipped with a
+# warning, and the cursor stops at the measure start.
+_NON_POSITIVE = _edge_doc([[{"step": "C", "dur": 8}, {"kind": "rest", "dur": 0},
+                            {"step": "D", "dur": 0}, {"kind": "rest", "dur": -4},
+                            {"step": "E", "dur": -12}, {"step": "F", "dur": 16}]])
+
 # Documents whose times the parser reaches by a different route than plain
 # integer divisions, each with the exact times it must give: (document, ticks
 # per quarter, measure offsets, (onset, duration) per event and dynamic mark
@@ -314,7 +320,18 @@ EDGE_DOCS = {
                     (4, Fraction(3, 2)), (Fraction(11, 2), Fraction(5, 2))], [], [warning])
        for text, warning in (("0", "divisions '0' not positive"),
                              ("-2", "divisions '-2' not positive"),
-                             ("abc", "unreadable divisions 'abc'"))},
+                             ("abc", "unreadable divisions 'abc'"),
+                             ("1/0", "unreadable divisions '1/0'"))},
+    **{f"time signature {beats}/{beat_type}": (
+        _edge_doc([[{"step": "C", "dur": 16}], [], [{"step": "D", "dur": 16}]],
+                  after_first_note=b"<attributes><time><beats>%s</beats><beat-type>%s"
+                  b"</beat-type></time></attributes>" % (beats.encode(), beat_type.encode())),
+        1, [0, 4, 8], [(0, 4), (8, 4)], [], [f"unreadable time signature {beats}/{beat_type}"])
+       for beats, beat_type in (("3", "0"), ("-3", "4"), ("0", "4"))},
+    "zero and negative durations": (
+        _NON_POSITIVE, 1, [0], [(0, 2), (0, 4)], [],
+        ["note duration 0 not positive", "rest duration -1 not positive",
+         "note duration -3 not positive"]),
     "parts with divisions 7 and 9": (
         _SEVEN_AND_NINE, 63, [0],
         [(0, Fraction(3, 7)), (Fraction(3, 7), Fraction(4, 7)), (1, 3),
@@ -339,6 +356,17 @@ class TestExactTime:
         assert len(diags.warnings) == len(warnings)
         for (_loc, message), text in zip(diags.warnings, warnings):
             assert text in message
+
+
+class TestBadTimeValues:
+    def test_non_positive_durations_are_tallied(self):
+        _score, diags = parse_musicxml(_NON_POSITIVE)
+        assert diags.skipped_elements["non-positive-duration"] == 3
+
+    def test_bad_time_signature_keeps_the_previous_one(self):
+        doc = EDGE_DOCS["time signature 3/0"][0]
+        score, _ = parse_musicxml(doc)
+        assert score.time_signatures == ((1, 4, 4),)
 
 
 class TestRoundTrip:

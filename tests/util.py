@@ -7,6 +7,7 @@ parsers (plain string/byte assembly) so round-trip tests have a real oracle.
 from __future__ import annotations
 
 import io
+import math
 import random
 import struct
 import zipfile
@@ -32,6 +33,35 @@ def ticks(quarters) -> int:
 def quarters(s: Score, ticks: int) -> Fraction:
     """A tick count of ``s`` in quarter notes."""
     return Fraction(ticks, s.ticks_per_quarter)
+
+
+# ---------------------------------------------------------------------------
+# exact-rounding oracles over Fractions
+
+
+def rounds_to(value: float, exact: Fraction) -> bool:
+    """Whether ``exact`` lies within half an ulp of the float ``value`` (on
+    each side, the half gap to the float next to it)."""
+    v = Fraction(value)
+    below = Fraction(math.nextafter(value, -math.inf))
+    above = Fraction(math.nextafter(value, math.inf))
+    return (v + below) / 2 <= exact <= (v + above) / 2
+
+
+def sqrt_rounds_to(value: float, square: Fraction) -> bool:
+    """Whether sqrt(``square``) lies within half an ulp of ``value`` >= 0."""
+    v = Fraction(value)
+    low = max(Fraction(0), (v + Fraction(math.nextafter(value, -math.inf))) / 2)
+    high = (v + Fraction(math.nextafter(value, math.inf))) / 2
+    return low * low <= square <= high * high
+
+
+def nearest_sqrt(square: Fraction) -> float:
+    """The float nearest sqrt(``square``), stepped to from ``math.sqrt``."""
+    value = math.sqrt(square)
+    while not sqrt_rounds_to(value, square):
+        value = math.nextafter(value, math.inf if Fraction(value) ** 2 < square else 0)
+    return value
 
 
 def P(step, alter=0, octave=4):
