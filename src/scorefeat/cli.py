@@ -67,7 +67,7 @@ def _merge_groups(value, keypath: str) -> list[MergeGroup]:
     for i, item in enumerate(value):
         _expect(item, dict, f"{keypath}[{i}]")
         pattern = _expect(item.get("pattern", ""), str, f"{keypath}[{i}].pattern")
-        target = item.get("target", item.get("target_prefix"))
+        target = item.get("target")
         if not pattern or not isinstance(target, str) or not target:
             raise ConfigError(f"{keypath}[{i}]: needs 'pattern' and 'target'")
         stats = item.get("stats", ["mean"])

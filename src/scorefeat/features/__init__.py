@@ -1,9 +1,11 @@
 """Stock feature modules and their registry wiring.
 
 Each module pairs an optional per-part extractor with an optional per-score
-one; the engine prefixes part values with ``Part<Id>_`` and bare score
-values with ``Score_``, while ``Sound…``/``Family…``/``Texture_…`` names
-pass through untouched.
+one. The engine prefixes part values with ``Part<Id>_``. A score value whose
+name starts with ``Part``, ``Sound``, ``Family``, ``Texture_`` or ``Score_``
+passes through untouched, which is how the ambitus, melody and density
+families emit per-part cells from one score pass; any other score value
+gets ``Score_``.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from .model import (
 )
 
 PARSER_ID = "musicxml"
-PARSER_VERSION = "3"
+PARSER_VERSION = "4"
 
 DYNAMIC_TOKENS = frozenset(DEFAULT_DYNAMIC_LEVELS)
 
@@ -272,8 +272,13 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
                 diags.warn(loc, "backup before start of measure; clamped")
                 cursor = 0
         elif el.tag == "forward":
-            cursor += _duration_units(el, state, diags, loc)
-            max_cursor = max(max_cursor, cursor)
+            dur = _duration_units(el, state, diags, loc)
+            if dur < 0:
+                diags.warn(loc, f"forward duration {Fraction(dur, state.unit)} negative; skipped")
+                diags.skip("non-positive-duration")
+            else:
+                cursor += dur
+                max_cursor = max(max_cursor, cursor)
         elif el.tag == "direction":
             _parse_direction(el, mi, cursor, raw, state, diags, tempo_raw, loc)
         elif el.tag == "sound":

@@ -16,7 +16,19 @@ from .table import Cell, FeatureTable, IDENTITY_COLUMNS
 
 log = logging.getLogger(__name__)
 
-MERGE_STATS = ("mean", "std", "min", "max", "sum")
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _std(values: Sequence[float]) -> float:
+    mean = _mean(values)
+    return _mean([(v - mean) ** 2 for v in values]) ** 0.5
+
+
+# Statistic name -> its function over the non-missing member values.
+_STATISTICS = {"mean": _mean, "std": _std, "min": min, "max": max, "sum": sum}
+MERGE_STATS = tuple(_STATISTICS)
 
 
 class ProcessError(ValueError):
@@ -53,25 +65,11 @@ def merge_statistics(values: Sequence[float], stats: Sequence[str]) -> dict[str,
     std is the population standard deviation (groups are complete
     populations of parts, not samples). Empty input yields missing values.
     """
-    out: dict[str, Optional[float]] = {}
     values = [v for v in values if v is not None]
     for stat in stats:
-        if not values:
-            out[stat] = None
-        elif stat == "mean":
-            out[stat] = sum(values) / len(values)
-        elif stat == "std":
-            mean = sum(values) / len(values)
-            out[stat] = (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-        elif stat == "min":
-            out[stat] = min(values)
-        elif stat == "max":
-            out[stat] = max(values)
-        elif stat == "sum":
-            out[stat] = sum(values)
-        else:
+        if stat not in _STATISTICS:
             raise ProcessError(f"unknown statistic {stat!r}")
-    return out
+    return {stat: _STATISTICS[stat](values) if values else None for stat in stats}
 
 
 def _match_columns(pattern: str, columns: Sequence[str], what: str) -> list[str]:
@@ -86,74 +84,51 @@ def _match_columns(pattern: str, columns: Sequence[str], what: str) -> list[str]
 
 
 def process(table: FeatureTable, config: ProcessorConfig) -> FeatureTable:
-    """Clean and reshape a feature table; row count and identity survive."""
-    columns = list(table.columns)
-    rows = [list(r) for r in table.rows]
-    col_index = {c: i for i, c in enumerate(columns)}
+    """Clean and reshape a feature table; row count and identity survive.
 
-    merged_columns: list[str] = []
-    merged_cells: list[list[Cell]] = [[] for _ in rows]
+    The table is turned into (name, cells) columns once, each step acts on
+    whole columns, and the result is turned back into rows once.
+    """
+    names = table.columns
+    columns = dict(zip(names, zip(*table.rows) if table.rows else [()] * len(names)))
+    merged: list[tuple[str, Sequence[Cell]]] = []
     to_drop: set[str] = set()
 
     for group in config.merge_groups:
-        members = _match_columns(group.pattern, columns, "merge")
-        members = [c for c in members if c not in IDENTITY_COLUMNS]
+        members = [c for c in _match_columns(group.pattern, names, "merge")
+                   if c not in IDENTITY_COLUMNS]
         if not members:
             continue
         for name in members:
-            bad = next(
-                (
-                    row[col_index[name]]
-                    for row in rows
-                    if row[col_index[name]] is not None
-                    and not isinstance(row[col_index[name]], (int, float))
-                ),
-                None,
-            )
-            if bad is not None:
-                raise ProcessError(
-                    f"merge group {group.target!r} captures non-numeric column {name!r}"
-                )
-        for ri, row in enumerate(rows):
-            values = [row[col_index[name]] for name in members]
-            stats = merge_statistics(values, group.stats)
-            merged_cells[ri].extend(stats[s] for s in group.stats)
-        merged_columns.extend(f"{group.target}_{s.capitalize()}" for s in group.stats)
+            if any(v is not None and not isinstance(v, (int, float)) for v in columns[name]):
+                raise ProcessError(f"merge group {group.target!r} captures "
+                                   f"non-numeric column {name!r}")
+        per_row = [merge_statistics(values, group.stats)
+                   for values in zip(*(columns[name] for name in members))]
+        merged += [(f"{group.target}_{s.capitalize()}", [stats[s] for stats in per_row])
+                   for s in group.stats]
         if not config.keep_raw_after_merge:
             to_drop.update(members)
 
     for pattern in config.drop_columns:
-        to_drop.update(_match_columns(pattern, columns, "drop"))
+        to_drop.update(_match_columns(pattern, names, "drop"))
     to_drop.difference_update(IDENTITY_COLUMNS)
+    out = [(name, cells) for name, cells in columns.items() if name not in to_drop] + merged
 
-    keep = [c for c in columns if c not in to_drop]
-    keep_idx = [col_index[c] for c in keep]
-    out_columns = keep + merged_columns
-    out_rows = [
-        [row[i] for i in keep_idx] + merged_cells[ri] for ri, row in enumerate(rows)
-    ]
-
-    replace_idx: set[int] = set()
+    replace: set[str] = set()
     for pattern in config.replace_missing_with_zero:
-        for name in _match_columns(pattern, out_columns, "replace"):
-            if name not in IDENTITY_COLUMNS:
-                replace_idx.add(out_columns.index(name))
-    for row in out_rows:
-        for i in replace_idx:
-            if row[i] is None:
-                row[i] = 0
+        replace.update(_match_columns(pattern, [name for name, _ in out], "replace"))
+    replace.difference_update(IDENTITY_COLUMNS)
+    out = [(name, [0 if v is None else v for v in cells] if name in replace else cells)
+           for name, cells in out]
 
-    all_missing = [
-        i
-        for i, name in enumerate(out_columns)
-        if name not in IDENTITY_COLUMNS and all(row[i] is None for row in out_rows)
-    ]
-    if all_missing:
-        dropped = ", ".join(out_columns[i] for i in all_missing)
+    missing = [name not in IDENTITY_COLUMNS and all(v is None for v in cells)
+               for name, cells in out]
+    if any(missing):
+        dropped = ", ".join(name for (name, _), gone in zip(out, missing) if gone)
         log.info("dropping all-missing columns: %s", dropped)
-        missing = set(all_missing)
-        keep_pos = [i for i in range(len(out_columns)) if i not in missing]
-        out_columns = [out_columns[i] for i in keep_pos]
-        out_rows = [[row[i] for i in keep_pos] for row in out_rows]
+        out = [column for column, gone in zip(out, missing) if not gone]
 
-    return FeatureTable(columns=out_columns, rows=out_rows)
+    out_cells = [cells for _, cells in out]
+    rows = [list(row) for row in zip(*out_cells)] if out else [[] for _ in table.rows]
+    return FeatureTable(columns=[name for name, _ in out], rows=rows)

@@ -21,9 +21,10 @@ from scorefeat.engine import (
     plan_windows,
     run_hooks,
 )
-from scorefeat.registry import FeatureModuleDescriptor, register_hook
+from scorefeat.model import slice_window
+from scorefeat.registry import FeatureModuleDescriptor, feature_modules, register_hook
 from scorefeat.table import IDENTITY_COLUMNS
-from util import musicxml_doc, note, part, random_musicxml, score
+from util import musicxml_doc, note, part, random_model_score, random_musicxml, score
 
 SIMPLE = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16}],
                                    [{"step": "D", "octave": 4, "dur": 16}]])])
@@ -68,6 +69,40 @@ class TestPlanWindows:
             covered |= span
             previous = span
         assert covered == set(range(1, n + 1))
+
+
+def _window_cells_sum_to_the_whole(s, size):
+    """Per part, the NumNotes and SoundingMeasures cells of windows without
+    overlap add up to the whole score's; returns the windows."""
+    windows = plan_windows(s.num_measures, size, 0)
+    tiled = [m for start, length in windows for m in range(start, start + length)]
+    assert tiled == list(range(1, s.num_measures + 1))
+    registry = feature_modules()
+    whole = extract_unit(s, ["core"], registry)
+    rows = [extract_unit(slice_window(s, start, length), ["core"], registry)
+            for start, length in windows]
+    for p in s.parts:
+        for feature in ("NumNotes", "SoundingMeasures"):
+            name = f"Part{p.part_id}_{feature}"
+            assert sum(row[name] for row in rows) == whole[name], name
+    return windows
+
+
+class TestWindowUnion:
+    @given(st.randoms(use_true_random=False), st.integers(1, 5))
+    def test_windows_add_up_to_the_score(self, rng, size):
+        _window_cells_sum_to_the_whole(random_model_score(rng, ties_across_barlines=True), size)
+
+    def test_tie_chain_across_a_window_edge_counts_once(self):
+        chain = [note("C", onset=2, dur=2, measure=1, tie="start"),
+                 note("C", onset=4, dur=4, measure=2, tie="continue"),
+                 note("C", onset=8, dur=1, measure=3, tie="stop"),
+                 note("D", onset=9, dur=3, measure=3)]
+        s = score([part([note("E", dur=2), *chain], measures=3)])
+        assert _window_cells_sum_to_the_whole(s, 1) == [(1, 1), (2, 1), (3, 1)]
+        whole = extract_unit(s, ["core"], feature_modules())
+        assert whole["PartViolinI_NumNotes"] == 3
+        assert whole["PartViolinI_SoundingMeasures"] == 2
 
 
 class TestCache:

@@ -283,6 +283,18 @@ _NON_POSITIVE = _edge_doc([[{"step": "C", "dur": 8}, {"kind": "rest", "dur": 0},
                             {"step": "D", "dur": 0}, {"kind": "rest", "dur": -4},
                             {"step": "E", "dur": -12}, {"step": "F", "dur": 16}]])
 
+# A negative forward is skipped with a warning, wherever it stands: it no
+# longer moves the cursor back past notes already read, and a forward after
+# it still counts.
+_QUARTERS = [{"step": step, "dur": 1} for step in "CDEF"]
+_NEGATIVE_FORWARD = _edge_doc([_QUARTERS, _QUARTERS], divisions=1, replace=(
+    (b'<measure number="2">', b'<measure number="2"><forward><duration>-2</duration></forward>'),))
+_THIRD_NOTE = b"<octave>5</octave></pitch><duration>1</duration></note>"
+_NEGATIVE_THEN_POSITIVE_FORWARD = _edge_doc(
+    [_QUARTERS, [*_QUARTERS[:2], {"step": "E", "octave": 5, "dur": 1}, _QUARTERS[3]]],
+    divisions=1, replace=((_THIRD_NOTE, _THIRD_NOTE + b"<forward><duration>-2</duration>"
+                           b"</forward><forward><duration>2</duration></forward>"),))
+
 # Documents whose times the parser reaches by a different route than plain
 # integer divisions, each with the exact times it must give: (document, ticks
 # per quarter, measure offsets, (onset, duration) per event and dynamic mark
@@ -332,6 +344,12 @@ EDGE_DOCS = {
         _NON_POSITIVE, 1, [0], [(0, 2), (0, 4)], [],
         ["note duration 0 not positive", "rest duration -1 not positive",
          "note duration -3 not positive"]),
+    "negative forward": (
+        _NEGATIVE_FORWARD, 1, [0, 4], [(i, 1) for i in range(8)], [],
+        ["forward duration -2 negative; skipped"]),
+    "negative forward, then a positive one": (
+        _NEGATIVE_THEN_POSITIVE_FORWARD, 1, [0, 4], [(i, 1) for i in (0, 1, 2, 3, 4, 5, 6, 9)],
+        [], ["forward duration -2 negative; skipped"]),
     "parts with divisions 7 and 9": (
         _SEVEN_AND_NINE, 63, [0],
         [(0, Fraction(3, 7)), (Fraction(3, 7), Fraction(4, 7)), (1, 3),
@@ -362,6 +380,10 @@ class TestBadTimeValues:
     def test_non_positive_durations_are_tallied(self):
         _score, diags = parse_musicxml(_NON_POSITIVE)
         assert diags.skipped_elements["non-positive-duration"] == 3
+
+    def test_negative_forward_is_tallied(self):
+        _score, diags = parse_musicxml(_NEGATIVE_FORWARD)
+        assert diags.skipped_elements["non-positive-duration"] == 1
 
     def test_bad_time_signature_keeps_the_previous_one(self):
         doc = EDGE_DOCS["time signature 3/0"][0]

@@ -26,6 +26,11 @@ class TestMergeStatistics:
         out = merge_statistics([3, 1, 2], ["min", "max", "sum"])
         assert out == {"min": 1, "max": 3, "sum": 6}
 
+    @pytest.mark.parametrize("values", [[1, 2], [], [None]])
+    def test_unknown_statistic_rejected_with_or_without_values(self, values):
+        with pytest.raises(ProcessError, match="unknown statistic 'median'"):
+            merge_statistics(values, ["mean", "median"])
+
 
 class TestProcess:
     def test_merge_example(self):
@@ -114,3 +119,58 @@ class TestProcess:
             MergeGroup(pattern="X", target="T", stats=("median",))
         with pytest.raises(ProcessError):
             MergeGroup(pattern="X", target="T", stats=())
+
+
+class TestProcessEdges:
+    def test_zero_rows_drop_every_non_identity_column(self):
+        t = table(["FileName", "X", "A_1", "A_2"], [])
+        config = ProcessorConfig(
+            merge_groups=[MergeGroup(pattern=r"A_\d", target="A", stats=("mean",))]
+        )
+        out = process(t, config)
+        assert out.columns == ["FileName"]
+        assert out.rows == []
+
+    def test_rows_survive_dropping_every_column(self):
+        t = table(["X", "Y"], [[1, 2], [3, 4], [5, 6]])
+        out = process(t, ProcessorConfig(drop_columns=[".*"]))
+        assert out.columns == []
+        assert out.rows == [[], [], []]
+
+    def test_merged_name_equal_to_kept_column_is_a_duplicate(self):
+        t = table(["A_Mean", "A_1", "A_2"], [[7, 1, 3]])
+        config = ProcessorConfig(
+            merge_groups=[MergeGroup(pattern=r"A_\d", target="A", stats=("mean",))]
+        )
+        with pytest.raises(ValueError, match="duplicate column names"):
+            process(t, config)
+
+    def test_replace_reaches_merged_columns(self):
+        t = table(["FileName", "A_1", "A_2"], [["a", None, None], ["b", 1, 3]])
+        config = ProcessorConfig(
+            merge_groups=[MergeGroup(pattern=r"A_\d", target="A", stats=("mean", "max"))],
+            replace_missing_with_zero=["A_Mean"],
+        )
+        out = process(t, config)
+        assert out.columns == ["FileName", "A_Mean", "A_Max"]
+        assert out.column("A_Mean") == [0, 2.0]
+        assert out.column("A_Max") == [None, 3]
+
+    def test_column_in_two_groups_feeds_both(self):
+        t = table(["A_1", "A_2", "B_1"], [[1, 3, 10]])
+        config = ProcessorConfig(merge_groups=[
+            MergeGroup(pattern="A_.*", target="A", stats=("mean",)),
+            MergeGroup(pattern=".*_1", target="One", stats=("sum", "min")),
+        ])
+        out = process(t, config)
+        assert out.columns == ["A_Mean", "One_Sum", "One_Min"]
+        assert out.rows == [[2.0, 11, 1]]
+
+    def test_identity_columns_are_never_merged(self):
+        t = table(["FileName", "WindowStart", "WindowEnd", "X"], [["a", 1, 4, 10]])
+        config = ProcessorConfig(
+            merge_groups=[MergeGroup(pattern=".*", target="All", stats=("sum", "max"))]
+        )
+        out = process(t, config)
+        assert out.columns == ["FileName", "WindowStart", "WindowEnd", "All_Sum", "All_Max"]
+        assert out.rows == [["a", 1, 4, 10, 10]]

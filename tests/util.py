@@ -388,7 +388,10 @@ def midi_meta_track(name=None, tempo_bpm=None, timesig=None, keysig=None):
 _SOUNDS = ["violin", "viola", "cello", "oboe", "flute", "soprano", "horn"]
 
 
-def random_model_score(rng: random.Random, max_parts=4, max_measures=8) -> Score:
+def random_model_score(rng: random.Random, max_parts=4, max_measures=8,
+                       ties_across_barlines=False) -> Score:
+    """A random score built directly in the model. A tie chain stays inside
+    its measure unless ``ties_across_barlines`` lets it run on into the next."""
     n_measures = rng.randint(1, max_measures)
     n_parts = rng.randint(1, max_parts)
     parts = []
@@ -400,10 +403,12 @@ def random_model_score(rng: random.Random, max_parts=4, max_measures=8) -> Score
             ordinal += 1
         used.add((sound, ordinal))
         events = []
+        open_tie = None
         for mi in range(1, n_measures + 1):
             base = Fraction(4 * (mi - 1))
             pos = Fraction(0)
-            open_tie = None
+            if not ties_across_barlines:
+                open_tie = None
             while pos < 4:
                 dur = Fraction(rng.choice([1, 1, 2, 4]), rng.choice([1, 2]))
                 dur = min(dur, 4 - pos)
@@ -427,7 +432,7 @@ def random_model_score(rng: random.Random, max_parts=4, max_measures=8) -> Score
                     if sound == "soprano" and rng.random() < 0.7:
                         lyric = ("la", rng.choice(["single", "begin"]))
                     tie = "none"
-                    if rng.random() < 0.12 and pos + dur < 4:
+                    if rng.random() < 0.12 and (ties_across_barlines or pos + dur < 4):
                         tie = "start"
                         open_tie = (step, alter, octave)
                     events.append(note(step, octave, alter, onset=onset, dur=dur,
