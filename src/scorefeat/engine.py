@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import cache as score_cache
-from . import features as stock  # noqa: F401  (imports register the stock modules)
 from . import midi as midi_importer
 from . import musicxml as musicxml_parser
 from .features import FEATURE_ALIASES, STOCK_FEATURES
+from .features.core import SCOPED_NAME, scopes
 from .harmony import HarmonyError, attach_annotations, parse_harmony_file
 from .model import Score, slice_window
 from .registry import (
@@ -46,8 +46,6 @@ _PARSERS = {
 }
 SCORE_EXTENSIONS = tuple(_PARSERS)
 HARMONY_SUFFIX = ".harmony.tsv"
-
-_SCOPED_PREFIXES = ("Part", "Sound", "Family", "Texture_", "Score_")
 
 
 class ConfigError(ValueError):
@@ -225,7 +223,7 @@ def _find_harmony_file(path: Path, config: ExtractorConfig) -> Optional[Path]:
 
 @lru_cache(maxsize=16384)
 def _scoped_name(name: str) -> str:
-    if name in IDENTITY_COLUMNS or name.startswith(_SCOPED_PREFIXES):
+    if name in IDENTITY_COLUMNS or SCOPED_NAME.match(name):
         return name
     return f"Score_{name}"
 
@@ -236,10 +234,11 @@ def extract_unit(score: Score, order: Sequence[str], registry) -> dict:
     row: dict = {}
     score_values: dict = {}
     part_values: dict[str, dict] = {p.part_id: {} for p in score.parts}
+    part_scopes = scopes(score)[: len(score.parts)]
     for name in order:
         descriptor = registry[name]
         if descriptor.part_fn is not None:
-            for part in score.parts:
+            for prefix, (part,) in part_scopes:
                 # part keys shadow score keys; a write lands in the empty front map
                 upstream = ChainMap({}, part_values[part.part_id], score_values)
                 values = descriptor.part_fn(part, score, upstream) or {}
@@ -247,7 +246,7 @@ def extract_unit(score: Score, order: Sequence[str], registry) -> dict:
                     if value is None:
                         continue
                     part_values[part.part_id][key] = value
-                    row[f"Part{part.part_id}_{key}"] = value
+                    row[prefix + key] = value
         if descriptor.score_fn is not None:
             values = descriptor.score_fn(score, part_values, score_values) or {}
             for key, value in values.items():

@@ -1,11 +1,11 @@
 """Stock feature modules and their registry wiring.
 
 Each module pairs an optional per-part extractor with an optional per-score
-one. The engine prefixes part values with ``Part<Id>_``. A score value whose
-name starts with ``Part``, ``Sound``, ``Family``, ``Texture_`` or ``Score_``
-passes through untouched, which is how the ambitus, melody and density
-families emit per-part cells from one score pass; any other score value
-gets ``Score_``.
+one. The engine prefixes part values with their part's scope prefix. A
+score value keeps its name when it already starts with a scope prefix (see
+``core.scopes`` and ``core.SCOPED_NAME``), which is how the ambitus, melody
+and density families emit part, sound and family cells from one score pass;
+any other score value gets ``Score_``.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ from .pitch import (
 )
 from .time import density_features, rhythm_features, texture_features
 
-STOCK_FEATURES = (
-    "core",
-    "scoring",
-    "key",
-    "tempo",
-    "density",
-    "harmony",
-    "rhythm",
-    "scale",
-    "dynamics",
-    "ambitus",
-    "melody",
-    "lyrics",
-    "texture",
-)
-
 # The melody module also answers to this name in configs.
 FEATURE_ALIASES = {"interval": "melody"}
 
@@ -63,45 +47,30 @@ def _scale_part(part: Part, score: Score, upstream) -> dict:
     return scale_degree_features(part, score, global_key)
 
 
-def _register_stock() -> None:
-    modules = [
-        FeatureModuleDescriptor("core", part_fn=core_part, score_fn=core_score),
-        FeatureModuleDescriptor(
-            "scoring", score_fn=lambda score, pv, up: scoring_features(score)
-        ),
-        FeatureModuleDescriptor("key", score_fn=lambda score, pv, up: key_features(score)),
-        FeatureModuleDescriptor("tempo", score_fn=lambda score, pv, up: tempo_features(score)),
-        FeatureModuleDescriptor(
-            "density", depends_on=("core",),
-            score_fn=lambda score, pv, up: density_features(score),
-        ),
-        FeatureModuleDescriptor(
-            "harmony", score_fn=lambda score, pv, up: harmony_features(score)
-        ),
-        FeatureModuleDescriptor(
-            "rhythm",
-            part_fn=lambda part, score, up: rhythm_features(part, score.ticks_per_quarter),
-        ),
-        FeatureModuleDescriptor("scale", depends_on=("key",), part_fn=_scale_part),
-        FeatureModuleDescriptor(
-            "dynamics", part_fn=lambda part, score, up: dynamics_features(part)
-        ),
-        FeatureModuleDescriptor(
-            "ambitus", score_fn=lambda score, pv, up: ambitus_features(score)
-        ),
-        FeatureModuleDescriptor(
-            "melody", score_fn=lambda score, pv, up: melody_features(score)
-        ),
-        FeatureModuleDescriptor("lyrics", part_fn=lambda part, score, up: lyrics_features(part)),
-        FeatureModuleDescriptor(
-            "texture", score_fn=lambda score, pv, up: texture_features(score)
-        ),
-    ]
-    for module in modules:
-        register_feature_module(module)
-
-
-_register_stock()
+_STOCK_MODULES = (
+    FeatureModuleDescriptor("core", part_fn=core_part, score_fn=core_score),
+    FeatureModuleDescriptor("scoring", score_fn=lambda score, pv, up: scoring_features(score)),
+    FeatureModuleDescriptor("key", score_fn=lambda score, pv, up: key_features(score)),
+    FeatureModuleDescriptor("tempo", score_fn=lambda score, pv, up: tempo_features(score)),
+    FeatureModuleDescriptor(
+        "density", depends_on=("core",),
+        score_fn=lambda score, pv, up: density_features(score),
+    ),
+    FeatureModuleDescriptor("harmony", score_fn=lambda score, pv, up: harmony_features(score)),
+    FeatureModuleDescriptor(
+        "rhythm",
+        part_fn=lambda part, score, up: rhythm_features(part, score.ticks_per_quarter),
+    ),
+    FeatureModuleDescriptor("scale", depends_on=("key",), part_fn=_scale_part),
+    FeatureModuleDescriptor("dynamics", part_fn=lambda part, score, up: dynamics_features(part)),
+    FeatureModuleDescriptor("ambitus", score_fn=lambda score, pv, up: ambitus_features(score)),
+    FeatureModuleDescriptor("melody", score_fn=lambda score, pv, up: melody_features(score)),
+    FeatureModuleDescriptor("lyrics", part_fn=lambda part, score, up: lyrics_features(part)),
+    FeatureModuleDescriptor("texture", score_fn=lambda score, pv, up: texture_features(score)),
+)
+STOCK_FEATURES = tuple(module.name for module in _STOCK_MODULES)
+for _module in _STOCK_MODULES:
+    register_feature_module(_module)
 
 __all__ = [
     "STOCK_FEATURES",

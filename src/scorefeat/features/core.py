@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from math import isqrt
 from typing import Sequence
 
@@ -50,15 +51,27 @@ def mean_std(values: Sequence[int], scale: int = 1) -> tuple[float, float]:
     return total / (n * scale), sqrt_ratio(spread, (n * scale) ** 2)
 
 
-def part_groups(score: Score):
-    """(prefix, member parts) per instrument sound, then per family, each in
-    order of first appearance; prefixes read ``SoundViolin``, ``FamilyStrings``."""
-    for label, attr in (("Sound", "instrument_sound"), ("Family", "family")):
-        groups: dict[str, list[Part]] = {}
-        for part in score.parts:
-            groups.setdefault(getattr(part, attr), []).append(part)
-        for name, members in groups.items():
-            yield f"{label}{camel_case(name)}", members
+# A score-level value whose name already starts with a scope prefix keeps
+# it: ``Part<Id>_``, ``Sound<Name>_`` or ``Family<Name>_``, where <...> is
+# empty or starts with an uppercase letter or digit, or ``Texture_`` or
+# ``Score_``. Any other name gets ``Score_``.
+SCOPED_NAME = re.compile(r"(?:(?:Part|Sound|Family)(?:[A-Z0-9][0-9A-Za-z]*)?|Texture|Score)_")
+FAMILY_PREFIXES = {family: f"Family{camel_case(family)}_" for family in FAMILIES}
+
+
+def scopes(score: Score) -> list[tuple[str, list[Part]]]:
+    """(column prefix, member parts) of every scope below the score: one per
+    part in score order (``PartViolinII_``), then one per instrument sound
+    (``SoundViolin_``), then one per family (``FamilyStrings_``), groups in
+    order of first appearance. Sounds group by their prefix, so "bass
+    clarinet" and "bass-clarinet" are one sound."""
+    walked = [(f"Part{p.part_id}_", [p]) for p in score.parts]
+    sounds: dict[str, list[Part]] = {}
+    families: dict[str, list[Part]] = {}
+    for p in score.parts:
+        sounds.setdefault(f"Sound{camel_case(p.instrument_sound)}_", []).append(p)
+        families.setdefault(FAMILY_PREFIXES[p.family], []).append(p)
+    return [*walked, *sounds.items(), *families.items()]
 
 
 def core_part(part: Part, score: Score, upstream) -> dict:
@@ -76,10 +89,10 @@ def core_score(score: Score, part_values, upstream) -> dict:
         "KeySignature": score.key_signature,
     }
 
-    for prefix, members in part_groups(score):
+    for prefix, members in scopes(score)[len(score.parts):]:  # sounds, families
         values = [part_values[p.part_id]["NumNotes"] for p in members]
-        out[f"{prefix}_NumNotes"] = sum(values)
-        out[f"{prefix}_NumNotesMean"] = sum(values) / len(values)
+        out[f"{prefix}NumNotes"] = sum(values)
+        out[f"{prefix}NumNotesMean"] = sum(values) / len(values)
     return out
 
 
@@ -99,17 +112,13 @@ def scoring_features(score: Score) -> dict:
     }
     if vocal:
         out["Voices"] = ",".join(vocal)
-    family_counts = {}
-    for prefix, members in part_groups(score):
-        if prefix.startswith("Sound"):
-            out[f"{prefix}_NumParts"] = len(members)
-        else:
-            family_counts[prefix] = len(members)
-    for family in FAMILIES:
-        prefix = f"Family{camel_case(family)}"
-        n = family_counts.get(prefix, 0)
-        out[f"{prefix}_Present"] = int(n > 0)
-        out[f"{prefix}_NumParts"] = n
+    sizes = {prefix: len(members) for prefix, members in scopes(score)[len(score.parts):]}
+    families = {prefix: sizes.pop(prefix, 0) for prefix in FAMILY_PREFIXES.values()}
+    for prefix, n in sizes.items():  # the sounds
+        out[f"{prefix}NumParts"] = n
+    for prefix, n in families.items():
+        out[f"{prefix}Present"] = int(n > 0)
+        out[f"{prefix}NumParts"] = n
     return out
 
 

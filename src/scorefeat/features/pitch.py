@@ -22,7 +22,7 @@ from ..model import (
     melodic_line,
     midi_number,
 )
-from .core import mean_std, part_groups, sqrt_ratio
+from .core import mean_std, scopes, sqrt_ratio
 
 KRUMHANSL_MAJOR = (6.35, 2.23, 3.48, 2.33, 4.38, 4.09, 2.52, 5.19, 2.39, 3.66, 2.29, 2.88)
 KRUMHANSL_MINOR = (6.33, 2.68, 3.52, 5.38, 2.60, 3.53, 2.54, 4.75, 3.98, 2.69, 3.34, 3.17)
@@ -159,11 +159,8 @@ def ambitus_features(score: Score) -> dict:
         }
 
     out = {}
-    for part in score.parts:
-        out.update(emit(f"Part{part.part_id}_", [part]))
-    for prefix, members in part_groups(score):
-        out.update(emit(f"{prefix}_", members))
-    out.update(emit("", score.parts))  # score level
+    for prefix, members in scopes(score) + [("", score.parts)]:  # "": the score
+        out.update(emit(prefix, members))
     return out
 
 
@@ -252,13 +249,9 @@ def melody_features(score: Score) -> dict:
         p.part_id: interval_sequence(p) if _pitched(p) else [] for p in score.parts
     }
     out = {}
-    for part in score.parts:
-        values = melody_from_intervals(sequences[part.part_id])
-        out.update({f"Part{part.part_id}_{k}": v for k, v in values.items()})
-    for prefix, members in part_groups(score):
+    for prefix, members in scopes(score):
         pooled = [iv for p in members for iv in sequences[p.part_id]]
-        values = melody_from_intervals(pooled)
-        out.update({f"{prefix}_{k}": v for k, v in values.items()})
+        out.update({prefix + k: v for k, v in melody_from_intervals(pooled).items()})
     return out
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..model import Part, Score, note_count, sounding_measures
-from .core import mean_std, part_groups
+from .core import mean_std, scopes
 
 _DURATION_CLASSES = (
     ("whole", Fraction(4)),
@@ -39,12 +39,10 @@ def density_features(score: Score) -> dict:
             values["NotesPerSoundingMeasure"] = notes / sounding
         if total > 0:
             values["SoundingDensity"] = float(sounded / (total * len(members)))
-        return {f"{prefix}_{k}": v for k, v in values.items()}
+        return {prefix + k: v for k, v in values.items()}
 
     out = {}
-    for part in score.parts:
-        out.update(emit(f"Part{part.part_id}", [part]))
-    for prefix, members in part_groups(score):
+    for prefix, members in scopes(score):
         out.update(emit(prefix, members))
     return out
 

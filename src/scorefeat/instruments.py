@@ -240,20 +240,23 @@ def part_identifier(sound: str, ordinal: int) -> str:
 
 
 class OrdinalAllocator:
-    """Keeps (sound, ordinal) unique within one score: explicit ordinals win,
-    duplicates and unnumbered parts get the next free slot in score order."""
+    """Keeps part identifiers unique within one score by numbering parts per
+    identifier stem (``camel_case(sound)``), so "bass clarinet" and
+    "bass-clarinet" share one series: explicit ordinals win, duplicates and
+    unnumbered parts get the next free slot in score order."""
 
     def __init__(self):
         self._used: dict[str, set[int]] = {}
         self._next: dict[str, int] = {}
 
     def assign(self, sound: str, explicit: Optional[int]) -> int:
-        taken = self._used.setdefault(sound, set())
+        stem = camel_case(sound)
+        taken = self._used.setdefault(stem, set())
         ordinal = explicit
         if ordinal is None or ordinal in taken:
-            ordinal = self._next.get(sound, 1)
+            ordinal = self._next.get(stem, 1)
             while ordinal in taken:
                 ordinal += 1
         taken.add(ordinal)
-        self._next[sound] = ordinal + 1
+        self._next[stem] = ordinal + 1
         return ordinal

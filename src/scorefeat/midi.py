@@ -25,7 +25,7 @@ from .model import (
 )
 
 PARSER_ID = "midi"
-PARSER_VERSION = "2"
+PARSER_VERSION = "3"
 
 # Input caps: a few bytes of delta time can describe hours of music, so the
 # importer refuses a file whose music ends past MAX_QUARTERS (quantized) or

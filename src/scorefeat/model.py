@@ -160,8 +160,9 @@ class NoteColumns:
 class Part:
     """One performer line: ordered events plus instrument identity.
 
-    (instrument_sound, sound_ordinal) is unique within a Score; part_id is
-    the CamelCase sound name with the ordinal as a Roman numeral (ViolinII).
+    (instrument_sound, sound_ordinal) and part_id are each unique within a
+    Score; part_id is the CamelCase sound name with the ordinal as a Roman
+    numeral (ViolinII).
     """
 
     part_id: str
@@ -259,7 +260,9 @@ class Score:
             key = (p.instrument_sound, p.sound_ordinal)
             if key in seen:
                 raise ValueError(f"duplicate part identity {key} in score")
-            seen.add(key)
+            if p.part_id in seen:
+                raise ValueError(f"duplicate part id {p.part_id!r} in score")
+            seen.update((key, p.part_id))
 
     @property
     def last_measure(self) -> int:

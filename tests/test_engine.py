@@ -360,6 +360,34 @@ class TestUpstream:
                        "PartViolinI_Key": "ViolinI", "PartViolinII_Key": "ViolinII"}
 
 
+class TestScopedNames:
+    def test_only_a_scope_prefix_passes_through(self):
+        kept = ["PartViolinI_X", "Part_X", "Part2_X", "SoundViolin_X", "Sound_X",
+                "FamilyStrings_X", "Texture_ViolinI_ViolaI_Ratio", "Score_X"]
+        prefixed = ["PartCount", "SoundingShare", "Familiarity", "Particle_X", "Sounds_X",
+                    "Familyish_X", "Texture", "ScoreMean"]
+        registry = {"n": FeatureModuleDescriptor(
+            "n", score_fn=lambda *_: dict.fromkeys(kept + prefixed, 1))}
+        row = extract_unit(score([part([note("C")])]), ["n"], registry)
+        assert list(row) == kept + [f"Score_{name}" for name in prefixed]
+
+
+class TestPartIds:
+    def test_sounds_that_camel_case_alike_get_their_own_ids(self):
+        doc = musicxml_doc([
+            ("Bass Clarinet", [[{"step": "C", "octave": 3, "dur": 4}] * 4]),
+            ("Bass-Clarinet", [[{"step": "D", "octave": 3, "dur": 16}]]),
+        ])
+        s, _ = musicxml_parser.parse_musicxml(doc)
+        assert [(p.part_id, p.family) for p in s.parts] == [
+            ("BassClarinetI", "woodwinds"), ("BassClarinetII", "other")]
+        registry = feature_modules()
+        row = extract_unit(s, ["core", "scoring"], registry)
+        assert (row["PartBassClarinetI_NumNotes"], row["PartBassClarinetII_NumNotes"]) == (4, 1)
+        assert (row["FamilyWoodwinds_NumNotes"], row["FamilyOther_NumNotes"]) == (4, 1)
+        assert (row["SoundBassClarinet_NumNotes"], row["SoundBassClarinet_NumParts"]) == (5, 2)
+
+
 class TestExtract:
     def _write(self, tmp_path, name, data):
         p = tmp_path / name

@@ -1,16 +1,20 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from statistics import correlation
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from scorefeat.engine import extract_unit
+from scorefeat.features import STOCK_FEATURES
 from scorefeat.features.pitch import (
     KRUMHANSL_MAJOR,
     KRUMHANSL_MINOR,
+    KeyEstimate,
     PitchClassProfile,
     estimate_key_ks,
     interval_name,
@@ -22,6 +26,7 @@ from scorefeat.features.pitch import (
 )
 from scorefeat.harmony import parse_harmony_file, attach_annotations
 from scorefeat.model import STEP_ORDER, SpelledPitch, midi_number
+from scorefeat.registry import feature_modules, resolve_feature_order
 from util import (
     P,
     nearest_sqrt,
@@ -442,3 +447,43 @@ class TestScaleDegrees:
         assert {k: v for k, v in out.items() if v} == pytest.approx(
             {"LocalDegree_1_Frac": 1 / 3, "LocalDegree_2_Frac": 1 / 3,
              "LocalDegree_6_Frac": 1 / 3})
+
+
+def fifth_up(pitch: SpelledPitch) -> SpelledPitch:
+    """The pitch a perfect fifth higher: the letter moves up four steps, B
+    gains a sharp (B -> F#), and a letter that passes B moves up an octave."""
+    i = STEP_ORDER.index(pitch.step) + 4
+    return SpelledPitch(STEP_ORDER[i % 7], pitch.alter + (pitch.step == "B"),
+                        pitch.octave + i // 7)
+
+
+class TestTransposition:
+    @staticmethod
+    def _row(s):
+        registry = feature_modules()
+        return extract_unit(s, resolve_feature_order(registry, list(STOCK_FEATURES)), registry)
+
+    @given(st.randoms(use_true_random=False))
+    def test_a_fifth_up_moves_only_the_pitch_cells(self, rng):
+        s = random_model_score(rng)
+        profile = profile_from_score(s)
+        key = estimate_key_ks(profile) if profile.total > 0 else None
+        assume(key is None or key.runner_up_margin != 0)  # a tie goes to the lower tonic
+        up = replace(s, key_signature=s.key_signature + 1, parts=tuple(
+            replace(p, events=tuple(e if e.pitch is None else replace(e, pitch=fifth_up(e.pitch))
+                                    for e in p.events))
+            for p in s.parts))
+        before, after = self._row(s), self._row(up)
+        assert list(after) == list(before)
+        respelled = {e.pitch.name: fifth_up(e.pitch).name
+                     for p in s.parts for e in p.events if e.pitch is not None}
+        for name, value in before.items():
+            if name.endswith(("LowestMidi", "HighestMidi")):
+                value += 7
+            elif name.endswith(("LowestName", "HighestName")):
+                value = respelled[value]
+            elif name == "Score_Key":
+                value = KeyEstimate((key.tonic + 7) % 12, key.mode, None, 0.0).name
+            elif name == "Score_KeySignature":
+                value += 1
+            assert after[name] == value, name

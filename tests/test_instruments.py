@@ -1,6 +1,7 @@
 import pytest
 
 from scorefeat.instruments import (
+    OrdinalAllocator,
     camel_case,
     detect_instrument_family,
     int_to_roman,
@@ -65,3 +66,11 @@ def test_roman_numerals():
 def test_part_identifier():
     assert part_identifier("violin", 2) == "ViolinII"
     assert part_identifier("double bass", 1) == "DoubleBassI"
+
+
+def test_ordinals_count_per_identifier_stem():
+    ordinals = OrdinalAllocator()
+    assigned = [ordinals.assign(sound, explicit) for sound, explicit in
+                [("bass clarinet", None), ("bass-clarinet", None), ("violin", 2),
+                 ("Violin", 2), ("violin", None)]]
+    assert assigned == [1, 2, 2, 3, 4]

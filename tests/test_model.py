@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,14 @@ class TestScore:
     def test_measure_offsets_required(self):
         with pytest.raises(TypeError, match="measure_offsets"):
             Score(source_id="s", parts=(), num_measures=1, time_signatures=((1, 4, 4),))
+
+    def test_part_ids_are_unique(self):
+        violin = part([note("C")])
+        with pytest.raises(ValueError, match=r"duplicate part identity \('violin', 1\)"):
+            score([violin, violin])
+        alias = replace(part([note("D")], sound="viola"), part_id=violin.part_id)
+        with pytest.raises(ValueError, match="duplicate part id 'ViolinI'"):
+            score([violin, alias])
 
     def test_measure_offsets_one_per_measure(self):
         with pytest.raises(ValueError, match="measure_offsets"):
