@@ -21,7 +21,7 @@ from . import cache as score_cache
 from . import midi as midi_importer
 from . import musicxml as musicxml_parser
 from .features import FEATURE_ALIASES, STOCK_FEATURES
-from .features.core import SCOPED_NAME, scopes
+from .features.core import SCOPED_NAME
 from .harmony import HarmonyError, attach_annotations, parse_harmony_file
 from .model import Score, slice_window
 from .registry import (
@@ -234,7 +234,7 @@ def extract_unit(score: Score, order: Sequence[str], registry) -> dict:
     row: dict = {}
     score_values: dict = {}
     part_values: dict[str, dict] = {p.part_id: {} for p in score.parts}
-    part_scopes = scopes(score)[: len(score.parts)]
+    part_scopes = score.scopes[: len(score.parts)]
     for name in order:
         descriptor = registry[name]
         if descriptor.part_fn is not None:

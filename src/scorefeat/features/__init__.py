@@ -3,9 +3,10 @@
 Each module pairs an optional per-part extractor with an optional per-score
 one. The engine prefixes part values with their part's scope prefix. A
 score value keeps its name when it already starts with a scope prefix (see
-``core.scopes`` and ``core.SCOPED_NAME``), which is how the ambitus, melody
-and density families emit part, sound and family cells from one score pass;
-any other score value gets ``Score_``.
+``Score.scopes`` and ``core.SCOPED_NAME``), which is how the ambitus, melody
+and density families emit part, sound and family cells from one score pass,
+each cell merged from one summary per part; any other score value gets
+``Score_``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import re
 from math import isqrt
+from operator import mul
 from typing import Sequence
 
-from ..instruments import camel_case
 from ..model import (
-    FAMILIES,
+    FAMILY_PREFIXES,
     Part,
     Score,
     governing_indices,
@@ -43,12 +43,17 @@ def sqrt_ratio(num: int, den: int) -> float:
     return (root | (root * root * den != num << 2 * k)) / (1 << k)
 
 
+def moments(n: int, total: int, squares: int, scale: int = 1) -> tuple[float, float]:
+    """Mean and population standard deviation of ``n`` ints over ``scale``,
+    with sum ``total`` and sum of squares ``squares``, correctly rounded.
+    Sums of parts add up to the sums of their union, so a merged cell is
+    exact (Chan, Golub & LeVeque 1979)."""
+    return total / (n * scale), sqrt_ratio(n * squares - total * total, (n * scale) ** 2)
+
+
 def mean_std(values: Sequence[int], scale: int = 1) -> tuple[float, float]:
-    """Mean and population standard deviation of ``values / scale``,
-    correctly rounded from exact sums."""
-    n, total = len(values), sum(values)
-    spread = n * sum(v * v for v in values) - total * total
-    return total / (n * scale), sqrt_ratio(spread, (n * scale) ** 2)
+    """Mean and population standard deviation of ``values / scale``."""
+    return moments(len(values), sum(values), sum(map(mul, values, values)), scale)
 
 
 # A score-level value whose name already starts with a scope prefix keeps
@@ -56,22 +61,6 @@ def mean_std(values: Sequence[int], scale: int = 1) -> tuple[float, float]:
 # empty or starts with an uppercase letter or digit, or ``Texture_`` or
 # ``Score_``. Any other name gets ``Score_``.
 SCOPED_NAME = re.compile(r"(?:(?:Part|Sound|Family)(?:[A-Z0-9][0-9A-Za-z]*)?|Texture|Score)_")
-FAMILY_PREFIXES = {family: f"Family{camel_case(family)}_" for family in FAMILIES}
-
-
-def scopes(score: Score) -> list[tuple[str, list[Part]]]:
-    """(column prefix, member parts) of every scope below the score: one per
-    part in score order (``PartViolinII_``), then one per instrument sound
-    (``SoundViolin_``), then one per family (``FamilyStrings_``), groups in
-    order of first appearance. Sounds group by their prefix, so "bass
-    clarinet" and "bass-clarinet" are one sound."""
-    walked = [(f"Part{p.part_id}_", [p]) for p in score.parts]
-    sounds: dict[str, list[Part]] = {}
-    families: dict[str, list[Part]] = {}
-    for p in score.parts:
-        sounds.setdefault(f"Sound{camel_case(p.instrument_sound)}_", []).append(p)
-        families.setdefault(FAMILY_PREFIXES[p.family], []).append(p)
-    return [*walked, *sounds.items(), *families.items()]
 
 
 def core_part(part: Part, score: Score, upstream) -> dict:
@@ -89,7 +78,7 @@ def core_score(score: Score, part_values, upstream) -> dict:
         "KeySignature": score.key_signature,
     }
 
-    for prefix, members in scopes(score)[len(score.parts):]:  # sounds, families
+    for prefix, members in score.scopes[len(score.parts):]:  # sounds, families
         values = [part_values[p.part_id]["NumNotes"] for p in members]
         out[f"{prefix}NumNotes"] = sum(values)
         out[f"{prefix}NumNotesMean"] = sum(values) / len(values)
@@ -112,7 +101,7 @@ def scoring_features(score: Score) -> dict:
     }
     if vocal:
         out["Voices"] = ",".join(vocal)
-    sizes = {prefix: len(members) for prefix, members in scopes(score)[len(score.parts):]}
+    sizes = {prefix: len(members) for prefix, members in score.scopes[len(score.parts):]}
     families = {prefix: sizes.pop(prefix, 0) for prefix in FAMILY_PREFIXES.values()}
     for prefix, n in sizes.items():  # the sounds
         out[f"{prefix}NumParts"] = n

@@ -7,11 +7,13 @@ Musical Pitch* (1990), rotated through all 24 candidate keys.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from operator import mul, sub
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..harmony import key_mode, key_tonic_pc
 from ..model import (
@@ -19,10 +21,9 @@ from ..model import (
     Part,
     Score,
     governing_indices,
-    melodic_line,
     midi_number,
 )
-from .core import mean_std, scopes, sqrt_ratio
+from .core import moments, sqrt_ratio
 
 KRUMHANSL_MAJOR = (6.35, 2.23, 3.48, 2.33, 4.38, 4.09, 2.52, 5.19, 2.39, 3.66, 2.29, 2.88)
 KRUMHANSL_MINOR = (6.33, 2.68, 3.52, 5.38, 2.60, 3.53, 2.54, 4.75, 3.98, 2.69, 3.34, 3.17)
@@ -36,14 +37,22 @@ _MINOR_FIFTHS = {(7 * f + 9) % 12: f for f in range(-5, 7)}
 _MAJOR_DEGREES = {0: 1, 2: 2, 4: 3, 5: 4, 7: 5, 9: 6, 11: 7}
 # Both the natural subtonic and the raised leading tone count as degree 7.
 _MINOR_DEGREES = {0: 1, 2: 2, 3: 3, 5: 4, 7: 5, 8: 6, 10: 7, 11: 7}
+# (tonic, mode) -> the scale degree of each MIDI number, 0 for chromatic notes.
+_DEGREE_TABLES = {
+    (tonic, mode): (tuple(degrees.get((pc - tonic) % 12, 0) for pc in range(12)) * 11)[:128]
+    for mode, degrees in (("major", _MAJOR_DEGREES), ("minor", _MINOR_DEGREES))
+    for tonic in range(12)
+}
 
+_LETTER = {step: i for i, step in enumerate(STEP_ORDER)}
 _PERFECT_BASE = {1: 0, 4: 5, 5: 7}
 _MAJOR_BASE = {2: 2, 3: 4, 6: 9, 7: 11}
 
 
 @dataclass(frozen=True)
 class PitchClassProfile:
-    """Duration-weighted pitch-class histogram (index 0 = C), in quarters."""
+    """Duration-weighted pitch-class histogram (index 0 = C), in quarters
+    from ``profile_from_score``; the key estimate is the same in any unit."""
 
     weights: tuple
 
@@ -74,14 +83,19 @@ def _pitched(part: Part) -> bool:
     return part.family != "percussion"
 
 
-def profile_from_score(score: Score) -> PitchClassProfile:
+def _pitch_class_ticks(score: Score) -> tuple[int, ...]:
+    """Sounding ticks per pitch class, summed over the pitched parts."""
     weights = [0] * 12
     for part in score.parts:
-        if not _pitched(part):
-            continue
-        for midi, ticks in zip(part.notes.midi, part.notes.merged):
-            weights[midi % 12] += ticks
-    return PitchClassProfile(weights=tuple(Fraction(w, score.ticks_per_quarter) for w in weights))
+        if _pitched(part):
+            for midi, ticks in zip(part.notes.midi, part.notes.merged):
+                weights[midi % 12] += ticks
+    return tuple(weights)
+
+
+def profile_from_score(score: Score) -> PitchClassProfile:
+    tpq = score.ticks_per_quarter
+    return PitchClassProfile(tuple(Fraction(w, tpq) for w in _pitch_class_ticks(score)))
 
 
 # Krumhansl's profiles x100 and centred x12: ints with the same correlations.
@@ -108,7 +122,7 @@ def estimate_key_ks(profile: PitchClassProfile) -> KeyEstimate:
     if spread == 0 or weights.count(0) == 11:
         return KeyEstimate(weights.index(max(weights)), "major", None, 0.0)
 
-    covs = [sum(w * r for w, r in zip(weights, ref)) for _, _, ref, _, _ in _KEY_CANDIDATES]
+    covs = [sum(map(mul, weights, ref)) for _, _, ref, _, _ in _KEY_CANDIDATES]
     ranked = sorted(range(24), key=lambda i: -covs[i] * abs(covs[i]) * _KEY_CANDIDATES[i][4])
     # both are >= 0: a mode's 12 covariances sum to 0 (its references are centred)
     best, second = (sqrt_ratio(12 * covs[i] ** 2, spread * _KEY_CANDIDATES[i][3])
@@ -118,7 +132,7 @@ def estimate_key_ks(profile: PitchClassProfile) -> KeyEstimate:
 
 
 def key_features(score: Score) -> dict:
-    profile = profile_from_score(score)
+    profile = PitchClassProfile(_pitch_class_ticks(score))  # in ticks
     if profile.total <= 0:
         return {}
     est = estimate_key_ks(profile)
@@ -138,11 +152,10 @@ def ambitus_features(score: Score) -> dict:
     (percussion excluded)."""
     extremes = {}  # part_id -> ((midi, event) lowest, (midi, event) highest)
     for p in score.parts:
-        if not _pitched(p):
-            continue
-        pairs = list(zip(p.notes.midi, p.notes.heads))
-        if pairs:  # min and max keep the first of equal extremes
-            extremes[p.part_id] = (min(pairs, key=lambda t: t[0]), max(pairs, key=lambda t: t[0]))
+        midi, heads = p.notes.midi, p.notes.heads
+        if _pitched(p) and midi:  # the first of equal extremes
+            lo, hi = min(midi), max(midi)
+            extremes[p.part_id] = ((lo, heads[midi.index(lo)]), (hi, heads[midi.index(hi)]))
 
     def emit(prefix: str, members) -> dict:
         pairs = [extremes[p.part_id] for p in members if p.part_id in extremes]
@@ -159,12 +172,11 @@ def ambitus_features(score: Score) -> dict:
         }
 
     out = {}
-    for prefix, members in scopes(score) + [("", score.parts)]:  # "": the score
+    for prefix, members in (*score.scopes, ("", score.parts)):  # "": the score
         out.update(emit(prefix, members))
     return out
 
 
-@lru_cache(maxsize=8192)
 def interval_name(a, b) -> tuple[int, str]:
     """(signed semitones, quality+size name) between two spelled pitches.
 
@@ -175,11 +187,18 @@ def interval_name(a, b) -> tuple[int, str]:
     it is (-1, "dd2"), a doubly diminished second spanning -1 semitones.
     """
     semis = midi_number(b) - midi_number(a)
-    dn = (STEP_ORDER.index(b.step) + 7 * b.octave) - (STEP_ORDER.index(a.step) + 7 * a.octave)
-    if dn == 0 and semis == 0:
-        return 0, "P1"
-    direction = 1 if dn > 0 else (-1 if dn < 0 else (1 if semis > 0 else -1))
-    size = abs(dn) + 1
+    steps = (_LETTER[b.step] + 7 * b.octave) - (_LETTER[a.step] + 7 * a.octave)
+    return semis, interval_between(steps, semis)
+
+
+@lru_cache(maxsize=4096)
+def interval_between(steps: int, semis: int) -> str:
+    """Name of a move by ``steps`` letter names and ``semis`` semitones (see
+    ``interval_name``)."""
+    if steps == 0 and semis == 0:
+        return "P1"
+    direction = 1 if steps > 0 else (-1 if steps < 0 else (1 if semis > 0 else -1))
+    size = abs(steps) + 1
     asemis = semis * direction
     simple = ((size - 1) % 7) + 1
     octaves = (size - 1) // 7
@@ -201,71 +220,126 @@ def interval_name(a, b) -> tuple[int, str]:
             quality = "A" * delta
         else:
             quality = "d" * (-delta - 1)
-    return semis, f"{quality}{size}"
+    return f"{quality}{size}"
+
+
+def _moves(part: Part) -> Iterable[tuple[int, int]]:
+    """(letter steps, semitones) of each move between consecutive chord tops;
+    rests do not break the line."""
+    cols = part.notes
+    letters = [_LETTER[p.step] + 7 * p.octave for p in (cols.heads[i].pitch for i in cols.line)]
+    midi = [cols.midi[i] for i in cols.line]
+    return zip(map(sub, letters[1:], letters), map(sub, midi[1:], midi))
 
 
 def interval_sequence(part: Part) -> list[tuple[int, str]]:
-    """Melodic intervals between consecutive chord tops; rests do not break
-    the line."""
-    line = melodic_line(part)
-    return [interval_name(a.pitch, b.pitch) for a, b in zip(line, line[1:])]
+    """(semitones, name) of each melodic interval between consecutive chord
+    tops; rests do not break the line."""
+    return [(semis, interval_between(steps, semis)) for steps, semis in _moves(part)]
+
+
+class MelodySummary(NamedTuple):
+    """Counts and exact sums over a list of melodic intervals. The summary
+    of several lists merges from theirs: counts and sums add, the largest
+    moves take the maximum."""
+
+    names: Mapping[str, int]  # interval name -> count
+    n: int
+    ascending: int
+    descending: int
+    stepwise: int  # at most 2 semitones
+    abs_sum: int  # Σ|semitones|
+    square_sum: int  # Σ semitones²
+    rise: int  # largest ascending move in semitones, 0 if none
+    fall: int  # largest descending move in semitones, 0 if none
+
+
+def _summarise(counted: Iterable[tuple[tuple[int, str], int]]) -> MelodySummary:
+    """The summary of intervals given as ((semitones, name), count) pairs."""
+    names: dict[str, int] = {}
+    n = ascending = descending = stepwise = abs_sum = square_sum = rise = fall = 0
+    for (semis, name), count in counted:
+        names[name] = names.get(name, 0) + count
+        n += count
+        if semis > 0:
+            ascending += count
+            if semis > rise:
+                rise = semis
+        elif semis < 0:
+            descending += count
+            if -semis > fall:
+                fall = -semis
+        if -2 <= semis <= 2:
+            stepwise += count
+        abs_sum += abs(semis) * count
+        square_sum += semis * semis * count
+    return MelodySummary(names, n, ascending, descending, stepwise, abs_sum, square_sum,
+                         rise, fall)
+
+
+def _merge(summaries: Sequence[MelodySummary]) -> MelodySummary:
+    if len(summaries) == 1:
+        return summaries[0]
+    names: dict[str, int] = {}
+    for summary in summaries:
+        for name, count in summary.names.items():
+            names[name] = names.get(name, 0) + count
+    return MelodySummary(
+        names,
+        *(sum(column) for column in list(zip(*summaries))[1:7]),  # n .. square_sum
+        max(summary.rise for summary in summaries),
+        max(summary.fall for summary in summaries),
+    )
+
+
+def _melody_cells(summary: MelodySummary, prefix: str = "") -> dict:
+    """The cells of a summary, each name after ``prefix``."""
+    n = summary.n
+    if not n:
+        return {}
+    out: dict = {}
+    for name in sorted(summary.names):
+        out[f"{prefix}Interval_{name}_Count"] = summary.names[name]
+        out[f"{prefix}Interval_{name}_Frac"] = summary.names[name] / n
+    out[f"{prefix}AscendingFrac"] = summary.ascending / n
+    out[f"{prefix}DescendingFrac"] = summary.descending / n
+    out[f"{prefix}RepeatedFrac"] = (n - summary.ascending - summary.descending) / n
+    out[f"{prefix}StepwiseFrac"] = summary.stepwise / n
+    out[f"{prefix}LeapFrac"] = (n - summary.stepwise) / n
+    out[f"{prefix}AbsIntervalMean"], out[f"{prefix}AbsIntervalStd"] = moments(
+        n, summary.abs_sum, summary.square_sum)
+    if summary.ascending:
+        out[f"{prefix}LargestAscending"] = summary.rise
+    if summary.descending:
+        out[f"{prefix}LargestDescending"] = summary.fall
+    return out
 
 
 def melody_from_intervals(intervals: Sequence[tuple[int, str]]) -> dict:
-    if not intervals:
-        return {}
-    n = len(intervals)
-    out: dict = {}
-    by_name: dict[str, int] = {}
-    for _, name in intervals:
-        by_name[name] = by_name.get(name, 0) + 1
-    for name in sorted(by_name):
-        out[f"Interval_{name}_Count"] = by_name[name]
-        out[f"Interval_{name}_Frac"] = by_name[name] / n
-
-    semis = [s for s, _ in intervals]
-    ascending = sum(1 for s in semis if s > 0)
-    descending = sum(1 for s in semis if s < 0)
-    out["AscendingFrac"] = ascending / n
-    out["DescendingFrac"] = descending / n
-    out["RepeatedFrac"] = (n - ascending - descending) / n
-    stepwise = sum(1 for s in semis if abs(s) <= 2)
-    out["StepwiseFrac"] = stepwise / n
-    out["LeapFrac"] = (n - stepwise) / n
-
-    out["AbsIntervalMean"], out["AbsIntervalStd"] = mean_std([abs(s) for s in semis])
-    up = [s for s in semis if s > 0]
-    down = [-s for s in semis if s < 0]
-    if up:
-        out["LargestAscending"] = max(up)
-    if down:
-        out["LargestDescending"] = max(down)
-    return out
+    """The melody cells of one list of (semitones, name) intervals."""
+    return _melody_cells(_summarise(Counter(intervals).items()))
 
 
 def melody_features(score: Score) -> dict:
-    """Part, sound, and family melody features off one interval pass per part."""
-    sequences = {
-        p.part_id: interval_sequence(p) if _pitched(p) else [] for p in score.parts
+    """Part, sound and family melody cells, each merged from one interval
+    summary per part."""
+    summaries = {
+        p.part_id: _summarise(((semis, interval_between(steps, semis)), count)
+                              for (steps, semis), count in Counter(_moves(p)).items())
+        for p in score.parts if _pitched(p)
     }
     out = {}
-    for prefix, members in scopes(score):
-        pooled = [iv for p in members for iv in sequences[p.part_id]]
-        out.update({prefix + k: v for k, v in melody_from_intervals(pooled).items()})
+    for prefix, members in score.scopes:
+        pooled = [summaries[p.part_id] for p in members if p.part_id in summaries]
+        if pooled:
+            out.update(_melody_cells(_merge(pooled), prefix))
     return out
 
 
-def _degree_of(pc: int, tonic: int, mode: str) -> Optional[int]:
-    table = _MAJOR_DEGREES if mode == "major" else _MINOR_DEGREES
-    return table.get((pc - tonic) % 12)
-
-
-def _degree_fractions(prefix: str, degrees: Sequence[Optional[int]]) -> dict:
+def _degree_fractions(prefix: str, degrees: list[int]) -> dict:
     n = len(degrees)
-    out = {}
-    for d in range(1, 8):
-        out[f"{prefix}_{d}_Frac"] = sum(1 for x in degrees if x == d) / n
-    out[f"{prefix}_chromatic_Frac"] = sum(1 for x in degrees if x is None) / n
+    out = {f"{prefix}_{d}_Frac": degrees.count(d) / n for d in range(1, 8)}
+    out[f"{prefix}_chromatic_Frac"] = degrees.count(0) / n
     return out
 
 
@@ -279,16 +353,16 @@ def scale_degree_features(
     cols = part.notes
     if not cols.heads:
         return {}
-    pitch_classes = [m % 12 for m in cols.midi]
     out = {}
     if global_key is not None:
         tonic, mode = global_key
-        degrees = [_degree_of(pc, tonic, mode) for pc in pitch_classes]
-        out.update(_degree_fractions("Degree", degrees))
+        table = _DEGREE_TABLES[tonic % 12, mode]
+        out.update(_degree_fractions("Degree", list(map(table.__getitem__, cols.midi))))
 
     annotations = score.annotations
     if annotations:
-        keys = [(key_tonic_pc(a.local_key), key_mode(a.local_key)) for a in annotations]
+        tables = [_DEGREE_TABLES.get((key_tonic_pc(a.local_key), key_mode(a.local_key)))
+                  for a in annotations]
         # An annotation at ``beat`` governs a note ``q`` ticks into the
         # measure iff beat * tpq <= q, iff ceil(beat * tpq) <= q (q is whole).
         tpq = score.ticks_per_quarter
@@ -297,14 +371,8 @@ def scale_degree_features(
              for a in annotations],
             [(m, q - score.measure_offset(m)) for m, q in zip(cols.measure, cols.onset)],
         )
-        local_degrees = []
-        for pc, idx in zip(pitch_classes, governing):
-            if idx < 0:
-                continue
-            tonic, mode = keys[idx]
-            if tonic is None or mode is None:
-                continue
-            local_degrees.append(_degree_of(pc, tonic, mode))
-        if local_degrees:
-            out.update(_degree_fractions("LocalDegree", local_degrees))
+        local = [tables[idx][midi] for midi, idx in zip(cols.midi, governing)
+                 if idx >= 0 and tables[idx] is not None]
+        if local:
+            out.update(_degree_fractions("LocalDegree", local))
     return out

@@ -3,29 +3,25 @@
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from ..model import Part, Score, note_count, sounding_measures
-from .core import mean_std, scopes
+from .core import mean_std
 
-_DURATION_CLASSES = (
-    ("whole", Fraction(4)),
-    ("half", Fraction(2)),
-    ("quarter", Fraction(1)),
-    ("eighth", Fraction(1, 2)),
-    ("sixteenth", Fraction(1, 4)),
-)
+# Nominal values in sixteenth notes.
+_DURATION_CLASSES = (("whole", 16), ("half", 8), ("quarter", 4), ("eighth", 2), ("sixteenth", 1))
 DURATION_CLASS_NAMES = tuple(name for name, _ in _DURATION_CLASSES) + ("other",)
 
-_DOT_FACTORS = {0: Fraction(1), 1: Fraction(3, 2), 2: Fraction(7, 4)}
+# Length of a note with k dots over its undotted value: (numerator, denominator).
+_DOT_FACTORS = {0: (1, 1), 1: (3, 2), 2: (7, 4)}
 
 
 def density_features(score: Score) -> dict:
     """Part, sound, and family density features off one duration pass per part:
     note counts against measure counts and sounding span."""
-    total = score.total_quarters() * score.ticks_per_quarter  # ticks
+    # the score's span is span / per ticks
+    span, per = (score.total_quarters() * score.ticks_per_quarter).as_integer_ratio()
     counts = {}
     for p in score.parts:
         counts[p.part_id] = (note_count(p), len(sounding_measures(p)), sum(p.notes.merged))
@@ -37,23 +33,26 @@ def density_features(score: Score) -> dict:
         values = {"NotesPerMeasure": notes / (score.num_measures * len(members))}
         if sounding:
             values["NotesPerSoundingMeasure"] = notes / sounding
-        if total > 0:
-            values["SoundingDensity"] = float(sounded / (total * len(members)))
+        if span > 0:
+            values["SoundingDensity"] = sounded * per / (span * len(members))
         return {prefix + k: v for k, v in values.items()}
 
     out = {}
-    for prefix, members in scopes(score):
+    for prefix, members in score.scopes:
         out.update(emit(prefix, members))
     return out
 
 
 @lru_cache(maxsize=4096)
-def duration_class(duration: Fraction, dots: int) -> str:
-    """Nominal class of a notated duration: dots are undone and simple triplet
-    members class by their notated value; anything else is "other"."""
-    nominal = duration / _DOT_FACTORS[dots]
+def duration_class(ticks: int, tpq: int, dots: int) -> str:
+    """Nominal class of a notated duration of ``ticks / tpq`` quarter notes:
+    dots are undone and simple triplet members class by their notated value;
+    anything else is "other"."""
+    num, den = _DOT_FACTORS[dots]
+    nominal = 4 * ticks * den  # in sixteenths, times tpq * num
     for name, value in _DURATION_CLASSES:
-        if nominal == value or nominal == value * Fraction(2, 3):
+        exact = value * tpq * num
+        if nominal == exact or 3 * nominal == 2 * exact:
             return name
     return "other"
 
@@ -72,7 +71,7 @@ def rhythm_features(part: Part, tpq: int) -> dict:
     out["DoubleDottedFrac"] = dots.count(2) / n
     histogram = dict.fromkeys(DURATION_CLASS_NAMES, 0)
     for (ticks, k), count in Counter(zip(cols.duration, dots)).items():
-        histogram[duration_class(Fraction(ticks, tpq), k)] += count
+        histogram[duration_class(ticks, tpq, k)] += count
     for name in DURATION_CLASS_NAMES:
         out[f"Duration_{name}_Frac"] = histogram[name] / n
     return out

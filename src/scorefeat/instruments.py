@@ -191,7 +191,7 @@ def split_instrument_ordinal(name: str) -> tuple[str, Optional[int]]:
 
 def _normalize(name: str) -> str:
     n = name.lower().strip()
-    n = re.sub(r"[_/()\[\]]+", " ", n)
+    n = re.sub(r"[-_/()\[\]]+", " ", n)
     n = re.sub(r"[’`´]", "'", n)
     n = re.sub(r"\s+in\s+[a-g](?:\s*(?:flat|sharp|b|#))?$", "", n)  # "clarinet in a"
     n = re.sub(r"\s+", " ", n).strip(" .,-")

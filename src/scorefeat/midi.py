@@ -25,7 +25,10 @@ from .model import (
 )
 
 PARSER_ID = "midi"
-PARSER_VERSION = "3"
+PARSER_VERSION = "4"
+
+# The canonical dynamic marking nearest each MIDI velocity 0..127.
+DYNAMIC_BY_VELOCITY = tuple(nearest_dynamic_token(v) for v in range(128))
 
 # Input caps: a few bytes of delta time can describe hours of music, so the
 # importer refuses a file whose music ends past MAX_QUARTERS (quantized) or
@@ -370,7 +373,7 @@ def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
                     pitch=_spell(pitch, prefer_flats),
                 )
             )
-            token = nearest_dynamic_token(vel)
+            token = DYNAMIC_BY_VELOCITY[min(vel, 127)]  # a malformed byte above 127 is fff
             if token != last_token:
                 dyn_marks.append((onset, token))
                 last_token = token

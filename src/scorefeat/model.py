@@ -16,6 +16,8 @@ from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from .instruments import camel_case
+
 if TYPE_CHECKING:
     from .harmony import HarmonicAnnotation
 
@@ -33,6 +35,9 @@ FAMILIES = (
     "plucked",
     "other",
 )
+
+# Column prefix of each family's scope (see ``Score.scopes``).
+FAMILY_PREFIXES = {family: f"Family{camel_case(family)}_" for family in FAMILIES}
 
 TIE_STATES = ("none", "start", "continue", "stop")
 
@@ -102,7 +107,7 @@ class Lyric:
     syllabic: str = "single"  # single | begin | middle | end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoteEvent:
     """One note or rest in a part.
 
@@ -120,6 +125,14 @@ class NoteEvent:
     dots: int = 0
     lyric: Optional[Lyric] = None
     grace: bool = False
+
+    def __init__(self, kind, onset, duration, measure_index, pitch=None, tie="none",
+                 dots=0, lyric=None, grace=False):
+        # One dict update instead of the frozen __init__'s setattr per field.
+        self.__dict__.update(kind=kind, onset=onset, duration=duration,
+                             measure_index=measure_index, pitch=pitch, tie=tie,
+                             dots=dots, lyric=lyric, grace=grace)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("note", "rest"):
@@ -263,6 +276,23 @@ class Score:
             if p.part_id in seen:
                 raise ValueError(f"duplicate part id {p.part_id!r} in score")
             seen.update((key, p.part_id))
+
+    @cached_property
+    def scopes(self) -> tuple[tuple[str, tuple[Part, ...]], ...]:
+        """(column prefix, member parts) of every scope below the score, walked
+        once on first use: one per part in score order (``PartViolinII_``),
+        then one per instrument sound (``SoundViolin_``), then one per family
+        (``FamilyStrings_``), groups in order of first appearance. Sounds
+        group by their prefix, so "bass clarinet" and "bass.clarinet" are one
+        sound."""
+        sounds: dict[str, list[Part]] = {}
+        families: dict[str, list[Part]] = {}
+        for p in self.parts:
+            sounds.setdefault(f"Sound{camel_case(p.instrument_sound)}_", []).append(p)
+            families.setdefault(FAMILY_PREFIXES[p.family], []).append(p)
+        groups = (*sounds.items(), *families.items())
+        return (*((f"Part{p.part_id}_", (p,)) for p in self.parts),
+                *((prefix, tuple(members)) for prefix, members in groups))
 
     @property
     def last_measure(self) -> int:

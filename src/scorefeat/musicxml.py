@@ -42,7 +42,7 @@ from .model import (
 )
 
 PARSER_ID = "musicxml"
-PARSER_VERSION = "5"
+PARSER_VERSION = "6"
 
 DYNAMIC_TOKENS = frozenset(DEFAULT_DYNAMIC_LEVELS)
 

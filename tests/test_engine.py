@@ -376,7 +376,7 @@ class TestPartIds:
     def test_sounds_that_camel_case_alike_get_their_own_ids(self):
         doc = musicxml_doc([
             ("Bass Clarinet", [[{"step": "C", "octave": 3, "dur": 4}] * 4]),
-            ("Bass-Clarinet", [[{"step": "D", "octave": 3, "dur": 16}]]),
+            ("Bass.Clarinet", [[{"step": "D", "octave": 3, "dur": 16}]]),
         ])
         s, _ = musicxml_parser.parse_musicxml(doc)
         assert [(p.part_id, p.family) for p in s.parts] == [
@@ -386,6 +386,20 @@ class TestPartIds:
         assert (row["PartBassClarinetI_NumNotes"], row["PartBassClarinetII_NumNotes"]) == (4, 1)
         assert (row["FamilyWoodwinds_NumNotes"], row["FamilyOther_NumNotes"]) == (4, 1)
         assert (row["SoundBassClarinet_NumNotes"], row["SoundBassClarinet_NumParts"]) == (5, 2)
+
+    def test_hyphenated_names_reach_their_sound(self):
+        doc = musicxml_doc([
+            ("Bass Clarinet", [[{"step": "C", "octave": 3, "dur": 4}] * 4]),
+            ("Bass-Clarinet", [[{"step": "D", "octave": 3, "dur": 16}]]),
+        ])
+        s, _ = musicxml_parser.parse_musicxml(doc)
+        assert [(p.part_id, p.instrument_sound, p.family) for p in s.parts] == [
+            ("BassClarinetI", "bass clarinet", "woodwinds"),
+            ("BassClarinetII", "bass clarinet", "woodwinds")]
+        row = extract_unit(s, ["core", "scoring"], feature_modules())
+        assert row["FamilyWoodwinds_NumNotes"] == 5
+        assert "FamilyOther_NumNotes" not in row
+        assert row["Score_Instrumentation"] == "bass clarinet"
 
 
 class TestExtract:

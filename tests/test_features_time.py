@@ -98,7 +98,7 @@ class TestRhythm:
         ],
     )
     def test_duration_classes(self, dur, dots, expected):
-        assert duration_class(dur, dots) == expected
+        assert duration_class(dur.numerator, dur.denominator, dots) == expected
 
     def test_histogram_sums_to_one(self):
         rng = random.Random(23)

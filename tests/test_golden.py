@@ -1,0 +1,68 @@
+"""The CSV of the benchmark corpus, pinned byte for byte.
+
+The corpus, its config and its expected exit code are ``perfbench``'s, at
+seed 59, read and never changed here; the digests are the ``csv_sha256``
+its runs report. A change that moves any cell, column or row of the table
+changes a digest, so it has to be declared and the digests renewed with it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from scorefeat import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 59
+WHOLE_SCORE_SHA256 = "4926759537857247810b590c70b5cf34ea9a5414e1904b5c75da48b16c497a28"
+WINDOWED_SHA256 = "91910b464402ad4af63c4a80b21c03244a87073b19092e15ff2d312a2a800941"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's ``corpus``, ``checks`` and ``run`` modules."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return tuple(importlib.import_module(name) for name in ("corpus", "checks", "run"))
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def _runs(bench, workdir: Path, workload, runs: int) -> list[tuple[str, int]]:
+    """(CSV sha256, cache hits) of ``runs`` back-to-back CLI runs over the
+    workload's corpus in ``workdir``, the current directory, sharing one
+    cache directory."""
+    corpus, checks, run = bench
+    corpus.build_corpus(SEED, workload.n_xml, workload.n_midi).write(workdir)
+    config = run.write_config(workdir, workload)
+    out = []
+    for _ in range(runs):
+        args = ["--config", str(config), "--report", "report.jsonl"]
+        assert cli.run(args) == checks.EXPECTED_EXIT_CODE
+        digest = hashlib.sha256((workdir / "out" / "features.csv").read_bytes()).hexdigest()
+        summary = json.loads((workdir / "report.jsonl").read_text("utf-8").splitlines()[-1])
+        out.append((digest, summary["cache_hits"]))
+    return out
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_whole_score_csv_cold_then_warm(bench, tmp_path, monkeypatch, parallelism):
+    monkeypatch.chdir(tmp_path)  # the config's paths are relative to the run's directory
+    workload = replace(bench[2].WORKLOADS["cold"], parallelism=parallelism)
+    (cold, cold_hits), (warm, warm_hits) = _runs(bench, tmp_path, workload, 2)
+    assert cold_hits == 0 and warm_hits > 0
+    assert cold == warm == WHOLE_SCORE_SHA256
+
+
+def test_windowed_csv(bench, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    workload = bench[2].WORKLOADS["window"]
+    digests = [digest for digest, _ in _runs(bench, tmp_path, workload, 2)]
+    assert digests == [WINDOWED_SHA256] * 2

@@ -29,6 +29,12 @@ from scorefeat.instruments import (
         ("Arpa", "harp", "plucked"),
         ("Violins", "violin", "strings"),
         ("", "part", "other"),
+        ("Bass-Clarinet", "bass clarinet", "woodwinds"),
+        ("English-Horn", "english horn", "woodwinds"),
+        ("Double-Bass", "double bass", "strings"),
+        ("Mezzo-Soprano", "mezzo-soprano", "voices"),
+        ("Oboe-d-amore", "oboe d'amore", "woodwinds"),
+        ("-Flute-", "flute", "woodwinds"),
     ],
 )
 def test_detect_instrument_family(name, sound, family):

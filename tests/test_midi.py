@@ -228,6 +228,27 @@ class TestSemantics:
         score, _ = import_midi(midi_bytes([midi_note_events(notes)]))
         assert [tok for _, tok in score.parts[0].dynamic_marks] == ["p", "ff"]
 
+    def test_velocity_table_gives_the_nearest_marking(self):
+        from scorefeat.features.core import nearest_dynamic_token
+
+        assert len(midi.DYNAMIC_BY_VELOCITY) == 128
+        assert list(midi.DYNAMIC_BY_VELOCITY) == [nearest_dynamic_token(v) for v in range(128)]
+
+    def test_every_velocity_byte_is_marked_as_the_nearest_level(self):
+        from scorefeat.features.core import nearest_dynamic_token
+
+        velocities = range(1, 256)  # a data byte above 127 is malformed, and still read
+        notes = [(480 * i, 480 * i + 240, 60, v) for i, v in enumerate(velocities)]
+        score, _ = import_midi(midi_bytes([midi_note_events(notes)]))
+        marks = dict(score.parts[0].dynamic_marks)
+        expected, last = [], None
+        for onset, v in zip(sorted(e.onset for e in score.parts[0].events), velocities):
+            token = nearest_dynamic_token(v)
+            if token != last:
+                expected.append((onset, token))
+                last = token
+        assert list(marks.items()) == expected
+
     def test_note_count_matches_paired_note_ons(self):
         rng = random.Random(99)
         notes = []

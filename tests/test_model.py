@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scorefeat.cache import cache_path, load_score, store_score
 from scorefeat.diagnostics import ParseDiagnostics
 from scorefeat.model import (
+    Lyric,
     NoteEvent,
     Part,
     PitchRangeError,
@@ -96,6 +98,56 @@ class TestInternedSpellings:
         decoded = spelled_pitch("C", 0.0, 4)
         assert spelled_pitch("C", 0, 4) is not decoded
         assert type(spelled_pitch("C", 0, 4).alter) is int
+
+
+# NoteEvent as a plain frozen dataclass declares it: the oracle for its
+# equality, hash and repr.
+_PlainEvent = dataclasses.make_dataclass("NoteEvent", [
+    ("kind", str), ("onset", int), ("duration", int), ("measure_index", int),
+    ("pitch", object, None), ("tie", str, "none"), ("dots", int, 0),
+    ("lyric", object, None), ("grace", bool, False),
+], frozen=True)
+
+
+class TestNoteEvent:
+    def _events(self):
+        return [NoteEvent("note", 0, 4, 1, P("C")),
+                NoteEvent(kind="note", onset=8, duration=2, measure_index=2, pitch=P("E", -1, 5),
+                          tie="start", dots=1, lyric=Lyric("la", "begin")),
+                NoteEvent("rest", 12, 4, 2),
+                NoteEvent("note", 16, 0, 2, P("G"), grace=True)]
+
+    def test_fields_cannot_be_assigned(self):
+        e = NoteEvent("note", 0, 4, 1, P("C"))
+        for name, value in (("onset", 1), ("pitch", None), ("grace", True)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del e.kind
+        assert e.onset == 0
+
+    def test_replace_runs_the_checks_again(self):
+        e = NoteEvent("note", 0, 4, 1, P("C"))
+        assert replace(e, onset=8) == NoteEvent("note", 8, 4, 1, P("C"))
+        for changes, error in (({"duration": 0}, ValueError), ({"onset": -1}, ValueError),
+                               ({"kind": "chord"}, ValueError), ({"pitch": None}, ValueError),
+                               ({"tie": "open"}, ValueError), ({"dots": 3}, ValueError),
+                               ({"onset": 0.5}, TypeError)):
+            with pytest.raises(error):
+                replace(e, **changes)
+
+    def test_equality_hash_and_repr_are_the_dataclass_ones(self):
+        events = self._events()
+        plain = [_PlainEvent(**{f.name: getattr(e, f.name) for f in dataclasses.fields(e)})
+                 for e in events]
+        assert [repr(e) for e in events] == [repr(p) for p in plain]
+        assert [hash(e) for e in events] == [hash(p) for p in plain]
+        assert events == self._events()
+        assert len(set(events)) == len(events)
+        assert events[0] != replace(events[0], dots=1)
+        assert events[0] != plain[0]  # another class, as for any dataclass
+        assert [dataclasses.astuple(e) for e in events] == [dataclasses.astuple(p) for p in plain]
+        assert NoteEvent.__match_args__ == _PlainEvent.__match_args__
 
 
 class TestScore:
