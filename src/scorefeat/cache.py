@@ -19,7 +19,7 @@ import logging
 import os
 import tempfile
 from collections import Counter
-from dataclasses import astuple, fields
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -66,11 +66,12 @@ def _fields(obj, **override) -> dict:
 
 
 def _encode(hooks: Sequence[str], score: Score, diags: ParseDiagnostics) -> dict:
-    pitches: dict[SpelledPitch, int] = {}  # spelling -> row of the pitch table
+    pitches: dict[tuple, int] = {}  # (step, alter, octave) -> row of the pitch table
 
     def row(e: NoteEvent) -> list:
-        pitch = None if e.pitch is None else pitches.setdefault(e.pitch, len(pitches))
-        lyric = None if e.lyric is None else astuple(e.lyric)
+        p = e.pitch
+        pitch = None if p is None else pitches.setdefault((p.step, p.alter, p.octave), len(pitches))
+        lyric = None if e.lyric is None else (e.lyric.text, e.lyric.syllabic)
         return [e.kind, e.onset, e.duration, e.measure_index, pitch, e.tie, e.dots, lyric, e.grace]
 
     annotations = score.annotations
@@ -83,7 +84,7 @@ def _encode(hooks: Sequence[str], score: Score, diags: ParseDiagnostics) -> dict
     )
     return {"version": FORMAT_VERSION, "hooks": _hook_identities(hooks),
             "warnings": diags.warnings, "skipped": diags.skipped_elements,
-            "pitches": [astuple(p) for p in pitches], "score": score_doc}
+            "pitches": list(pitches), "score": score_doc}
 
 
 def _decode_score(doc: dict, pitches: list[SpelledPitch]) -> Score:

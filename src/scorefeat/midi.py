@@ -25,7 +25,7 @@ from .model import (
 )
 
 PARSER_ID = "midi"
-PARSER_VERSION = "4"
+PARSER_VERSION = "5"
 
 # The canonical dynamic marking nearest each MIDI velocity 0..127.
 DYNAMIC_BY_VELOCITY = tuple(nearest_dynamic_token(v) for v in range(128))
@@ -78,32 +78,24 @@ def gm_sound(program: int) -> str:
     return "synthesizer"
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _take(data: bytes, pos: int, n: int, what: str) -> bytes:
+    """The ``n`` bytes of ``data`` at ``pos``."""
+    if pos + n > len(data):
+        raise MidiError(f"truncated file while reading {what}")
+    return data[pos : pos + n]
 
-    def need(self, n: int, what: str) -> None:
-        if self.pos + n > len(self.data):
-            raise MidiError(f"truncated file while reading {what}")
 
-    def bytes(self, n: int, what: str = "bytes") -> bytes:
-        self.need(n, what)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self, what: str = "byte") -> int:
-        return self.bytes(1, what)[0]
-
-    def vlq(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.u8("variable-length quantity")
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MidiError("variable-length quantity longer than 4 bytes")
+def _vlq(data: bytes, pos: int) -> tuple[int, int]:
+    """The variable-length quantity at ``pos`` and the position after it."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        if pos >= len(data):
+            raise MidiError("truncated file while reading variable-length quantity")
+        b = data[pos]
+        value = (value << 7) | (b & 0x7F)
+        if b < 0x80:
+            return value, pos + 1
+    raise MidiError("variable-length quantity longer than 4 bytes")
 
 
 @dataclass
@@ -120,14 +112,13 @@ def import_midi(data: bytes, source_id: str = "score") -> tuple[Score, ParseDiag
     """Import an SMF format 0/1 file into a quantized Score."""
     diags = ParseDiagnostics()
 
-    r = _Reader(data)
-    if r.bytes(4, "header") != b"MThd":
+    if _take(data, 0, 4, "header") != b"MThd":
         raise MidiError("not a Standard MIDI File (missing MThd)")
-    header_len = struct.unpack(">I", r.bytes(4, "header length"))[0]
+    header_len = int.from_bytes(_take(data, 4, 4, "header length"), "big")
     if header_len < 6:
         raise MidiError("header chunk too short")
-    fmt, ntrks, division = struct.unpack(">HHH", r.bytes(6, "header fields"))
-    r.bytes(header_len - 6, "header padding")
+    fmt, ntrks, division = struct.unpack(">HHH", _take(data, 8, 6, "header fields"))
+    _take(data, 14, header_len - 6, "header padding")
     if fmt == 2:
         raise MidiError("format 2 files are unsupported")
     if fmt not in (0, 1):
@@ -143,10 +134,12 @@ def import_midi(data: bytes, source_id: str = "score") -> tuple[Score, ParseDiag
     key_events: list[tuple[int, int]] = []
     tracks: list[_TrackData] = []
 
+    pos = 8 + header_len
     for ti in range(ntrks):
-        chunk_id = r.bytes(4, f"track {ti} id")
-        chunk_len = struct.unpack(">I", r.bytes(4, f"track {ti} length"))[0]
-        body = r.bytes(chunk_len, f"track {ti} body")
+        chunk_id = _take(data, pos, 4, f"track {ti} id")
+        chunk_len = int.from_bytes(_take(data, pos + 4, 4, f"track {ti} length"), "big")
+        body = _take(data, pos + 8, chunk_len, f"track {ti} body")
+        pos += 8 + chunk_len
         if chunk_id != b"MTrk":
             diags.skip(f"chunk-{chunk_id!r}")
             continue
@@ -189,22 +182,28 @@ def import_midi(data: bytes, source_id: str = "score") -> tuple[Score, ParseDiag
 
 
 def _parse_track(body, track, tempo_events, sig_events, key_events, diags):
-    r = _Reader(body)
-    tick = 0
+    """Read one track's events, by index over its bytes. A channel event with
+    a data byte over 0x7F (a status byte where data belongs) is skipped with a
+    warning; reading goes on after its bytes."""
+    end = len(body)
+    pos = tick = 0
     running: Optional[int] = None
-    while r.pos < len(body):
-        tick += r.vlq()
-        status = r.u8("event status")
+    while pos < end:
+        delta, pos = _vlq(body, pos)
+        tick += delta
+        status = _take(body, pos, 1, "event status")[0]
         if status < 0x80:
             if running is None:
                 raise MidiError("data byte with no running status")
-            r.pos -= 1
             status = running
+        else:
+            pos += 1
         if status == 0xFF:
             running = None
-            meta = r.u8("meta type")
-            length = r.vlq()
-            payload = r.bytes(length, "meta payload")
+            meta = _take(body, pos, 1, "meta type")[0]
+            length, pos = _vlq(body, pos + 1)
+            payload = _take(body, pos, length, "meta payload")
+            pos += length
             if meta == 0x51 and length >= 3:
                 us = int.from_bytes(payload[:3], "big")
                 if us > 0:
@@ -223,24 +222,29 @@ def _parse_track(body, track, tempo_events, sig_events, key_events, diags):
                 break
         elif status in (0xF0, 0xF7):
             running = None
-            r.bytes(r.vlq(), "sysex payload")
+            length, pos = _vlq(body, pos)
+            _take(body, pos, length, "sysex payload")
+            pos += length
         else:
             running = status
             kind = status & 0xF0
-            ch = status & 0x0F
             if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                d1 = r.u8("data byte")
-                d2 = r.u8("data byte")
-                if kind == 0x90:
-                    track.notes.append((tick, ch, d1, d2, d2 > 0))
-                elif kind == 0x80:
-                    track.notes.append((tick, ch, d1, d2, False))
+                data = _take(body, pos, 2, "data byte")
             elif kind in (0xC0, 0xD0):
-                d1 = r.u8("data byte")
-                if kind == 0xC0:
-                    track.programs.append((tick, ch, d1))
+                data = _take(body, pos, 1, "data byte")
             else:
                 raise MidiError(f"unknown status byte 0x{status:02x}")
+            pos += len(data)
+            if not data.isascii():  # a byte over 0x7F
+                diags.warn(f"track {track.index}", f"data byte over 0x7f in event "
+                           f"{status:02x} {data.hex(' ')} at tick {tick}; skipped")
+                diags.skip("bad-data-byte")
+            elif kind == 0x90:
+                track.notes.append((tick, status & 0x0F, data[0], data[1], data[1] > 0))
+            elif kind == 0x80:
+                track.notes.append((tick, status & 0x0F, data[0], data[1], False))
+            elif kind == 0xC0:
+                track.programs.append((tick, status & 0x0F, data[0]))
     track.end_tick = tick
 
 
@@ -373,7 +377,7 @@ def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
                     pitch=_spell(pitch, prefer_flats),
                 )
             )
-            token = DYNAMIC_BY_VELOCITY[min(vel, 127)]  # a malformed byte above 127 is fff
+            token = DYNAMIC_BY_VELOCITY[vel]
             if token != last_token:
                 dyn_marks.append((onset, token))
                 last_token = token

@@ -15,8 +15,10 @@ import zlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional
 
 from .diagnostics import ParseDiagnostics
@@ -62,32 +64,23 @@ _BEAT_UNIT_QUARTERS = {
     "32nd": Fraction(1, 8), "64th": Fraction(1, 16),
 }
 
+# A note's tie state by whether it has a <tie type="start"> and a "stop" one
+_TIE_STATES = {(False, False): "none", (True, False): "start", (False, True): "stop",
+               (True, True): "continue"}
+
 
 class MusicXMLError(ValueError):
     """Fatal structural problem in a MusicXML document."""
 
 
 @dataclass
-class _RawNote:
-    """A parsed note before absolute onsets are known, timed in the
-    document's units (see ``_document_unit``)."""
-
-    kind: str
-    measure_index: int
-    offset: int  # units from measure start
-    duration: int
-    pitch: Optional[SpelledPitch]
-    tie: str
-    dots: int
-    lyric: Optional[Lyric]
-    grace: bool
-
-
-@dataclass
 class _RawPart:
     xml_id: str
     name: str
-    notes: list[_RawNote] = field(default_factory=list)
+    # (measure index, offset from measure start, duration, kind, pitch, tie,
+    # dots, lyric, grace) per note, timed in the document's units (see
+    # _document_unit) before absolute onsets are known
+    notes: list[tuple] = field(default_factory=list)
     dynamics: list[tuple[int, int, str]] = field(default_factory=list)
     measure_lengths: list[int] = field(default_factory=list)
     has_lyrics: bool = False
@@ -200,9 +193,9 @@ def _document_unit(root: ET.Element) -> int:
     times the LCM of the denominators of its ``<duration>`` and ``<offset>``
     values. Unreadable values are left to the parse to report."""
     def values(tag):
-        for el in root.iter(tag):
+        for text in {el.text or "" for el in root.iter(tag)}:  # each distinct text once
             try:
-                yield _read_decimal(el.text or "")
+                yield _read_decimal(text)
             except (ValueError, ZeroDivisionError):
                 pass
 
@@ -226,7 +219,12 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
     state.voice_sums = {}
 
     for el in measure_el:
-        if el.tag == "attributes":
+        if el.tag == "note":
+            cursor, prev_onset = _parse_note(
+                el, mi, cursor, prev_onset, raw, state, diags, loc
+            )
+            max_cursor = max(max_cursor, cursor)
+        elif el.tag == "attributes":
             div = el.findtext("divisions")
             if div:
                 divisions = _decimal(div, "divisions", diags, loc)
@@ -261,18 +259,13 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
                             fifths = None
                     except ValueError:
                         diags.warn(loc, f"unreadable key fifths {f!r}")
-        elif el.tag == "note":
-            cursor, prev_onset = _parse_note(
-                el, mi, cursor, prev_onset, raw, state, diags, loc
-            )
-            max_cursor = max(max_cursor, cursor)
         elif el.tag == "backup":
-            cursor -= _duration_units(el, state, diags, loc)
+            cursor -= _duration_units(el.findtext("duration"), "backup", state, diags, loc)
             if cursor < 0:
                 diags.warn(loc, "backup before start of measure; clamped")
                 cursor = 0
         elif el.tag == "forward":
-            dur = _duration_units(el, state, diags, loc)
+            dur = _duration_units(el.findtext("duration"), "forward", state, diags, loc)
             if dur < 0:
                 diags.warn(loc, f"forward duration {Fraction(dur, state.unit)} negative; skipped")
                 diags.skip("non-positive-duration")
@@ -292,6 +285,7 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
     return sig, fifths
 
 
+@lru_cache(maxsize=1024)  # bounded: the keys are input text
 def _read_decimal(text: str):
     """An ``xs:decimal`` element value: an int when written as one, else a
     Fraction; ValueError when it is neither."""
@@ -331,76 +325,85 @@ def _sound_tempo(el, diags, loc) -> Optional[float]:
     return bpm
 
 
-def _duration_units(el, state, diags, loc) -> int:
-    d = el.findtext("duration")
-    if not d:
-        diags.warn(loc, f"<{el.tag}> without duration")
+def _duration_units(text, tag, state, diags, loc) -> int:
+    """A ``<tag>``'s ``<duration>`` text (None when it has none) in units."""
+    if not text:
+        diags.warn(loc, f"<{tag}> without duration")
         return 0
-    duration = _decimal(d, "duration", diags, loc)
+    duration = _decimal(text, "duration", diags, loc)
     return 0 if duration is None else _units(duration, state.per_division)
 
 
 def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
-    is_chord = el.find("chord") is not None
-    is_grace = el.find("grace") is not None
-    voice = el.findtext("voice") or "1"
+    # One walk over the children; of a repeated child the first counts, as
+    # ``find`` would return it. ``flags`` holds the tags of the others.
+    pitch_el = duration = voice = lyric_el = None
+    dots = lyrics = 0
+    tie_types = flags = ()
+    for child in el:
+        tag = child.tag
+        if tag == "pitch":
+            pitch_el = child if pitch_el is None else pitch_el
+        elif tag == "duration":
+            duration = (child.text or "") if duration is None else duration
+        elif tag == "lyric":
+            lyric_el = child if lyric_el is None else lyric_el
+            lyrics += 1
+        elif tag == "voice":
+            voice = (child.text or "") if voice is None else voice
+        elif tag == "dot":
+            dots += 1
+        elif tag == "tie":
+            tie_types += (child.get("type"),)
+        else:
+            flags += (tag,)
+    is_chord = "chord" in flags
+    is_grace = "grace" in flags
+    voice = voice or "1"
 
-    if el.find("cue") is not None:
+    if "cue" in flags:
         diags.skip("cue")
         if not is_chord and not is_grace:
-            dur = _duration_units(el, state, diags, loc)
+            dur = _duration_units(duration, "note", state, diags, loc)
             return cursor + dur, cursor
         return cursor, prev_onset
 
-    dur = 0 if is_grace else _duration_units(el, state, diags, loc)
+    dur = 0 if is_grace else _duration_units(duration, "note", state, diags, loc)
     onset = prev_onset if is_chord else cursor
 
-    dots = len(el.findall("dot"))
     if dots > 2:
         diags.warn(loc, f"{dots} dots clamped to 2")
         dots = 2
 
-    keep = True
     pitch = None
     kind = "rest"
-    if el.find("rest") is not None:
-        kind = "rest"
-    elif el.find("unpitched") is not None:
+    if "rest" in flags:
+        keep = True
+    elif "unpitched" in flags:
         diags.skip("unpitched")
         keep = False
+    elif pitch_el is None:
+        diags.warn(loc, "note without pitch or rest; skipped")
+        keep = False
     else:
-        pitch_el = el.find("pitch")
-        if pitch_el is None:
-            diags.warn(loc, "note without pitch or rest; skipped")
-            keep = False
-        else:
-            pitch = _parse_pitch(pitch_el, diags, loc)
-            kind = "note"
-            if pitch is None:
-                keep = False
+        kind = "note"
+        pitch = _parse_pitch(pitch_el, diags, loc)
+        keep = pitch is not None
 
-    tie = "none"
-    if kind == "note":
-        tie_types = {t.get("type") for t in el.findall("tie")}
-        if {"start", "stop"} <= tie_types:
-            tie = "continue"
-        elif "start" in tie_types:
-            tie = "start"
-        elif "stop" in tie_types:
-            tie = "stop"
+    tie = _TIE_STATES["start" in tie_types, "stop" in tie_types] if kind == "note" else "none"
 
     lyric = None
-    lyric_els = el.findall("lyric")
-    if lyric_els:
-        text = (lyric_els[0].findtext("text") or "").strip()
-        syllabic = (lyric_els[0].findtext("syllabic") or "single").strip()
+    if lyrics:
+        texts = {child.tag: child.text or "" for child in reversed(lyric_el)}  # first wins
+        text = texts.get("text", "").strip()
+        syllabic = (texts.get("syllabic") or "single").strip()
         if syllabic not in ("single", "begin", "middle", "end"):
             syllabic = "single"
         if text:
             lyric = Lyric(text=text, syllabic=syllabic)
             raw.has_lyrics = True
-        if len(lyric_els) > 1:
-            diags.skip("lyric-verse", len(lyric_els) - 1)
+        if lyrics > 1:
+            diags.skip("lyric-verse", lyrics - 1)
 
     if keep and kind == "rest" and dur == 0 and not is_grace:
         keep = False  # zero-length rest carries no information
@@ -411,12 +414,7 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
         dur = max(dur, -onset)  # the cursor stops at the measure start
 
     if keep:
-        raw.notes.append(
-            _RawNote(
-                kind=kind, measure_index=mi, offset=onset, duration=dur,
-                pitch=pitch, tie=tie, dots=dots, lyric=lyric, grace=is_grace,
-            )
-        )
+        raw.notes.append((mi, onset, dur, kind, pitch, tie, dots, lyric, is_grace))
 
     if not is_chord and not is_grace:
         state.voice_sums[voice] = state.voice_sums.get(voice, 0) + dur
@@ -425,19 +423,36 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
 
 
 def _parse_pitch(pitch_el, diags, loc) -> Optional[SpelledPitch]:
-    step = (pitch_el.findtext("step") or "").strip().upper()
-    octave_text = pitch_el.findtext("octave")
-    alter_text = pitch_el.findtext("alter")
+    step = alter = octave = None  # each the first such child's text, as findtext reads it
+    for child in pitch_el:
+        tag = child.tag
+        if tag == "step" and step is None:
+            step = child.text or ""
+        elif tag == "octave" and octave is None:
+            octave = child.text or ""
+        elif tag == "alter" and alter is None:
+            alter = child.text or ""
+    pitch, warnings = _read_pitch(step or "", alter, octave)
+    for message in warnings:
+        diags.warn(loc, message)
+    return pitch
+
+
+@lru_cache(maxsize=1024)  # bounded: the keys are input text
+def _read_pitch(step: str, alter: Optional[str], octave: Optional[str]):
+    """The pitch a ``<pitch>``'s step, alter and octave texts spell, or None,
+    with the warnings reading it costs."""
+    warnings = []
     try:
-        alter_f = float(alter_text) if alter_text else 0.0
+        alter_f = float(alter) if alter else 0.0
         if alter_f != int(alter_f):
-            diags.warn(loc, f"microtonal alter {alter_f} rounded")
-        pitch = spelled_pitch(step, int(round(alter_f)), int(octave_text))
+            warnings.append(f"microtonal alter {alter_f} rounded")
+        pitch = spelled_pitch(step.strip().upper(), int(round(alter_f)), int(octave))
         midi_number(pitch)  # range validation
-        return pitch
+        return pitch, tuple(warnings)
     except (TypeError, ValueError, PitchRangeError) as exc:
-        diags.warn(loc, f"unusable pitch skipped: {exc}")
-        return None
+        warnings.append(f"unusable pitch skipped: {exc}")
+        return None, tuple(warnings)
 
 
 def _parse_direction(el, mi, cursor, raw, state, diags, tempo_raw, loc):
@@ -499,13 +514,12 @@ def _parse_metronome(el, diags, loc) -> Optional[float]:
 
 def _check_measure_durations(raw, mi, state, diags):
     num, den = state.active_sig or (4, 4)
-    expected = Fraction(num * 4, den)  # quarters
     for voice, total in state.voice_sums.items():
         if total != 0 and total * den != num * 4 * state.unit:
             diags.warn(
                 f"part {raw.xml_id} measure {mi}",
                 f"voice {voice} sums to {Fraction(total, state.unit)} quarters, "
-                f"signature says {expected}",
+                f"signature says {Fraction(num * 4, den)}",
             )
 
 
@@ -533,16 +547,12 @@ def _build_score(source_id, raw_parts, unit, time_signatures, key_fifths, tempo_
         lengths.append(Fraction(content, unit) if content > 0 else nominal)
     # the coarsest base in which every length and every time read is whole:
     # the units read need unit / gcd(unit, *them) ticks per quarter
-    read = gcd(
-        unit,
-        *(u for rp in raw_parts for n in rp.notes for u in (n.offset, n.duration)),
-        *(off for rp in raw_parts for _mi, off, _token in rp.dynamics),
-    )
+    read = gcd(unit, *(off for rp in raw_parts for _mi, off, _token in rp.dynamics))
+    for rp in raw_parts:  # with each note's offset and duration
+        read = gcd(read, *map(itemgetter(1), rp.notes), *map(itemgetter(2), rp.notes))
     tpq = lcm(tick_base(lengths), unit // read)
-    offsets = [to_ticks(q, tpq) for q in accumulate(lengths[:-1], initial=Fraction(0))]
-
-    def ticks(measure_index: int, units: int) -> int:
-        return offsets[measure_index - 1] + units * tpq // unit  # exact: see tpq
+    offsets = list(accumulate((to_ticks(q, tpq) for q in lengths[:-1]), initial=0))
+    # a time read in units is offsets[measure - 1] + units * tpq // unit ticks, exactly
 
     parts = []
     ordinals = OrdinalAllocator()
@@ -552,21 +562,13 @@ def _build_score(source_id, raw_parts, unit, time_signatures, key_fifths, tempo_
         ordinal = ordinals.assign(sound, explicit)
 
         events = tuple(
-            NoteEvent(
-                kind=n.kind,
-                onset=ticks(n.measure_index, n.offset),
-                duration=n.duration * tpq // unit,
-                measure_index=n.measure_index,
-                pitch=n.pitch,
-                tie=n.tie,
-                dots=n.dots,
-                lyric=n.lyric,
-                grace=n.grace,
-            )
-            for n in sorted(rp.notes, key=lambda n: (n.measure_index, n.offset))
+            NoteEvent(kind, offsets[mi - 1] + offset * tpq // unit, duration * tpq // unit, mi,
+                      pitch, tie, dots, lyric, grace)
+            for mi, offset, duration, kind, pitch, tie, dots, lyric, grace
+            in sorted(rp.notes, key=itemgetter(0, 1))
         )
         dyn = tuple(
-            (ticks(mi, off), token)
+            (offsets[mi - 1] + off * tpq // unit, token)
             for mi, off, token in sorted(rp.dynamics, key=lambda d: (d[0], d[1]))
         )
         parts.append(

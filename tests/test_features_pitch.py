@@ -342,6 +342,14 @@ class TestMelody:
         assert out["LargestAscending"] == 2
         assert out["LargestDescending"] == 4
 
+    def test_descending_whole_tone_is_stepwise(self):
+        p = part([note("D", onset=0, dur=1), note("C", onset=1, dur=1),
+                  note("G", onset=2, dur=1)])
+        out = run_module("melody", p)  # intervals -2, +7
+        assert out["StepwiseFrac"] == 0.5
+        assert out["LeapFrac"] == 0.5
+        assert out["LargestDescending"] == 2
+
     def test_monotone_scale_never_descends(self):
         p = part([note("CDEFGAB"[i], 4 + i // 7, onset=i, dur=1) for i in range(7)])
         assert run_module("melody", p)["DescendingFrac"] == 0.0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scorefeat import midi
 from scorefeat.midi import MidiError, import_midi
 from scorefeat.model import midi_number, note_count
-from util import midi_bytes, midi_meta_track, midi_note_events, quarters
+from util import midi_bytes, midi_meta_track, midi_note_events, midi_track, quarters
 
 
 def one_note_file(on=0, off=480, pitch=60, vel=80, tpq=480, meta=None):
@@ -179,6 +179,21 @@ class TestErrors:
         with pytest.raises(MidiError, match="truncated"):
             import_midi(data[:20])
 
+    def test_track_cut_at_every_byte_imports_or_is_truncated(self):
+        notes = [(0, 480, 60, 80), (480, 960, 62, 80), (960, 1440, 64, 80)]
+        body = midi_track(midi_meta_track(name="Flute", timesig=(3, 4)) + midi_note_events(notes))
+        header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480)
+        imported = truncated = 0
+        for cut in range(len(body) + 1):
+            data = header + b"MTrk" + struct.pack(">I", cut) + body[:cut]
+            try:
+                import_midi(data)
+                imported += 1
+            except MidiError as exc:
+                assert "truncated file while reading" in str(exc), (cut, exc)
+                truncated += 1
+        assert (len(body), imported, truncated) == (48, 10, 39)
+
     def test_not_midi(self):
         with pytest.raises(MidiError):
             import_midi(b"RIFFxxxx")
@@ -237,7 +252,7 @@ class TestSemantics:
     def test_every_velocity_byte_is_marked_as_the_nearest_level(self):
         from scorefeat.features.core import nearest_dynamic_token
 
-        velocities = range(1, 256)  # a data byte above 127 is malformed, and still read
+        velocities = range(1, 128)
         notes = [(480 * i, 480 * i + 240, 60, v) for i, v in enumerate(velocities)]
         score, _ = import_midi(midi_bytes([midi_note_events(notes)]))
         marks = dict(score.parts[0].dynamic_marks)
@@ -248,6 +263,30 @@ class TestSemantics:
                 expected.append((onset, token))
                 last = token
         assert list(marks.items()) == expected
+
+    def test_every_velocity_byte_over_127_skips_its_note_on(self):
+        for velocity in range(128, 256):  # a status byte where data belongs
+            notes = [(0, 480, 60, 80), (480, 960, 62, velocity), (960, 1440, 64, 80)]
+            score, diags = import_midi(midi_bytes([midi_note_events(notes)]))
+            assert [e.pitch.name for e in score.parts[0].events] == ["C4", "E4"]
+            assert diags.skipped_elements == {"bad-data-byte": 1}
+            assert diags.warnings == [("track 0", f"data byte over 0x7f in event 90 3e "
+                                                  f"{velocity:02x} at tick 480; skipped")]
+
+    def test_bad_data_byte_skips_only_its_event(self):
+        # a program change to 0xC8 and a note-off for 0xBE: the program stays
+        # 0 (piano) and the first note sounds to the track end
+        events = [(0, bytes([0xC0, 0xC8]))] + midi_note_events([(0, 480, 60, 80)])
+        events[-1] = (480, bytes([0x80, 0xBE, 0]))
+        events.append((960, bytes([0x90, 62, 80])))
+        events.append((1440, bytes([0x80, 62, 0])))
+        score, diags = import_midi(midi_bytes([events]))
+        assert score.parts[0].instrument_sound == "piano"
+        assert [(e.pitch.name, quarters(score, e.duration))
+                for e in score.parts[0].events] == [("C4", 3), ("D4", 1)]
+        assert diags.skipped_elements == {"bad-data-byte": 2}
+        assert len(diags.warnings) == 3
+        assert "unterminated note 60" in diags.warnings[-1][1]
 
     def test_note_count_matches_paired_note_ons(self):
         rng = random.Random(99)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from scorefeat import musicxml
-from scorefeat.model import midi_number, note_count
+from scorefeat.model import Lyric, midi_number, note_count
 from scorefeat.musicxml import MusicXMLError, parse_musicxml
 from util import musicxml_doc, mxl_bytes, quarters, random_musicxml
 
@@ -295,6 +295,18 @@ _NEGATIVE_THEN_POSITIVE_FORWARD = _edge_doc(
     divisions=1, replace=((_THIRD_NOTE, _THIRD_NOTE + b"<forward><duration>-2</duration>"
                            b"</forward><forward><duration>2</duration></forward>"),))
 
+# A note that repeats each child it reads: the first of each counts, as
+# ``find`` reads it, and its warnings come in the order the parser meets them.
+# The note after it has the same microtonal pitch and warns again.
+_REPEATED = _edge_doc(
+    [[{"step": "C", "dur": 4}, {"step": "D", "alter": "0.5", "dur": 4}]],
+    after_first_note=b"<note><pitch><step>D</step><alter>0.5</alter><alter>-1</alter>"
+    b"<octave>4</octave></pitch><pitch><step>G</step><octave>5</octave></pitch>"
+    b"<duration>8</duration><duration>4</duration><voice>1</voice><voice>2</voice>"
+    b'<tie type="start"/><tie type="stop"/><dot/><dot/><dot/>'
+    b"<lyric><syllabic>begin</syllabic><text>la</text></lyric>"
+    b"<lyric><syllabic>end</syllabic><text>lo</text></lyric></note>")
+
 # Documents whose times the parser reaches by a different route than plain
 # integer divisions, each with the exact times it must give: (document, ticks
 # per quarter, measure offsets, (onset, duration) per event and dynamic mark
@@ -354,6 +366,9 @@ EDGE_DOCS = {
         _SEVEN_AND_NINE, 63, [0],
         [(0, Fraction(3, 7)), (Fraction(3, 7), Fraction(4, 7)), (1, 3),
          (0, Fraction(2, 9)), (Fraction(2, 9), Fraction(7, 9)), (1, 3)], [], []),
+    "repeated note children": (
+        _REPEATED, 1, [0], [(0, 1), (1, 2), (3, 1)], [],
+        ["3 dots clamped to 2", "microtonal alter 0.5 rounded", "microtonal alter 0.5 rounded"]),
     "empty 3/8 measure at divisions 1": (
         _edge_doc([[], [{"step": "C", "dur": 1}]], divisions=1, beats=3, beat_type=8),
         2, [0, Fraction(3, 2)], [(Fraction(3, 2), 1)], [],
@@ -389,6 +404,16 @@ class TestBadTimeValues:
         doc = EDGE_DOCS["time signature 3/0"][0]
         score, _ = parse_musicxml(doc)
         assert score.time_signatures == ((1, 4, 4),)
+
+
+class TestRepeatedChildren:
+    def test_the_first_of_each_child_is_read(self):
+        score, diags = parse_musicxml(_REPEATED)
+        note = score.parts[0].events[1]
+        assert (note.pitch.name, note.tie, note.dots) == ("D4", "continue", 2)
+        assert note.lyric == Lyric("la", "begin")
+        assert score.parts[0].events[2].pitch.name == "D4"
+        assert diags.skipped_elements == {"lyric-verse": 1}
 
 
 class TestRoundTrip:
