@@ -191,7 +191,9 @@ def _parse_track(body, track, tempo_events, sig_events, key_events, diags):
     while pos < end:
         delta, pos = _vlq(body, pos)
         tick += delta
-        status = _take(body, pos, 1, "event status")[0]
+        if pos >= end:
+            raise MidiError("truncated file while reading event status")
+        status = body[pos]
         if status < 0x80:
             if running is None:
                 raise MidiError("data byte with no running status")
@@ -200,7 +202,9 @@ def _parse_track(body, track, tempo_events, sig_events, key_events, diags):
             pos += 1
         if status == 0xFF:
             running = None
-            meta = _take(body, pos, 1, "meta type")[0]
+            if pos >= end:
+                raise MidiError("truncated file while reading meta type")
+            meta = body[pos]
             length, pos = _vlq(body, pos + 1)
             payload = _take(body, pos, length, "meta payload")
             pos += length
@@ -229,22 +233,26 @@ def _parse_track(body, track, tempo_events, sig_events, key_events, diags):
             running = status
             kind = status & 0xF0
             if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                data = _take(body, pos, 2, "data byte")
+                n = 2
             elif kind in (0xC0, 0xD0):
-                data = _take(body, pos, 1, "data byte")
+                n = 1
             else:
                 raise MidiError(f"unknown status byte 0x{status:02x}")
-            pos += len(data)
-            if not data.isascii():  # a byte over 0x7F
+            if pos + n > end:
+                raise MidiError("truncated file while reading data byte")
+            d1 = body[pos]
+            d2 = body[pos + 1] if n == 2 else 0
+            pos += n
+            if d1 > 0x7F or d2 > 0x7F:
                 diags.warn(f"track {track.index}", f"data byte over 0x7f in event "
-                           f"{status:02x} {data.hex(' ')} at tick {tick}; skipped")
+                           f"{status:02x} {body[pos - n:pos].hex(' ')} at tick {tick}; skipped")
                 diags.skip("bad-data-byte")
             elif kind == 0x90:
-                track.notes.append((tick, status & 0x0F, data[0], data[1], data[1] > 0))
+                track.notes.append((tick, status & 0x0F, d1, d2, d2 > 0))
             elif kind == 0x80:
-                track.notes.append((tick, status & 0x0F, data[0], data[1], False))
+                track.notes.append((tick, status & 0x0F, d1, d2, False))
             elif kind == 0xC0:
-                track.programs.append((tick, status & 0x0F, data[0]))
+                track.programs.append((tick, status & 0x0F, d1))
     track.end_tick = tick
 
 

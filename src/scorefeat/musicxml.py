@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .diagnostics import ParseDiagnostics
 from .features.core import DEFAULT_DYNAMIC_LEVELS
@@ -68,19 +68,34 @@ _BEAT_UNIT_QUARTERS = {
 _TIE_STATES = {(False, False): "none", (True, False): "start", (False, True): "stop",
                (True, True): "continue"}
 
+# Longest step, alter and octave texts, in all, that _read_spelling memoizes
+_MEMO_CHARS = 8
+
 
 class MusicXMLError(ValueError):
     """Fatal structural problem in a MusicXML document."""
+
+
+class _RawNote(NamedTuple):
+    """A parsed note before absolute onsets are known, timed in the
+    document's units (see ``_document_unit``)."""
+
+    measure_index: int
+    offset: int  # units from measure start
+    duration: int
+    kind: str
+    pitch: Optional[SpelledPitch]
+    tie: str
+    dots: int
+    lyric: Optional[Lyric]
+    grace: bool
 
 
 @dataclass
 class _RawPart:
     xml_id: str
     name: str
-    # (measure index, offset from measure start, duration, kind, pitch, tie,
-    # dots, lyric, grace) per note, timed in the document's units (see
-    # _document_unit) before absolute onsets are known
-    notes: list[tuple] = field(default_factory=list)
+    notes: list[_RawNote] = field(default_factory=list)
     dynamics: list[tuple[int, int, str]] = field(default_factory=list)
     measure_lengths: list[int] = field(default_factory=list)
     has_lyrics: bool = False
@@ -285,7 +300,6 @@ def _parse_measure(measure_el, mi, raw, state, diags, tempo_raw):
     return sig, fifths
 
 
-@lru_cache(maxsize=1024)  # bounded: the keys are input text
 def _read_decimal(text: str):
     """An ``xs:decimal`` element value: an int when written as one, else a
     Fraction; ValueError when it is neither."""
@@ -414,7 +428,7 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
         dur = max(dur, -onset)  # the cursor stops at the measure start
 
     if keep:
-        raw.notes.append((mi, onset, dur, kind, pitch, tie, dots, lyric, is_grace))
+        raw.notes.append(_RawNote(mi, onset, dur, kind, pitch, tie, dots, lyric, is_grace))
 
     if not is_chord and not is_grace:
         state.voice_sums[voice] = state.voice_sums.get(voice, 0) + dur
@@ -432,24 +446,30 @@ def _parse_pitch(pitch_el, diags, loc) -> Optional[SpelledPitch]:
             octave = child.text or ""
         elif tag == "alter" and alter is None:
             alter = child.text or ""
-    pitch, warnings = _read_pitch(step or "", alter, octave)
+    step = step or ""
+    # only short texts are memoized, so no long input text outlives the parse
+    short = len(step) + len(alter or "") + len(octave or "") <= _MEMO_CHARS
+    spelling, warnings = (_read_spelling if short else _read_spelling.__wrapped__)(
+        step, alter, octave
+    )
     for message in warnings:
         diags.warn(loc, message)
-    return pitch
+    return None if spelling is None else spelled_pitch(*spelling)
 
 
-@lru_cache(maxsize=1024)  # bounded: the keys are input text
-def _read_pitch(step: str, alter: Optional[str], octave: Optional[str]):
-    """The pitch a ``<pitch>``'s step, alter and octave texts spell, or None,
-    with the warnings reading it costs."""
+@lru_cache(maxsize=1024)
+def _read_spelling(step: str, alter: Optional[str], octave: Optional[str]):
+    """The ``(step, alter, octave)`` a ``<pitch>``'s texts spell, or None, with
+    the warnings reading them costs. The spelling is checked before
+    ``spelled_pitch`` sees it, so that cache holds only pitches that import."""
     warnings = []
     try:
         alter_f = float(alter) if alter else 0.0
         if alter_f != int(alter_f):
             warnings.append(f"microtonal alter {alter_f} rounded")
-        pitch = spelled_pitch(step.strip().upper(), int(round(alter_f)), int(octave))
-        midi_number(pitch)  # range validation
-        return pitch, tuple(warnings)
+        spelling = (step.strip().upper(), int(round(alter_f)), int(octave))
+        midi_number(SpelledPitch(*spelling))  # step, alter and range validation
+        return spelling, tuple(warnings)
     except (TypeError, ValueError, PitchRangeError) as exc:
         warnings.append(f"unusable pitch skipped: {exc}")
         return None, tuple(warnings)
@@ -549,7 +569,8 @@ def _build_score(source_id, raw_parts, unit, time_signatures, key_fifths, tempo_
     # the units read need unit / gcd(unit, *them) ticks per quarter
     read = gcd(unit, *(off for rp in raw_parts for _mi, off, _token in rp.dynamics))
     for rp in raw_parts:  # with each note's offset and duration
-        read = gcd(read, *map(itemgetter(1), rp.notes), *map(itemgetter(2), rp.notes))
+        read = gcd(read, *map(attrgetter("offset"), rp.notes),
+                   *map(attrgetter("duration"), rp.notes))
     tpq = lcm(tick_base(lengths), unit // read)
     offsets = list(accumulate((to_ticks(q, tpq) for q in lengths[:-1]), initial=0))
     # a time read in units is offsets[measure - 1] + units * tpq // unit ticks, exactly
@@ -562,10 +583,10 @@ def _build_score(source_id, raw_parts, unit, time_signatures, key_fifths, tempo_
         ordinal = ordinals.assign(sound, explicit)
 
         events = tuple(
-            NoteEvent(kind, offsets[mi - 1] + offset * tpq // unit, duration * tpq // unit, mi,
-                      pitch, tie, dots, lyric, grace)
-            for mi, offset, duration, kind, pitch, tie, dots, lyric, grace
-            in sorted(rp.notes, key=itemgetter(0, 1))
+            NoteEvent(n.kind, offsets[n.measure_index - 1] + n.offset * tpq // unit,
+                      n.duration * tpq // unit, n.measure_index, n.pitch, n.tie, n.dots,
+                      n.lyric, n.grace)
+            for n in sorted(rp.notes, key=attrgetter("measure_index", "offset"))
         )
         dyn = tuple(
             (offsets[mi - 1] + off * tpq // unit, token)

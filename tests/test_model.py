@@ -94,6 +94,15 @@ class TestInternedSpellings:
         first, *others = [s.parts[0].events[0].pitch for s in (xml, mid, cached)]
         assert all(p is first for p in others)
 
+    def test_a_spelling_out_of_range_is_not_interned(self):
+        # so reading one cannot evict a pitch that imports from the cache
+        doc = musicxml_doc([("Violin", [[{"step": "C", "octave": 99, "dur": 16}]])])
+        before = spelled_pitch.cache_info()
+        _score, diags = parse_musicxml(doc)
+        assert "outside 0..127" in diags.warnings[0][1]
+        after = spelled_pitch.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_a_float_read_from_an_entry_is_interned_apart(self):
         decoded = spelled_pitch("C", 0.0, 4)
         assert spelled_pitch("C", 0, 4) is not decoded

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -414,6 +416,32 @@ class TestRepeatedChildren:
         assert note.lyric == Lyric("la", "begin")
         assert score.parts[0].events[2].pitch.name == "D4"
         assert diags.skipped_elements == {"lyric-verse": 1}
+
+
+class TestLongTexts:
+    def test_padded_and_long_texts_are_not_kept_after_the_parse(self):
+        def doc(n):
+            pad = " " * n
+            return musicxml_doc([("Violin", [[
+                {"step": "C" + pad, "octave": pad + "4", "dur": "8" + pad},
+                {"step": "D", "alter": "0" * n + "1", "dur": 4},
+                {"step": "X" * (n + 1), "dur": 4},
+            ]])])
+
+        parse_musicxml(doc(1))  # fills every cache the short texts reach
+        big = doc(1_000_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score, diags = parse_musicxml(big)
+            assert [e.pitch.name for e in score.parts[0].events] == ["C4", "D#4"]
+            assert "invalid step" in diags.warnings[0][1]
+            del score, diags
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
 
 
 class TestRoundTrip:
