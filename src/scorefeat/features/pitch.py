@@ -315,11 +315,6 @@ def _melody_cells(summary: MelodySummary, prefix: str = "") -> dict:
     return out
 
 
-def melody_from_intervals(intervals: Sequence[tuple[int, str]]) -> dict:
-    """The melody cells of one list of (semitones, name) intervals."""
-    return _melody_cells(_summarise(Counter(intervals).items()))
-
-
 def melody_features(score: Score) -> dict:
     """Part, sound and family melody cells, each merged from one interval
     summary per part."""

@@ -336,17 +336,6 @@ def sounding_measures(part: Part) -> set[int]:
     return set(part.notes.measure)
 
 
-def merged_durations(part: Part) -> list[tuple[NoteEvent, int]]:
-    """(chain-head event, full duration in ticks) per counted note, with tie
-    continuations folded into their chain head."""
-    return list(zip(part.notes.heads, part.notes.merged))
-
-
-def melodic_line(part: Part) -> list[NoteEvent]:
-    """Counted notes reduced to one per onset: the highest chord notehead."""
-    return [part.notes.heads[i] for i in part.notes.line]
-
-
 def governing_indices(positions: Sequence, queries: Iterable) -> list[int]:
     """For each query, the index of the mark that governs it, or -1.
 

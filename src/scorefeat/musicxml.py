@@ -44,7 +44,7 @@ from .model import (
 )
 
 PARSER_ID = "musicxml"
-PARSER_VERSION = "6"
+PARSER_VERSION = "7"
 
 DYNAMIC_TOKENS = frozenset(DEFAULT_DYNAMIC_LEVELS)
 
@@ -379,6 +379,10 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
         diags.skip("cue")
         if not is_chord and not is_grace:
             dur = _duration_units(duration, "note", state, diags, loc)
+            if dur < 0:
+                diags.warn(loc, f"cue duration {Fraction(dur, state.unit)} negative")
+                diags.skip("non-positive-duration")
+                dur = max(dur, -cursor)  # the cursor stops at the measure start
             return cursor + dur, cursor
         return cursor, prev_onset
 
@@ -470,7 +474,7 @@ def _read_spelling(step: str, alter: Optional[str], octave: Optional[str]):
         spelling = (step.strip().upper(), int(round(alter_f)), int(octave))
         midi_number(SpelledPitch(*spelling))  # step, alter and range validation
         return spelling, tuple(warnings)
-    except (TypeError, ValueError, PitchRangeError) as exc:
+    except (TypeError, ValueError, OverflowError, PitchRangeError) as exc:
         warnings.append(f"unusable pitch skipped: {exc}")
         return None, tuple(warnings)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .table import Cell, FeatureTable, IDENTITY_COLUMNS
 
@@ -72,7 +72,7 @@ def merge_statistics(values: Sequence[float], stats: Sequence[str]) -> dict[str,
     return {stat: _STATISTICS[stat](values) if values else None for stat in stats}
 
 
-def _match_columns(pattern: str, columns: Sequence[str], what: str) -> list[str]:
+def _match_columns(pattern: str, columns: Iterable[str], what: str) -> list[str]:
     try:
         rx = re.compile(pattern)
     except re.error as exc:
@@ -86,16 +86,14 @@ def _match_columns(pattern: str, columns: Sequence[str], what: str) -> list[str]
 def process(table: FeatureTable, config: ProcessorConfig) -> FeatureTable:
     """Clean and reshape a feature table; row count and identity survive.
 
-    The table is turned into (name, cells) columns once, each step acts on
-    whole columns, and the result is turned back into rows once.
+    Each step acts on whole columns; the input table is left unchanged.
     """
-    names = table.columns
-    columns = dict(zip(names, zip(*table.rows) if table.rows else [()] * len(names)))
+    columns = table.columns
     merged: list[tuple[str, Sequence[Cell]]] = []
     to_drop: set[str] = set()
 
     for group in config.merge_groups:
-        members = [c for c in _match_columns(group.pattern, names, "merge")
+        members = [c for c in _match_columns(group.pattern, columns, "merge")
                    if c not in IDENTITY_COLUMNS]
         if not members:
             continue
@@ -111,24 +109,23 @@ def process(table: FeatureTable, config: ProcessorConfig) -> FeatureTable:
             to_drop.update(members)
 
     for pattern in config.drop_columns:
-        to_drop.update(_match_columns(pattern, names, "drop"))
+        to_drop.update(_match_columns(pattern, columns, "drop"))
     to_drop.difference_update(IDENTITY_COLUMNS)
-    out = [(name, cells) for name, cells in columns.items() if name not in to_drop] + merged
+    out = {name: cells for name, cells in columns.items() if name not in to_drop}
+    for name, cells in merged:
+        if name in out:
+            raise ProcessError(f"duplicate column names: {name!r}")
+        out[name] = cells
 
-    replace: set[str] = set()
     for pattern in config.replace_missing_with_zero:
-        replace.update(_match_columns(pattern, [name for name, _ in out], "replace"))
-    replace.difference_update(IDENTITY_COLUMNS)
-    out = [(name, [0 if v is None else v for v in cells] if name in replace else cells)
-           for name, cells in out]
+        for name in _match_columns(pattern, out, "replace"):
+            if name not in IDENTITY_COLUMNS:
+                out[name] = [0 if v is None else v for v in out[name]]
 
-    missing = [name not in IDENTITY_COLUMNS and all(v is None for v in cells)
-               for name, cells in out]
-    if any(missing):
-        dropped = ", ".join(name for (name, _), gone in zip(out, missing) if gone)
-        log.info("dropping all-missing columns: %s", dropped)
-        out = [column for column, gone in zip(out, missing) if not gone]
-
-    out_cells = [cells for _, cells in out]
-    rows = [list(row) for row in zip(*out_cells)] if out else [[] for _ in table.rows]
-    return FeatureTable(columns=[name for name, _ in out], rows=rows)
+    missing = [name for name, cells in out.items()
+               if name not in IDENTITY_COLUMNS and all(v is None for v in cells)]
+    if missing:
+        log.info("dropping all-missing columns: %s", ", ".join(missing))
+        for name in missing:
+            del out[name]
+    return FeatureTable(out, table.num_rows)

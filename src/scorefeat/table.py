@@ -1,4 +1,4 @@
-"""Tabular feature container: named columns x rows with missing cells.
+"""Tabular feature container: named columns of cells, stored column by column.
 
 Cells are numbers, text, or None (missing). CSV output is RFC-4180 quoted
 UTF-8 with missing cells as empty strings and floats in shortest round-trip
@@ -43,71 +43,57 @@ def as_cell(value) -> Cell:
 
 @dataclass
 class FeatureTable:
-    """One row per score or window, one column per feature."""
+    """One row per score or window, one column per feature: ``columns`` maps
+    each name, in first-seen order, to its ``num_rows`` cells."""
 
-    columns: list[str] = field(default_factory=list)
-    rows: list[list[Cell]] = field(default_factory=list)
+    columns: dict[str, list[Cell]] = field(default_factory=dict)
+    num_rows: int = 0
 
     def __post_init__(self):
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column names")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match column count")
+        if any(len(cells) != self.num_rows for cells in self.columns.values()):
+            raise ValueError("column length does not match row count")
 
     @classmethod
     def from_rows(cls, records: Iterable[Mapping[str, object]]) -> "FeatureTable":
         """One row per record. Columns are the union of the record keys in
         first-seen order; a name a record lacks is a missing cell."""
         records = list(records)
-        columns = list(dict.fromkeys(name for record in records for name in record))
-        index = {name: i for i, name in enumerate(columns)}
-        rows = []
-        for record in records:
-            row: list[Cell] = [None] * len(columns)
+        columns: dict[str, list[Cell]] = {}
+        for i, record in enumerate(records):
             for name, value in record.items():
-                row[index[name]] = as_cell(value)
-            rows.append(row)
-        return cls(columns=columns, rows=rows)
+                cells = columns.get(name)
+                if cells is None:  # made at full length, so no column list regrows
+                    cells = columns[name] = [None] * len(records)
+                cells[i] = value if type(value) in _PLAIN_CELL_TYPES else as_cell(value)
+        return cls(columns, len(records))
 
-    def column(self, name: str) -> list[Cell]:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
-    def row_mapping(self, i: int) -> dict[str, Cell]:
-        return dict(zip(self.columns, self.rows[i]))
+    def _rows(self) -> Iterable[tuple[Cell, ...]]:
+        return zip(*self.columns.values()) if self.columns else [()] * self.num_rows
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        writer.writerows(self.rows)  # None -> empty field, floats by repr
+        writer.writerows(self._rows())  # None -> empty field, floats by repr
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureTable":
         reader = csv.reader(io.StringIO(text))
-        try:
-            columns = next(reader)
-        except StopIteration:
-            return cls()
-        rows = [[_parse_cell(c) for c in row] for row in reader]
-        return cls(columns=columns, rows=rows)
+        names = next(reader, [])
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate column names")
+        rows = list(reader)
+        if any(len(row) != len(names) for row in rows):
+            raise ValueError("row width does not match column count")
+        cells = zip(*rows) if rows else [()] * len(names)
+        return cls({name: list(map(_parse_cell, column)) for name, column in zip(names, cells)},
+                   len(rows))
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(dict(zip(self.columns, row)), ensure_ascii=False)
-            for row in self.rows
-        ]
+        lines = [json.dumps(dict(zip(self.columns, row)), ensure_ascii=False)
+                 for row in self._rows()]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def sorted_by(self, *key_columns: str) -> "FeatureTable":
-        idx = [self.columns.index(c) for c in key_columns]
-
-        def key(row):
-            return tuple((row[i] is None, row[i]) for i in idx)
-
-        return FeatureTable(columns=list(self.columns), rows=sorted(self.rows, key=key))
 
 
 def _parse_cell(text: str) -> Cell:

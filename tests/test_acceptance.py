@@ -32,6 +32,7 @@ from util import (
     random_model_score,
     random_musicxml,
     score,
+    sorted_by,
 )
 
 
@@ -102,9 +103,9 @@ def test_criterion_1_windowing(tmp_path):
         path.write_bytes(musicxml_doc([("Violin", measures)]))
 
         table = extract(ExtractorConfig(window_size=3, window_overlap=2), [path])
-        assert len(table.rows) == 8
+        assert table.num_rows == 8
 
-        spans = list(zip(table.column("WindowStart"), table.column("WindowEnd")))
+        spans = list(zip(table.columns["WindowStart"], table.columns["WindowEnd"]))
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             shared = set(range(s1, e1 + 1)) & set(range(s2, e2 + 1))
             assert len(shared) == 2  # consecutive windows share exactly 2 measures
@@ -235,30 +236,28 @@ def test_criterion_5_postprocessing(tmp_path):
         (tmp_path / "b.musicxml").write_bytes(plain)
         table = extract(ExtractorConfig(),
                         [tmp_path / "a.musicxml", tmp_path / "b.musicxml"])
-        assert any(cell is None for row in table.rows for cell in row)
+        assert any(cell is None for cells in table.columns.values() for cell in cells)
 
         cleaned = process(table, ProcessorConfig(replace_missing_with_zero=[".*"]))
-        assert sum(cell is None for row in cleaned.rows for cell in row) == 0
+        assert sum(cell is None for cells in cleaned.columns.values() for cell in cells) == 0
 
         stats = merge_statistics([8, 4], ["mean", "std"])
         assert stats["mean"] == 6.0 and stats["std"] == 2.0
 
         merged = process(
-            FeatureTable(columns=["PartViolinI_NumNotes", "PartViolinII_NumNotes"],
-                         rows=[[8, 4]]),
+            FeatureTable({"PartViolinI_NumNotes": [8], "PartViolinII_NumNotes": [4]}, 1),
             ProcessorConfig(merge_groups=[MergeGroup(pattern=r"PartViolin.*_NumNotes",
                                                      target="SoundViolin_NumNotes",
                                                      stats=("mean", "std"))]),
         )
-        row = merged.row_mapping(0)
-        assert row["SoundViolin_NumNotes_Mean"] == 6.0
-        assert row["SoundViolin_NumNotes_Std"] == 2.0
+        assert merged.columns["SoundViolin_NumNotes_Mean"] == [6.0]
+        assert merged.columns["SoundViolin_NumNotes_Std"] == [2.0]
 
 
 def test_criterion_6_determinism(corpus_runs):
     with criterion(6, "determinism and parallel equivalence"):
-        j1 = FeatureTable.from_csv(corpus_runs["j1_csv"]).sorted_by("FileName")
-        j8 = FeatureTable.from_csv(corpus_runs["j8_csv"]).sorted_by("FileName")
+        j1 = sorted_by(FeatureTable.from_csv(corpus_runs["j1_csv"]), "FileName")
+        j8 = sorted_by(FeatureTable.from_csv(corpus_runs["j8_csv"]), "FileName")
         assert j1.to_csv() == j8.to_csv()
         assert corpus_runs["j1_csv"] == corpus_runs["j8_csv"]  # already row-stable
         assert corpus_runs["uncached_csv"] == corpus_runs["cached_csv"]

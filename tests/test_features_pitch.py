@@ -20,7 +20,6 @@ from scorefeat.features.pitch import (
     interval_name,
     interval_sequence,
     key_features,
-    melody_from_intervals,
     profile_from_score,
     scale_degree_features,
 )
@@ -322,11 +321,18 @@ class TestIntervals:
         assert semis * direction == base + 12 * octaves + delta
 
 
+# MIDI number -> (step, octave, alter), spelled with sharps
+_SHARPS = {m: ("CCDDEFFGGAAB"[m % 12], m // 12 - 1, int(m % 12 in (1, 3, 6, 8, 10)))
+           for m in range(128)}
+
+
 class TestMelody:
-    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=60))
-    def test_abs_interval_mean_and_std_are_correctly_rounded(self, semis):
-        out = melody_from_intervals([(s, "x") for s in semis])
-        sizes = [Fraction(abs(s)) for s in semis]
+    @given(st.lists(st.integers(21, 108), min_size=2, max_size=61))
+    def test_abs_interval_mean_and_std_are_correctly_rounded(self, midi):
+        p = part([note(*_SHARPS[m], onset=i, dur=1, measure=i // 4 + 1)
+                  for i, m in enumerate(midi)])
+        out = run_module("melody", p)
+        sizes = [Fraction(abs(b - a)) for a, b in zip(midi, midi[1:])]
         mean = sum(sizes) / len(sizes)
         assert rounds_to(out["AbsIntervalMean"], mean)
         assert sqrt_rounds_to(out["AbsIntervalStd"],
@@ -377,11 +383,9 @@ class TestMelody:
         assert interval_sequence(p) == [(4, "M3")]
 
     def test_chord_voice_flag(self):
-        from scorefeat.model import melodic_line
-
         p = part([note("C", 4, onset=0, dur=1), note("E", 5, onset=0, dur=1),
                   note("D", 4, onset=1, dur=1)])
-        assert [e.pitch.name for e in melodic_line(p)] == ["E5", "D4"]
+        assert [p.notes.heads[i].pitch.name for i in p.notes.line] == ["E5", "D4"]
 
     def test_short_line_empty(self):
         assert interval_sequence(part([note("C")])) == []

@@ -1,8 +1,9 @@
-"""The CSV of the benchmark corpus, pinned byte for byte.
+"""The CSV and JSONL of the benchmark corpus, pinned byte for byte.
 
 The corpus, its config and its expected exit code are ``perfbench``'s, at
-seed 59, read and never changed here; the digests are the ``csv_sha256``
-its runs report. A change that moves any cell, column or row of the table
+seed 59, read and never changed here; the CSV digests are the ``csv_sha256``
+its runs report, and the JSONL digest is of the same run written with
+``--format jsonl``. A change that moves any cell, column or row of the table
 changes a digest, so it has to be declared and the digests renewed with it.
 """
 
@@ -23,6 +24,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 59
 WHOLE_SCORE_SHA256 = "4926759537857247810b590c70b5cf34ea9a5414e1904b5c75da48b16c497a28"
 WINDOWED_SHA256 = "91910b464402ad4af63c4a80b21c03244a87073b19092e15ff2d312a2a800941"
+WINDOWED_JSONL_SHA256 = "ab1910353311532a657a2ebcc7f59938d57ead66c29fefab97a796c72683bdbe"
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +37,20 @@ def bench():
         sys.path.remove(str(PERFBENCH))
 
 
-def _runs(bench, workdir: Path, workload, runs: int) -> list[tuple[str, int]]:
-    """(CSV sha256, cache hits) of ``runs`` back-to-back CLI runs over the
+def _runs(bench, workdir: Path, workload, runs: int, fmt: str = "csv") -> list[tuple[str, int]]:
+    """(output sha256, cache hits) of ``runs`` back-to-back CLI runs over the
     workload's corpus in ``workdir``, the current directory, sharing one
-    cache directory."""
+    cache directory; the output is written in format ``fmt``."""
     corpus, checks, run = bench
     corpus.build_corpus(SEED, workload.n_xml, workload.n_midi).write(workdir)
     config = run.write_config(workdir, workload)
+    output = workdir / "out" / f"features.{fmt}"
     out = []
     for _ in range(runs):
-        args = ["--config", str(config), "--report", "report.jsonl"]
+        args = ["--config", str(config), "--report", "report.jsonl",
+                "--format", fmt, "--output", str(output)]
         assert cli.run(args) == checks.EXPECTED_EXIT_CODE
-        digest = hashlib.sha256((workdir / "out" / "features.csv").read_bytes()).hexdigest()
+        digest = hashlib.sha256(output.read_bytes()).hexdigest()
         summary = json.loads((workdir / "report.jsonl").read_text("utf-8").splitlines()[-1])
         out.append((digest, summary["cache_hits"]))
     return out
@@ -66,3 +70,10 @@ def test_windowed_csv(bench, tmp_path, monkeypatch):
     workload = bench[2].WORKLOADS["window"]
     digests = [digest for digest, _ in _runs(bench, tmp_path, workload, 2)]
     assert digests == [WINDOWED_SHA256] * 2
+
+
+def test_windowed_jsonl(bench, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    workload = bench[2].WORKLOADS["window"]
+    [(digest, _hits)] = _runs(bench, tmp_path, workload, 1, fmt="jsonl")
+    assert digest == WINDOWED_JSONL_SHA256

@@ -18,8 +18,6 @@ from scorefeat.model import (
     SpelledPitch,
     WindowRangeError,
     governing_indices,
-    melodic_line,
-    merged_durations,
     midi_number,
     note_count,
     slice_window,
@@ -224,8 +222,9 @@ class TestCounting:
                 note("E", onset=4, dur=1),
             ]
         )
-        merged = merged_durations(p)
-        assert [(e.pitch.step, d) for e, d in merged] == [("C", 4 * TPQ), ("E", TPQ)]
+        cols = p.notes
+        assert [(e.pitch.step, d) for e, d in zip(cols.heads, cols.merged)] == [
+            ("C", 4 * TPQ), ("E", TPQ)]
 
     def test_melodic_line_keeps_chord_top(self):
         p = part(
@@ -235,7 +234,7 @@ class TestCounting:
                 note("G", octave=3, onset=1, dur=1),
             ]
         )
-        assert [e.pitch.name for e in melodic_line(p)] == ["E5", "G3"]
+        assert [p.notes.heads[i].pitch.name for i in p.notes.line] == ["E5", "G3"]
 
 
 # The event loops the note columns replaced, kept as references.

@@ -202,6 +202,19 @@ class TestContent:
         assert note_count(score.parts[0]) == 1
         assert any("pitch" in msg for _, msg in diags.warnings)
 
+    @pytest.mark.parametrize("alter", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_alter_skipped_with_warning(self, alter):
+        doc = musicxml_doc(
+            [("Violin", [[
+                {"step": "B", "alter": alter, "octave": 4, "dur": 8},
+                {"step": "C", "octave": 4, "dur": 8},
+            ]])],
+            divisions=4,
+        )
+        score, diags = parse_musicxml(doc)
+        assert [e.pitch.name for e in counted(score.parts[0])] == ["C4"]
+        assert any("unusable pitch" in msg for _, msg in diags.warnings)
+
     @pytest.mark.parametrize("tempo", ["fast", "nan"])
     def test_unreadable_measure_sound_tempo_warns(self, tempo):
         doc = MINIMAL.replace(b'<measure number="1">',
@@ -401,6 +414,15 @@ class TestBadTimeValues:
     def test_negative_forward_is_tallied(self):
         _score, diags = parse_musicxml(_NEGATIVE_FORWARD)
         assert diags.skipped_elements["non-positive-duration"] == 1
+
+    def test_negative_cue_duration_is_tallied(self):
+        cue = b"<note><cue/><pitch><step>D</step><octave>4</octave></pitch><duration>-4</duration></note>"
+        doc = _edge_doc([[{"step": "C", "dur": 16}]], replace=((b"<note>", cue + b"<note>"),))
+        score, diags = parse_musicxml(doc)
+        assert [e.onset for e in counted(score.parts[0])] == [0]  # the cursor stopped at 0
+        assert diags.skipped_elements["cue"] == 1
+        assert diags.skipped_elements["non-positive-duration"] == 1
+        assert any("cue duration -1 negative" in msg for _, msg in diags.warnings)
 
     def test_bad_time_signature_keeps_the_previous_one(self):
         doc = EDGE_DOCS["time signature 3/0"][0]

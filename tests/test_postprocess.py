@@ -1,11 +1,7 @@
 import pytest
 
 from scorefeat.postprocess import MergeGroup, ProcessError, ProcessorConfig, merge_statistics, process
-from scorefeat.table import FeatureTable
-
-
-def table(columns, rows):
-    return FeatureTable(columns=list(columns), rows=[list(r) for r in rows])
+from util import rows_of, table_of as table
 
 
 class TestMergeStatistics:
@@ -44,9 +40,8 @@ class TestProcess:
                                      stats=("mean", "std"))]
         )
         out = process(t, config)
-        row = out.row_mapping(0)
-        assert row["FamilyStringsViolin_NumNotes_Mean"] == 6.0
-        assert row["FamilyStringsViolin_NumNotes_Std"] == 2.0
+        assert out.columns["FamilyStringsViolin_NumNotes_Mean"] == [6.0]
+        assert out.columns["FamilyStringsViolin_NumNotes_Std"] == [2.0]
         assert "PartViolinI_NumNotes" not in out.columns
 
     def test_keep_raw_after_merge(self):
@@ -61,26 +56,26 @@ class TestProcess:
     def test_replace_missing_with_zero(self):
         t = table(["FileName", "X"], [["a", None], ["b", 3]])
         out = process(t, ProcessorConfig(replace_missing_with_zero=["X"]))
-        assert out.column("X") == [0, 3]
+        assert out.columns["X"] == [0, 3]
 
     def test_empty_config_identity_modulo_all_missing(self):
         t = table(["FileName", "X", "Dead"], [["a", 1, None], ["b", 2, None]])
         out = process(t, ProcessorConfig())
-        assert out.columns == ["FileName", "X"]
-        assert out.column("X") == [1, 2]
+        assert list(out.columns) == ["FileName", "X"]
+        assert out.columns["X"] == [1, 2]
         again = process(out, ProcessorConfig())
-        assert again.columns == out.columns and again.rows == out.rows
+        assert list(again.columns) == list(out.columns) and rows_of(again) == rows_of(out)
 
     def test_row_count_never_changes(self):
         t = table(["FileName", "X"], [["a", 1], ["b", None], ["c", 3]])
         out = process(t, ProcessorConfig(replace_missing_with_zero=[".*"],
                                          drop_columns=["X"]))
-        assert len(out.rows) == 3
+        assert out.num_rows == 3
 
     def test_identity_columns_protected_from_drop(self):
         t = table(["FileName", "WindowStart", "X"], [["a", 1, 2]])
         out = process(t, ProcessorConfig(drop_columns=[".*"]))
-        assert out.columns == ["FileName", "WindowStart"]
+        assert list(out.columns) == ["FileName", "WindowStart"]
 
     def test_merge_non_numeric_errors(self):
         t = table(["Text_A"], [["hello"]])
@@ -93,12 +88,12 @@ class TestProcess:
     def test_zero_match_pattern_warns_not_errors(self):
         t = table(["X"], [[1]])
         out = process(t, ProcessorConfig(drop_columns=["Nothing.*"]))
-        assert out.columns == ["X"]
+        assert list(out.columns) == ["X"]
 
     def test_patterns_are_anchored(self):
         t = table(["X", "XY"], [[1, 2]])
         out = process(t, ProcessorConfig(drop_columns=["X"]))
-        assert out.columns == ["XY"]
+        assert list(out.columns) == ["XY"]
 
     def test_column_order_originals_then_merged(self):
         t = table(["B", "A_1", "A_2", "C"], [[1, 2, 4, 3]])
@@ -106,13 +101,13 @@ class TestProcess:
             merge_groups=[MergeGroup(pattern=r"A_\d", target="A", stats=("mean",))]
         )
         out = process(t, config)
-        assert out.columns == ["B", "C", "A_Mean"]
+        assert list(out.columns) == ["B", "C", "A_Mean"]
 
     def test_full_replace_leaves_no_missing(self):
         t = table(["FileName", "X", "Y", "Z"],
                   [["a", None, 1, None], ["b", 2, None, None]])
         out = process(t, ProcessorConfig(replace_missing_with_zero=[".*"]))
-        assert all(cell is not None for row in out.rows for cell in row)
+        assert all(cell is not None for cells in out.columns.values() for cell in cells)
 
     def test_invalid_stats_rejected(self):
         with pytest.raises(ProcessError):
@@ -128,14 +123,14 @@ class TestProcessEdges:
             merge_groups=[MergeGroup(pattern=r"A_\d", target="A", stats=("mean",))]
         )
         out = process(t, config)
-        assert out.columns == ["FileName"]
-        assert out.rows == []
+        assert list(out.columns) == ["FileName"]
+        assert out.num_rows == 0
 
     def test_rows_survive_dropping_every_column(self):
         t = table(["X", "Y"], [[1, 2], [3, 4], [5, 6]])
         out = process(t, ProcessorConfig(drop_columns=[".*"]))
-        assert out.columns == []
-        assert out.rows == [[], [], []]
+        assert list(out.columns) == []
+        assert out.num_rows == 3
 
     def test_merged_name_equal_to_kept_column_is_a_duplicate(self):
         t = table(["A_Mean", "A_1", "A_2"], [[7, 1, 3]])
@@ -152,9 +147,9 @@ class TestProcessEdges:
             replace_missing_with_zero=["A_Mean"],
         )
         out = process(t, config)
-        assert out.columns == ["FileName", "A_Mean", "A_Max"]
-        assert out.column("A_Mean") == [0, 2.0]
-        assert out.column("A_Max") == [None, 3]
+        assert list(out.columns) == ["FileName", "A_Mean", "A_Max"]
+        assert out.columns["A_Mean"] == [0, 2.0]
+        assert out.columns["A_Max"] == [None, 3]
 
     def test_column_in_two_groups_feeds_both(self):
         t = table(["A_1", "A_2", "B_1"], [[1, 3, 10]])
@@ -163,8 +158,8 @@ class TestProcessEdges:
             MergeGroup(pattern=".*_1", target="One", stats=("sum", "min")),
         ])
         out = process(t, config)
-        assert out.columns == ["A_Mean", "One_Sum", "One_Min"]
-        assert out.rows == [[2.0, 11, 1]]
+        assert list(out.columns) == ["A_Mean", "One_Sum", "One_Min"]
+        assert rows_of(out) == [[2.0, 11, 1]]
 
     def test_identity_columns_are_never_merged(self):
         t = table(["FileName", "WindowStart", "WindowEnd", "X"], [["a", 1, 4, 10]])
@@ -172,5 +167,5 @@ class TestProcessEdges:
             merge_groups=[MergeGroup(pattern=".*", target="All", stats=("sum", "max"))]
         )
         out = process(t, config)
-        assert out.columns == ["FileName", "WindowStart", "WindowEnd", "All_Sum", "All_Max"]
-        assert out.rows == [["a", 1, 4, 10, 10]]
+        assert list(out.columns) == ["FileName", "WindowStart", "WindowEnd", "All_Sum", "All_Max"]
+        assert rows_of(out) == [["a", 1, 4, 10, 10]]

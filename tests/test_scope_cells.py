@@ -4,8 +4,9 @@ The melody, density, key, scale and rhythm families compute one summary per
 part and merge sound and family cells from their members' summaries. Here
 every such cell of a random score is recomputed the slow way: from pooled
 lists, exact ``Fraction``s, and ``interval_name`` on the spelled pitches of
-each part's melodic line. Half the scores give every part one sound, so
-sound and family scopes have several members.
+each part's melodic line, counted here without the package's summaries.
+Half the scores give every part one sound, so sound and family scopes have
+several members.
 """
 
 from dataclasses import replace
@@ -15,15 +16,9 @@ from itertools import pairwise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorefeat.features.pitch import (
-    PitchClassProfile,
-    estimate_key_ks,
-    interval_name,
-    melody_from_intervals,
-)
+from scorefeat.features.pitch import PitchClassProfile, estimate_key_ks, interval_name
 from scorefeat.harmony import attach_annotations, key_mode, key_tonic_pc, parse_harmony_file
 from scorefeat.instruments import part_identifier
-from scorefeat.model import melodic_line
 from util import nearest_sqrt, random_model_score, run_module
 
 _DEGREES = {
@@ -52,6 +47,36 @@ def scores(draw):
             f"{m}\t{beat}\tI\t{key}\n" for (m, beat), key in lines.items())
         s = attach_annotations(s, parse_harmony_file(text))
     return s
+
+
+def _melody_cells(prefix, intervals):
+    """The melody cells of pooled (semitones, name) intervals, recounted."""
+    n = len(intervals)
+    if not n:
+        return {}
+    out = {}
+    names = [name for _, name in intervals]
+    for name in sorted(set(names)):
+        out[f"{prefix}Interval_{name}_Count"] = names.count(name)
+        out[f"{prefix}Interval_{name}_Frac"] = float(Fraction(names.count(name), n))
+    semis = [s for s, _ in intervals]
+    rises = [s for s in semis if s > 0]
+    falls = [-s for s in semis if s < 0]
+    steps = [s for s in semis if abs(s) <= 2]
+    out[f"{prefix}AscendingFrac"] = float(Fraction(len(rises), n))
+    out[f"{prefix}DescendingFrac"] = float(Fraction(len(falls), n))
+    out[f"{prefix}RepeatedFrac"] = float(Fraction(semis.count(0), n))
+    out[f"{prefix}StepwiseFrac"] = float(Fraction(len(steps), n))
+    out[f"{prefix}LeapFrac"] = float(Fraction(n - len(steps), n))
+    sizes = [Fraction(abs(s)) for s in semis]
+    mean = sum(sizes) / n
+    out[f"{prefix}AbsIntervalMean"] = float(mean)
+    out[f"{prefix}AbsIntervalStd"] = nearest_sqrt(sum((x - mean) ** 2 for x in sizes) / n)
+    if rises:
+        out[f"{prefix}LargestAscending"] = max(rises)
+    if falls:
+        out[f"{prefix}LargestDescending"] = max(falls)
+    return out
 
 
 def _degree_cells(prefix, degrees):
@@ -87,9 +112,9 @@ def test_every_scope_cell_equals_its_pooled_oracle(s):
     melody, density = {}, {}
     span = s.total_quarters() * tpq
     for prefix, members in s.scopes:
-        pooled = [interval_name(a.pitch, b.pitch)
-                  for p in members for a, b in pairwise(melodic_line(p))]
-        melody.update({prefix + k: v for k, v in melody_from_intervals(pooled).items()})
+        lines = [[p.notes.heads[i].pitch for i in p.notes.line] for p in members]
+        melody.update(_melody_cells(prefix, [interval_name(a, b) for line in lines
+                                             for a, b in pairwise(line)]))
         k = len(members)
         notes = sum(len(p.notes.heads) for p in members)
         sounding = sum(len(set(p.notes.measure)) for p in members)

@@ -18,6 +18,7 @@ from scorefeat.engine import extract_unit
 from scorefeat.model import Lyric, NoteEvent, Part, Score, SpelledPitch, to_ticks
 from scorefeat.instruments import detect_instrument_family, part_identifier
 from scorefeat.registry import feature_modules, resolve_feature_order
+from scorefeat.table import FeatureTable
 
 # ---------------------------------------------------------------------------
 # direct model builders: times are given in quarter notes and stored in ticks
@@ -139,6 +140,32 @@ def run_module(name, unit, of_part=None) -> dict:
         return {k.removeprefix("Score_"): v for k, v in row.items()}
     prefix = f"Part{of_part.part_id}_"
     return {k[len(prefix):]: v for k, v in row.items() if k.startswith(prefix)}
+
+
+# ---------------------------------------------------------------------------
+# feature tables read and written row by row
+
+
+def table_of(columns, rows) -> FeatureTable:
+    """A table with the given column names and rows of cells."""
+    rows = [list(row) for row in rows]
+    cells = zip(*rows) if rows else [()] * len(columns)
+    return FeatureTable({name: list(c) for name, c in zip(columns, cells)}, len(rows))
+
+
+def rows_of(table: FeatureTable) -> list[list]:
+    """The table's rows, each a list of cells in column order."""
+    return [[cells[i] for cells in table.columns.values()] for i in range(table.num_rows)]
+
+
+def sorted_by(table: FeatureTable, *keys: str) -> FeatureTable:
+    """The table with its rows sorted on the ``keys`` columns, missing last."""
+    def key(i):
+        return tuple((table.columns[k][i] is None, table.columns[k][i]) for k in keys)
+
+    order = sorted(range(table.num_rows), key=key)
+    return FeatureTable({name: [cells[i] for i in order] for name, cells in table.columns.items()},
+                        table.num_rows)
 
 
 # ---------------------------------------------------------------------------
