@@ -12,7 +12,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 import yaml
 
@@ -192,8 +192,11 @@ def collect_score_paths(xml_dir: Path) -> list[Path]:
     return sorted(paths, key=lambda p: p.as_posix())
 
 
-def _serialize(table: FeatureTable, config: RunConfig) -> str:
-    return table.to_csv() if config.output_format == "csv" else table.to_jsonl()
+def _serialize(table: FeatureTable, config: RunConfig, stream: TextIO) -> None:
+    if config.output_format == "csv":
+        table.to_csv(stream)
+    else:
+        table.to_jsonl(stream)
 
 
 def run(argv: Optional[list[str]] = None) -> int:
@@ -217,14 +220,14 @@ def run(argv: Optional[list[str]] = None) -> int:
 
         report = RunReport()
         table = extract(config.extractor, paths, report=report)
-        table = process(table, config.processor)
+        table = process(table, config.processor, report)
 
-        payload = _serialize(table, config)
         if config.output_path is not None:
             config.output_path.parent.mkdir(parents=True, exist_ok=True)
-            config.output_path.write_text(payload, encoding="utf-8")
+            with open(config.output_path, "w", encoding="utf-8") as out:
+                _serialize(table, config, out)
         else:
-            sys.stdout.write(payload)
+            _serialize(table, config, sys.stdout)
 
         report_text = report.to_json_lines()
         if config.report_path is not None:

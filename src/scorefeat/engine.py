@@ -13,7 +13,7 @@ import logging
 from collections import ChainMap, Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -115,7 +115,9 @@ class RunReport:
         self.failures.append({"path": str(path), "stage": stage, "error": str(error)})
 
     def add_warning(self, path, message: str) -> None:
-        self.warnings.append({"path": str(path), "message": message})
+        """A warning about the file at ``path``, or about the run for None."""
+        entry = {"message": message} if path is None else {"path": str(path), "message": message}
+        self.warnings.append(entry)
 
     def merge(self, other: RunReport) -> None:
         """Append ``other``'s entries after this report's and add its counts."""
@@ -221,17 +223,28 @@ def _find_harmony_file(path: Path, config: ExtractorConfig) -> Optional[Path]:
     return candidate if candidate.is_file() else None
 
 
-@lru_cache(maxsize=16384)
-def _scoped_name(name: str) -> str:
+def _score_column(name: str) -> str:
     if name in IDENTITY_COLUMNS or SCOPED_NAME.match(name):
         return name
     return f"Score_{name}"
 
 
-def extract_unit(score: Score, order: Sequence[str], registry) -> dict:
-    """Run feature modules over one score or window; returns the row cells
-    (identity columns excluded)."""
-    row: dict = {}
+def _column_names(names: dict, prefix: str) -> dict:
+    """The memo of one scope prefix's column names (key -> name) in ``names``."""
+    scoped = names.get(prefix)
+    if scoped is None:
+        scoped = names.setdefault(prefix, {})
+    return scoped
+
+
+def extract_unit(score: Score, order: Sequence[str], registry, row: Optional[dict] = None,
+                 names: Optional[dict] = None) -> dict:
+    """Run feature modules over one score or window; returns ``row`` (a new
+    dict by default) with the unit's cells added. ``names`` memoizes each
+    column name per (scope prefix, key), "" for score values, so that units
+    sharing it build each name once."""
+    row = {} if row is None else row
+    names = {} if names is None else names
     score_values: dict = {}
     part_values: dict[str, dict] = {p.part_id: {} for p in score.parts}
     part_scopes = score.scopes[: len(score.parts)]
@@ -239,21 +252,29 @@ def extract_unit(score: Score, order: Sequence[str], registry) -> dict:
         descriptor = registry[name]
         if descriptor.part_fn is not None:
             for prefix, (part,) in part_scopes:
+                own = part_values[part.part_id]
                 # part keys shadow score keys; a write lands in the empty front map
-                upstream = ChainMap({}, part_values[part.part_id], score_values)
-                values = descriptor.part_fn(part, score, upstream) or {}
+                values = descriptor.part_fn(part, score, ChainMap({}, own, score_values)) or {}
+                columns = _column_names(names, prefix)
                 for key, value in values.items():
                     if value is None:
                         continue
-                    part_values[part.part_id][key] = value
-                    row[prefix + key] = value
+                    own[key] = value
+                    column = columns.get(key)
+                    if column is None:
+                        column = columns[key] = prefix + key
+                    row[column] = value
         if descriptor.score_fn is not None:
             values = descriptor.score_fn(score, part_values, score_values) or {}
+            columns = _column_names(names, "")
             for key, value in values.items():
                 if value is None:
                     continue
                 score_values[key] = value
-                row[_scoped_name(key)] = value
+                column = columns.get(key)
+                if column is None:
+                    column = columns[key] = _score_column(key)
+                row[column] = value
     return row
 
 
@@ -265,8 +286,10 @@ def _score_units(score: Score, config: ExtractorConfig):
         yield slice_window(score, start, length), (start, start + length - 1)
 
 
-def _process_path(path: Path, config, order, registry) -> tuple[list[dict], RunReport]:
-    """One file's rows and its own report; shares no state with other calls."""
+def _process_path(path: Path, config, order, registry,
+                  names: dict) -> tuple[list[dict], RunReport]:
+    """One file's rows and its own report; shares no state with other calls
+    but the column-name memo ``names`` (see ``extract_unit``)."""
     report = RunReport()
     try:
         score = load_or_parse(path, config, report)
@@ -286,10 +309,10 @@ def _process_path(path: Path, config, order, registry) -> tuple[list[dict], RunR
     rows = []
     try:
         for unit, window in _score_units(score, config):
-            identity: dict = {"FileName": score.source_id}
+            row: dict = {"FileName": score.source_id}
             if window is not None:
-                identity["WindowStart"], identity["WindowEnd"] = window
-            rows.append({**identity, **extract_unit(unit, order, registry)})
+                row["WindowStart"], row["WindowEnd"] = window
+            rows.append(extract_unit(unit, order, registry, row, names))
     except Exception as exc:  # a feature crash must not kill the whole run
         report.add_failure(path, "features", exc)
         return [], report
@@ -316,7 +339,8 @@ def extract(
         raise ConfigError(str(exc)) from exc
 
     paths = [Path(p) for p in paths]
-    work = partial(_process_path, config=config, order=order, registry=registry)
+    # One memo of column names per call: it holds no more names than the table.
+    work = partial(_process_path, config=config, order=order, registry=registry, names={})
     jobs = min(config.parallelism, len(paths))
     if jobs <= 1:
         results = list(map(work, paths))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import isqrt
 from operator import mul
 from typing import Sequence
@@ -61,6 +62,13 @@ def mean_std(values: Sequence[int], scale: int = 1) -> tuple[float, float]:
 # empty or starts with an uppercase letter or digit, or ``Texture_`` or
 # ``Score_``. Any other name gets ``Score_``.
 SCOPED_NAME = re.compile(r"(?:(?:Part|Sound|Family)(?:[A-Z0-9][0-9A-Za-z]*)?|Texture|Score)_")
+
+
+@lru_cache(maxsize=4096)
+def scoped_names(prefix: str, keys: tuple[str, ...]) -> tuple[str, ...]:
+    """``prefix`` before each of ``keys``: the column names of one scope's
+    cells, built once per (prefix, keys) rather than once per cell."""
+    return tuple(prefix + key for key in keys)
 
 
 def core_part(part: Part, score: Score, upstream) -> dict:

@@ -23,7 +23,7 @@ from ..model import (
     governing_indices,
     midi_number,
 )
-from .core import moments, sqrt_ratio
+from .core import moments, scoped_names, sqrt_ratio
 
 KRUMHANSL_MAJOR = (6.35, 2.23, 3.48, 2.33, 4.38, 4.09, 2.52, 5.19, 2.39, 3.66, 2.29, 2.88)
 KRUMHANSL_MINOR = (6.33, 2.68, 3.52, 5.38, 2.60, 3.53, 2.54, 4.75, 3.98, 2.69, 3.34, 3.17)
@@ -147,6 +147,9 @@ def key_features(score: Score) -> dict:
     return out
 
 
+_AMBITUS_KEYS = ("LowestMidi", "HighestMidi", "LowestName", "HighestName", "AmbitusSemitones")
+
+
 def ambitus_features(score: Score) -> dict:
     """Part, sound, family, and score ambitus off one extremes pass per part
     (percussion excluded)."""
@@ -163,13 +166,8 @@ def ambitus_features(score: Score) -> dict:
             return {}
         lo = min((p[0] for p in pairs), key=lambda t: t[0])
         hi = max((p[1] for p in pairs), key=lambda t: t[0])
-        return {
-            f"{prefix}LowestMidi": lo[0],
-            f"{prefix}HighestMidi": hi[0],
-            f"{prefix}LowestName": lo[1].pitch.name,
-            f"{prefix}HighestName": hi[1].pitch.name,
-            f"{prefix}AmbitusSemitones": hi[0] - lo[0],
-        }
+        names = scoped_names(prefix, _AMBITUS_KEYS)
+        return dict(zip(names, (lo[0], hi[0], lo[1].pitch.name, hi[1].pitch.name, hi[0] - lo[0])))
 
     out = {}
     for prefix, members in (*score.scopes, ("", score.parts)):  # "": the score
@@ -292,6 +290,16 @@ def _merge(summaries: Sequence[MelodySummary]) -> MelodySummary:
     )
 
 
+# The melody cells of a summary after the interval counts, in column order.
+_MELODY_KEYS = ("AscendingFrac", "DescendingFrac", "RepeatedFrac", "StepwiseFrac", "LeapFrac",
+                "AbsIntervalMean", "AbsIntervalStd", "LargestAscending", "LargestDescending")
+
+
+@lru_cache(maxsize=8192)
+def _interval_names(prefix: str, name: str) -> tuple[str, str]:
+    return f"{prefix}Interval_{name}_Count", f"{prefix}Interval_{name}_Frac"
+
+
 def _melody_cells(summary: MelodySummary, prefix: str = "") -> dict:
     """The cells of a summary, each name after ``prefix``."""
     n = summary.n
@@ -299,19 +307,22 @@ def _melody_cells(summary: MelodySummary, prefix: str = "") -> dict:
         return {}
     out: dict = {}
     for name in sorted(summary.names):
-        out[f"{prefix}Interval_{name}_Count"] = summary.names[name]
-        out[f"{prefix}Interval_{name}_Frac"] = summary.names[name] / n
-    out[f"{prefix}AscendingFrac"] = summary.ascending / n
-    out[f"{prefix}DescendingFrac"] = summary.descending / n
-    out[f"{prefix}RepeatedFrac"] = (n - summary.ascending - summary.descending) / n
-    out[f"{prefix}StepwiseFrac"] = summary.stepwise / n
-    out[f"{prefix}LeapFrac"] = (n - summary.stepwise) / n
-    out[f"{prefix}AbsIntervalMean"], out[f"{prefix}AbsIntervalStd"] = moments(
-        n, summary.abs_sum, summary.square_sum)
+        count = summary.names[name]
+        count_name, frac_name = _interval_names(prefix, name)
+        out[count_name] = count
+        out[frac_name] = count / n
+    names = scoped_names(prefix, _MELODY_KEYS)
+    ascending, descending, repeated, stepwise, leap, mean, std, rise, fall = names
+    out[ascending] = summary.ascending / n
+    out[descending] = summary.descending / n
+    out[repeated] = (n - summary.ascending - summary.descending) / n
+    out[stepwise] = summary.stepwise / n
+    out[leap] = (n - summary.stepwise) / n
+    out[mean], out[std] = moments(n, summary.abs_sum, summary.square_sum)
     if summary.ascending:
-        out[f"{prefix}LargestAscending"] = summary.rise
+        out[rise] = summary.rise
     if summary.descending:
-        out[f"{prefix}LargestDescending"] = summary.fall
+        out[fall] = summary.fall
     return out
 
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..model import Part, Score, note_count, sounding_measures
-from .core import mean_std
+from .core import mean_std, scoped_names
 
 # Nominal values in sixteenth notes.
 _DURATION_CLASSES = (("whole", 16), ("half", 8), ("quarter", 4), ("eighth", 2), ("sixteenth", 1))
@@ -15,6 +15,9 @@ DURATION_CLASS_NAMES = tuple(name for name, _ in _DURATION_CLASSES) + ("other",)
 
 # Length of a note with k dots over its undotted value: (numerator, denominator).
 _DOT_FACTORS = {0: (1, 1), 1: (3, 2), 2: (7, 4)}
+
+
+_DENSITY_KEYS = ("NotesPerMeasure", "NotesPerSoundingMeasure", "SoundingDensity")
 
 
 def density_features(score: Score) -> dict:
@@ -30,12 +33,13 @@ def density_features(score: Score) -> dict:
         notes = sum(counts[p.part_id][0] for p in members)
         sounding = sum(counts[p.part_id][1] for p in members)
         sounded = sum(counts[p.part_id][2] for p in members)
-        values = {"NotesPerMeasure": notes / (score.num_measures * len(members))}
+        per_measure, per_sounding, density = scoped_names(prefix, _DENSITY_KEYS)
+        values = {per_measure: notes / (score.num_measures * len(members))}
         if sounding:
-            values["NotesPerSoundingMeasure"] = notes / sounding
+            values[per_sounding] = notes / sounding
         if span > 0:
-            values["SoundingDensity"] = sounded * per / (span * len(members))
-        return {prefix + k: v for k, v in values.items()}
+            values[density] = sounded * per / (span * len(members))
+        return values
 
     out = {}
     for prefix, members in score.scopes:

@@ -8,12 +8,13 @@ Tuplets never accumulate floating-point error across a score.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import lcm
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .instruments import camel_case
@@ -167,6 +168,35 @@ class NoteColumns:
     midi: tuple[int, ...]
     measure: tuple[int, ...]
     line: tuple[int, ...]  # rows of the melodic line: the highest note per onset
+    # (row, ((measure, ticks), ...)) of each chain with continuations, by row
+    continuations: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    def window(self, start: int, end: int) -> Optional[NoteColumns]:
+        """The columns a walk over the events of measures ``start..end``
+        builds: the rows of those measures, line rows rebased, and a tie
+        chain that runs on past ``end`` cut back to its pieces up to ``end``.
+        None when a chord straddles the window's edge, since the walk then
+        picks the top note of the chord's part inside the window."""
+        onset = self.onset
+        lo = bisect_left(self.measure, start)
+        hi = bisect_right(self.measure, end, lo)
+        if 0 < lo < len(onset) and onset[lo - 1] == onset[lo] or (
+                0 < hi < len(onset) and onset[hi - 1] == onset[hi]):
+            return None
+        merged = list(self.merged[lo:hi])
+        chains = []
+        continuations = self.continuations
+        for row, pieces in continuations[bisect_left(continuations, (lo,)):
+                                         bisect_left(continuations, (hi,))]:
+            if pieces[-1][0] > end:
+                pieces = tuple(piece for piece in pieces if piece[0] <= end)
+                merged[row - lo] = self.duration[row] + sum(ticks for _, ticks in pieces)
+            if pieces:
+                chains.append((row - lo, pieces))
+        line = self.line[bisect_left(self.line, lo):bisect_left(self.line, hi)]
+        return NoteColumns(self.heads[lo:hi], onset[lo:hi], self.duration[lo:hi], tuple(merged),
+                           self.midi[lo:hi], self.measure[lo:hi], tuple(map(lo.__rsub__, line)),
+                           tuple(chains))
 
 
 @dataclass(frozen=True)
@@ -192,9 +222,13 @@ class Part:
             raise ValueError(f"unknown family {self.family!r}")
         if self.sound_ordinal < 1:
             raise ValueError("sound_ordinal must be >= 1")
+        # Windows take their events and note rows by bisection on measures.
         onsets = [e.onset for e in self.events]
+        measures = [e.measure_index for e in self.events]
         if onsets != sorted(onsets):
             raise ValueError(f"part {self.part_id}: events not sorted by onset")
+        if measures != sorted(measures):
+            raise ValueError(f"part {self.part_id}: measure indices decrease in event order")
         if any(type(pos) is not int for pos, _ in self.dynamic_marks):
             raise TypeError("dynamic mark positions must be whole ticks (int)")
 
@@ -202,7 +236,8 @@ class Part:
     def notes(self) -> NoteColumns:
         """One pass on first use; a tie continuation without an open chain is dropped."""
         rows, line = [], []  # rows: [head, onset, duration, merged, midi, measure]
-        open_chains: dict[int, list] = {}  # midi number -> row of the chain head
+        open_chains: dict[int, int] = {}  # midi number -> row of the chain head
+        pieces: dict[int, list] = {}  # row -> (measure, ticks) of its continuations
         for e in self.events:
             if e.kind != "note" or e.grace:
                 continue
@@ -216,13 +251,15 @@ class Part:
                     line[-1] = len(rows)
                 rows.append([e, o, d, d, m, e.measure_index])
                 if e.tie == "start":
-                    open_chains[m] = rows[-1]
-            elif (row := open_chains.get(m)) is not None:
-                row[3] += d
+                    open_chains[m] = len(rows) - 1
+            elif (r := open_chains.get(m)) is not None:
+                rows[r][3] += d
+                pieces.setdefault(r, []).append((e.measure_index, d))
                 if e.tie == "stop":
                     del open_chains[m]
         columns = zip(*rows) if rows else [()] * 6
-        return NoteColumns(*columns, tuple(line))
+        return NoteColumns(*columns, tuple(line),
+                           tuple((r, tuple(p)) for r, p in sorted(pieces.items())))
 
 
 @dataclass(frozen=True)
@@ -350,6 +387,9 @@ def governing_indices(positions: Sequence, queries: Iterable) -> list[int]:
     return [bisect_right(reach, q) - 1 for q in queries]
 
 
+_MEASURE = attrgetter("measure_index")
+
+
 def slice_window(score: Score, start_measure: int, length: int) -> Score:
     """Score view over measures [start_measure, start_measure + length - 1].
 
@@ -357,6 +397,10 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
     filtered to the window. The governing dynamic and tempo marks at the
     window start are carried in so duration-weighted features keep their
     "effective until the next mark" semantics.
+
+    Each part's events are found by bisection on their measures, and its
+    note columns are a row range of the whole part's (``NoteColumns.window``),
+    so a window does not walk its events again.
     """
     if length < 1:
         raise ValueError("window length must be >= 1")
@@ -376,16 +420,20 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
 
     parts = []
     for part in score.parts:
-        events = tuple(
-            e for e in part.events if start_measure <= e.measure_index <= end_measure
-        )
+        events = part.events
+        first = bisect_left(events, start_measure, key=_MEASURE)
+        last = bisect_right(events, end_measure, first, key=_MEASURE)
         marks = [(pos, tok) for pos, tok in part.dynamic_marks
                  if window_start <= pos < window_end]
         i = governing_indices([pos for pos, _ in part.dynamic_marks], [window_start])[0]
         if i >= 0 and (not marks or marks[0][0] > window_start):
             marks.insert(0, (window_start, part.dynamic_marks[i][1]))
-        parts.append(replace(part, events=events, dynamic_marks=tuple(marks),
-                             measure_count=eff_length))
+        window_part = replace(part, events=events[first:last], dynamic_marks=tuple(marks),
+                              measure_count=eff_length)
+        notes = part.notes.window(start_measure, end_measure)
+        if notes is not None:  # else the window part walks its own events
+            window_part.__dict__["notes"] = notes
+        parts.append(window_part)
 
     sigs = [(start_measure, *score.time_signature_at(start_measure))]
     sigs += [(m, n, d) for m, n, d in score.time_signatures if start_measure < m <= end_measure]

@@ -44,7 +44,7 @@ from .model import (
 )
 
 PARSER_ID = "musicxml"
-PARSER_VERSION = "7"
+PARSER_VERSION = "8"
 
 DYNAMIC_TOKENS = frozenset(DEFAULT_DYNAMIC_LEVELS)
 
@@ -429,6 +429,7 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
         diags.warn(loc, f"{kind} duration {Fraction(dur, state.unit)} not positive; skipped")
         diags.skip("non-positive-duration")
         keep = False
+    if dur < 0:  # also for a note skipped for its pitch
         dur = max(dur, -onset)  # the cursor stops at the measure start
 
     if keep:

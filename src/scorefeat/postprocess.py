@@ -72,28 +72,33 @@ def merge_statistics(values: Sequence[float], stats: Sequence[str]) -> dict[str,
     return {stat: _STATISTICS[stat](values) if values else None for stat in stats}
 
 
-def _match_columns(pattern: str, columns: Iterable[str], what: str) -> list[str]:
+def _match_columns(pattern: str, columns: Iterable[str], what: str, report) -> list[str]:
     try:
         rx = re.compile(pattern)
     except re.error as exc:
         raise ProcessError(f"bad {what} pattern {pattern!r}: {exc}") from exc
     matched = [c for c in columns if rx.fullmatch(c)]
     if not matched:
-        log.warning("%s pattern %r matched no columns", what, pattern)
+        message = f"{what} pattern {pattern!r} matched no columns"
+        log.warning("%s", message)
+        if report is not None:
+            report.add_warning(None, message)
     return matched
 
 
-def process(table: FeatureTable, config: ProcessorConfig) -> FeatureTable:
+def process(table: FeatureTable, config: ProcessorConfig, report=None) -> FeatureTable:
     """Clean and reshape a feature table; row count and identity survive.
 
-    Each step acts on whole columns; the input table is left unchanged.
+    Each step acts on whole columns; the input table is left unchanged. A
+    pattern that matches no column is logged and, given a ``report`` (an
+    ``engine.RunReport``), also kept there as a warning about the run.
     """
     columns = table.columns
     merged: list[tuple[str, Sequence[Cell]]] = []
     to_drop: set[str] = set()
 
     for group in config.merge_groups:
-        members = [c for c in _match_columns(group.pattern, columns, "merge")
+        members = [c for c in _match_columns(group.pattern, columns, "merge", report)
                    if c not in IDENTITY_COLUMNS]
         if not members:
             continue
@@ -109,7 +114,7 @@ def process(table: FeatureTable, config: ProcessorConfig) -> FeatureTable:
             to_drop.update(members)
 
     for pattern in config.drop_columns:
-        to_drop.update(_match_columns(pattern, columns, "drop"))
+        to_drop.update(_match_columns(pattern, columns, "drop", report))
     to_drop.difference_update(IDENTITY_COLUMNS)
     out = {name: cells for name, cells in columns.items() if name not in to_drop}
     for name, cells in merged:
@@ -118,7 +123,7 @@ def process(table: FeatureTable, config: ProcessorConfig) -> FeatureTable:
         out[name] = cells
 
     for pattern in config.replace_missing_with_zero:
-        for name in _match_columns(pattern, out, "replace"):
+        for name in _match_columns(pattern, out, "replace", report):
             if name not in IDENTITY_COLUMNS:
                 out[name] = [0 if v is None else v for v in out[name]]
 

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, TextIO, Union
 
 Cell = Union[int, float, str, None]
 
@@ -70,12 +70,11 @@ class FeatureTable:
     def _rows(self) -> Iterable[tuple[Cell, ...]]:
         return zip(*self.columns.values()) if self.columns else [()] * self.num_rows
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    def to_csv(self, stream: TextIO) -> None:
+        """Write the table to ``stream`` as CSV, one row at a time."""
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(self.columns)
         writer.writerows(self._rows())  # None -> empty field, floats by repr
-        return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "FeatureTable":
@@ -90,10 +89,11 @@ class FeatureTable:
         return cls({name: list(map(_parse_cell, column)) for name, column in zip(names, cells)},
                    len(rows))
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(dict(zip(self.columns, row)), ensure_ascii=False)
-                 for row in self._rows()]
-        return "\n".join(lines) + ("\n" if lines else "")
+    def to_jsonl(self, stream: TextIO) -> None:
+        """Write the table to ``stream`` as JSON lines, one object per row."""
+        names = list(self.columns)
+        stream.writelines(json.dumps(dict(zip(names, row)), ensure_ascii=False) + "\n"
+                          for row in self._rows())
 
 
 def _parse_cell(text: str) -> Cell:

@@ -24,6 +24,7 @@ from scorefeat.postprocess import MergeGroup, ProcessorConfig, merge_statistics,
 from scorefeat.table import FeatureTable
 from util import (
     corpus_musicxml,
+    csv_text,
     musicxml_doc,
     mxl_bytes,
     note,
@@ -81,10 +82,10 @@ def corpus_runs(corpus200):
     cached_j1, _, _ = run(jobs=1)
     cached_j8, _, _ = run(jobs=8)
     return {
-        "uncached_csv": uncached_table.to_csv(),
-        "cached_csv": cached_table.to_csv(),
-        "j1_csv": cached_j1.to_csv(),
-        "j8_csv": cached_j8.to_csv(),
+        "uncached_csv": csv_text(uncached_table),
+        "cached_csv": csv_text(cached_table),
+        "j1_csv": csv_text(cached_j1),
+        "j8_csv": csv_text(cached_j8),
         "uncached_s": uncached_s,
         "cached_s": cached_s,
         "uncached_report": uncached_report,
@@ -258,7 +259,7 @@ def test_criterion_6_determinism(corpus_runs):
     with criterion(6, "determinism and parallel equivalence"):
         j1 = sorted_by(FeatureTable.from_csv(corpus_runs["j1_csv"]), "FileName")
         j8 = sorted_by(FeatureTable.from_csv(corpus_runs["j8_csv"]), "FileName")
-        assert j1.to_csv() == j8.to_csv()
+        assert csv_text(j1) == csv_text(j8)
         assert corpus_runs["j1_csv"] == corpus_runs["j8_csv"]  # already row-stable
         assert corpus_runs["uncached_csv"] == corpus_runs["cached_csv"]
 

@@ -11,7 +11,7 @@ import scorefeat
 from scorefeat.cli import load_config, run
 from scorefeat.engine import ConfigError
 from scorefeat.table import FeatureTable
-from util import musicxml_doc
+from util import csv_text, musicxml_doc
 
 # Bit-exact feature naming contract, plus the three identity columns.
 NAME_GRAMMAR = re.compile(
@@ -123,6 +123,23 @@ class TestRun:
         summary = json.loads(report.read_text().splitlines()[-1])
         assert summary["kind"] == "summary" and summary["skipped"] == {"print": 1}
 
+    def test_a_pattern_that_matches_nothing_is_a_run_warning(self, corpus, tmp_path, caplog):
+        config = tmp_path / "run.yaml"
+        config.write_text("process:\n  drop_columns: ['Nothing_.*']\n", encoding="utf-8")
+        report = tmp_path / "report.jsonl"
+        code = run(["--config", str(config), "--xml-dir", str(corpus),
+                    "--output", str(tmp_path / "f.csv"), "--report", str(report)])
+        assert code == 0
+        entries = [json.loads(line) for line in report.read_text().splitlines()]
+        message = "drop pattern 'Nothing_.*' matched no columns"
+        assert {"kind": "warning", "message": message} in entries
+        assert message in caplog.text  # still logged too
+
+    def test_output_to_stdout(self, corpus, capsys):
+        assert run(["--xml-dir", str(corpus), "--format", "jsonl"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["FileName"] for row in rows] == ["a", "b"]
+
     def test_bad_flag_exit_one_writes_nothing(self, corpus):
         out = corpus / "features.csv"
         code = run(["--xml-dir", str(corpus), "--output", str(out), "--bogus"])
@@ -170,7 +187,7 @@ class TestRun:
         out = corpus / "features.csv"
         assert run(["--xml-dir", str(corpus), "--output", str(out)]) == 0
         text = out.read_text()
-        assert FeatureTable.from_csv(text).to_csv() == text
+        assert csv_text(FeatureTable.from_csv(text)) == text
 
     def test_window_flags(self, corpus):
         out = corpus / "w.csv"

@@ -24,7 +24,7 @@ from scorefeat.engine import (
 from scorefeat.model import slice_window
 from scorefeat.registry import FeatureModuleDescriptor, feature_modules, register_hook
 from scorefeat.table import IDENTITY_COLUMNS
-from util import musicxml_doc, note, part, random_model_score, random_musicxml, score
+from util import csv_text, musicxml_doc, note, part, random_model_score, random_musicxml, score
 
 SIMPLE = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16}],
                                    [{"step": "D", "octave": 4, "dur": 16}]])])
@@ -305,7 +305,7 @@ class TestHooks:
         report = RunReport()
         cached = extract(ExtractorConfig(cache_dir=tmp_path / "cache", hooks=["numpy_key"]),
                          [src], report=report)
-        assert cached.to_csv() == plain.to_csv()
+        assert csv_text(cached) == csv_text(plain)
         assert report.failures == [] and report.cache_writes == 0
         assert "not cached" in report.warnings[0]["message"]
         assert not list((tmp_path / "cache").rglob("*.score"))
@@ -506,7 +506,7 @@ class TestExtract:
         cold = extract(ExtractorConfig(cache_dir=tmp_path / "cache"), [path])
         warm = extract(ExtractorConfig(cache_dir=tmp_path / "cache"), [path])
         plain = extract(ExtractorConfig(), [path])
-        assert cold.to_csv() == warm.to_csv() == plain.to_csv()
+        assert csv_text(cold) == csv_text(warm) == csv_text(plain)
 
     @staticmethod
     def _scale_divisions(doc: bytes, factors) -> bytes:
@@ -545,7 +545,7 @@ class TestExtract:
                 path = Path(tmp) / name / "s.musicxml"
                 path.parent.mkdir()
                 path.write_bytes(data)
-                tables.append(extract(ExtractorConfig(), [path]).to_csv())
+                tables.append(csv_text(extract(ExtractorConfig(), [path])))
         assert tables[0] == tables[1]
 
     def test_unknown_feature_rejected(self, tmp_path):

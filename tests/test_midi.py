@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorefeat import midi
@@ -312,3 +312,31 @@ class TestSemantics:
         row = extract_unit(score, order, feature_modules())
         assert not any("NumSyllables" in k or "Melisma" in k for k in row)
         assert not any("NumAnnotations" in k or "Function_" in k for k in row)
+
+
+def _random_smf(seed: int) -> bytes:
+    """A two-track SMF of up to 12 notes, chords and rests among them."""
+    rng = random.Random(seed)
+    notes, tick = [], 0
+    for _ in range(rng.randint(1, 12)):
+        length = rng.choice([120, 240, 480, 960])
+        notes.append((tick, tick + length, rng.randint(40, 90), rng.randint(1, 127)))
+        tick += rng.choice([0, length, 2 * length])
+    meta = midi_meta_track(name="Piano", tempo_bpm=100, timesig=(3, 4), keysig=(1, 0))
+    return midi_bytes([meta, midi_note_events(notes)])
+
+
+class TestFlippedBytes:
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 255)), min_size=1, max_size=3))
+    def test_a_flipped_file_imports_or_raises_midi_error(self, seed, flips):
+        data = bytearray(_random_smf(seed))
+        for index, mask in flips:
+            data[index % len(data)] ^= mask
+        try:
+            score, _diags = import_midi(bytes(data))
+        except MidiError:
+            return
+        for p in score.parts:
+            p.notes

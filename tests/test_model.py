@@ -157,6 +157,25 @@ class TestNoteEvent:
         assert NoteEvent.__match_args__ == _PlainEvent.__match_args__
 
 
+class TestPart:
+    def test_a_hook_that_moves_measures_out_of_order_raises(self):
+        s = score([part([note("C", onset=0, measure=1), note("D", onset=4, measure=2)],
+                        measures=2)])
+
+        def swap_measures(s: Score) -> Score:
+            p = s.parts[0]
+            events = tuple(replace(e, measure_index=3 - e.measure_index) for e in p.events)
+            return replace(s, parts=(replace(p, events=events),))
+
+        with pytest.raises(ValueError, match="measure indices decrease"):
+            swap_measures(s)
+
+    def test_equal_measures_and_onsets_are_in_order(self):
+        p = part([note("C", onset=0, measure=1), note("E", onset=0, measure=1),
+                  note("D", onset=4, measure=1)])
+        assert [e.measure_index for e in p.events] == [1, 1, 1]
+
+
 class TestScore:
     def test_measure_offsets_required(self):
         with pytest.raises(TypeError, match="measure_offsets"):
@@ -425,6 +444,77 @@ class TestSliceWindow:
         p = part(events, measures=4, dynamics=[(0, "p"), (12, "f")])
         w = slice_window(score([p], measures=4), 2, 2)
         assert w.parts[0].dynamic_marks == ((4 * TPQ, "p"),)
+
+
+def _filtered_window(part: Part, start: int, end: int) -> Part:
+    """The window part as slicing once built it: every event of the part
+    filtered by its measure, and note columns from a fresh walk over them."""
+    return replace(part, events=tuple(e for e in part.events
+                                      if start <= e.measure_index <= end))
+
+
+def _windows(s: Score):
+    """Every (start, end) window of ``s``, clipped at its last measure."""
+    for start in s.measure_indices():
+        for end in range(start, s.last_measure + 1):
+            yield start, end
+
+
+# A chain from measure 1 tied into measure 2, whole notes at TPQ 480.
+_CHAIN_OVER_THE_BARLINE = score([part([
+    note("C", onset=0, dur=4, measure=1, tie="start"),
+    note("C", onset=4, dur=4, measure=2, tie="stop"),
+    note("E", onset=8, dur=4, measure=3),
+], measures=3)])
+# Chords whose notes lie on both sides of a measure's edge: the window's own
+# walk picks the top note of its share of each.
+_CHORDS_OVER_THE_BARLINE = score([part([
+    note("C", onset=0, dur=4, measure=1),
+    note("E", octave=5, onset=4, dur=1, measure=1),
+    note("G", onset=4, dur=1, measure=2),
+    note("D", onset=5, dur=3, measure=2),
+    note("F", onset=8, dur=1, measure=2),
+    note("A", octave=3, onset=8, dur=1, measure=3),
+], measures=3)])
+
+
+class TestWindowNotes:
+    @given(st.one_of(
+        st.randoms(use_true_random=False).map(
+            lambda rng: random_model_score(rng, ties_across_barlines=True)),
+        st.randoms(use_true_random=False).map(_parsed_random_musicxml),
+    ))
+    @example(_CHAIN_OVER_THE_BARLINE)
+    @example(_CHORD_WITH_TIE)
+    @example(_DANGLING)
+    def test_window_columns_equal_a_walk_of_the_filtered_events(self, s):
+        for start, end in _windows(s):
+            w = slice_window(s, start, end - start + 1)
+            for whole, p in zip(s.parts, w.parts):
+                oracle = _filtered_window(whole, start, end)
+                assert p.events == oracle.events
+                assert whole.notes.window(start, end) == p.notes == oracle.notes
+
+    def test_chain_counts_its_length_inside_the_window(self):
+        s = _CHAIN_OVER_THE_BARLINE
+        assert s.parts[0].notes.merged == (3840, 1920)
+        first = slice_window(s, 1, 1).parts[0].notes
+        assert first.merged == (1920,)
+        assert first.continuations == ()
+        second = slice_window(s, 2, 1).parts[0].notes
+        assert second.heads == () and second.merged == ()
+        assert slice_window(s, 1, 2).parts[0].notes.merged == (3840,)
+
+    def test_a_chord_split_by_the_window_edge_walks_the_window(self):
+        s = _CHORDS_OVER_THE_BARLINE
+        whole = s.parts[0].notes
+        assert [whole.heads[i].pitch.name for i in whole.line] == ["C4", "E5", "D4", "F4"]
+        for start, end in _windows(s):
+            w = slice_window(s, start, end - start + 1).parts[0]
+            assert w.notes == _filtered_window(s.parts[0], start, end).notes
+        assert whole.window(2, 2) is None
+        line = slice_window(s, 2, 1).parts[0].notes
+        assert [line.heads[i].pitch.name for i in line.line] == ["G4", "D4", "F4"]
 
 
 def _scan_governing(positions, query):

@@ -1,9 +1,12 @@
 import gc
 import random
 import tracemalloc
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scorefeat import musicxml
 from scorefeat.model import Lyric, midi_number, note_count
@@ -424,6 +427,16 @@ class TestBadTimeValues:
         assert diags.skipped_elements["non-positive-duration"] == 1
         assert any("cue duration -1 negative" in msg for _, msg in diags.warnings)
 
+    def test_negative_duration_of_a_note_without_a_usable_pitch_stops_at_the_measure_start(self):
+        doc = musicxml_doc([("Oboe", [
+            [{"step": "C", "dur": 16}],
+            [{"step": "2.5", "dur": -4}, {"kind": "rest", "dur": 8}, {"step": "D", "dur": 8}],
+        ])], divisions=4)
+        score, diags = parse_musicxml(doc)
+        assert [quarters(score, e.onset) for e in score.parts[0].events] == [0, 4, 6]
+        assert score.measure_offsets == (0, 4 * score.ticks_per_quarter)
+        assert any("unusable pitch" in msg for _, msg in diags.warnings)
+
     def test_bad_time_signature_keeps_the_previous_one(self):
         doc = EDGE_DOCS["time signature 3/0"][0]
         score, _ = parse_musicxml(doc)
@@ -477,3 +490,34 @@ class TestRoundTrip:
             for p, inventory in zip(score.parts, expected):
                 got = [(midi_number(e.pitch), quarters(score, e.duration)) for e in counted(p)]
                 assert got == inventory
+
+
+# Leaf texts that break numbers, names and fractions in their own ways.
+_LEAF_TEXTS = ("", " 7 ", "-1", "-4", "0", "2.5", "+3", "1/0", "abc", "nan", "inf", "-inf",
+               "1e999", "99999999999999999999")
+
+
+def _mutated(seed: int, edits) -> bytes:
+    """``random_musicxml(Random(seed))`` with leaf texts replaced: each edit
+    is (leaf index, taken modulo the leaf count, and its new text)."""
+    root = ET.fromstring(random_musicxml(random.Random(seed))[0])
+    leaves = [el for el in root.iter() if len(el) == 0 and el.text is not None]
+    for index, text in edits:
+        leaves[index % len(leaves)].text = text
+    return ET.tostring(root)
+
+
+class TestMutatedLeaves:
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_LEAF_TEXTS)),
+                    min_size=1, max_size=2))
+    # a note with an unreadable step and a negative duration moved the cursor
+    # before its measure's start, and the next measure's part lost its order
+    @example(2573, [(23, "-4"), (21, "2.5")])
+    def test_a_mutated_document_parses_or_raises_musicxml_error(self, seed, edits):
+        try:
+            score, _diags = parse_musicxml(_mutated(seed, edits))
+        except MusicXMLError:
+            return
+        for p in score.parts:
+            p.notes

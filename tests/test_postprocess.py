@@ -1,5 +1,6 @@
 import pytest
 
+from scorefeat.engine import RunReport
 from scorefeat.postprocess import MergeGroup, ProcessError, ProcessorConfig, merge_statistics, process
 from util import rows_of, table_of as table
 
@@ -89,6 +90,17 @@ class TestProcess:
         t = table(["X"], [[1]])
         out = process(t, ProcessorConfig(drop_columns=["Nothing.*"]))
         assert list(out.columns) == ["X"]
+
+    def test_zero_match_patterns_go_into_the_report_without_a_path(self):
+        report = RunReport()
+        config = ProcessorConfig(drop_columns=["X", "Nothing.*"], replace_missing_with_zero=["Y"],
+                                 merge_groups=[MergeGroup(pattern="Z.*", target="Z")])
+        process(table(["X"], [[1]]), config, report)
+        assert report.warnings == [
+            {"message": "merge pattern 'Z.*' matched no columns"},
+            {"message": "drop pattern 'Nothing.*' matched no columns"},
+            {"message": "replace pattern 'Y' matched no columns"},
+        ]
 
     def test_patterns_are_anchored(self):
         t = table(["X", "XY"], [[1, 2]])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scorefeat.postprocess import MergeGroup, ProcessorConfig, process
 from scorefeat.table import FeatureTable, as_cell
-from util import rows_of, sorted_by, table_of
+from util import csv_text, jsonl_text, rows_of, sorted_by, table_of
 
 
 def reference_from_rows(records) -> tuple[list[str], list[list]]:
@@ -112,7 +112,7 @@ class TestCsv:
             {"FileName": "a", "X": 1, "Y": 1.5, "Names": "violin,voice"},
             {"FileName": "b", "X": None, "Y": 0.1 + 0.2, "Q": 'say "hi"'},
         ])
-        text = t.to_csv()
+        text = csv_text(t)
         back = FeatureTable.from_csv(text)
         assert list(back.columns) == list(t.columns)
         assert rows_of(back) == rows_of(t)
@@ -120,9 +120,9 @@ class TestCsv:
     @given(st.lists(st.dictionaries(_NAMES, _CSV_VALUES, max_size=6), max_size=8))
     def test_csv_round_trips(self, records):
         t = FeatureTable.from_rows(records)
-        back = FeatureTable.from_csv(t.to_csv())
+        back = FeatureTable.from_csv(csv_text(t))
         assert list(back.columns) == list(t.columns) and back == t
-        assert back.to_csv() == t.to_csv()
+        assert csv_text(back) == csv_text(t)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="row width"):
@@ -130,32 +130,32 @@ class TestCsv:
 
     def test_missing_cells_empty_string(self):
         t = table_of(["A", "B"], [[None, 1]])
-        assert t.to_csv().splitlines()[1] == ",1"
+        assert csv_text(t).splitlines()[1] == ",1"
 
     def test_quoting_of_commas(self):
         t = table_of(["A"], [["x,y"]])
-        assert '"x,y"' in t.to_csv()
+        assert '"x,y"' in csv_text(t)
 
     def test_row_written_cell_by_cell(self):
         t = FeatureTable.from_rows([
             {"A": 1, "B": None, "C": 0.1 + 0.2, "D": 'say "hi", twice', "E": 1e-20},
         ])
-        assert t.to_csv() == 'A,B,C,D,E\n1,,0.30000000000000004,"say ""hi"", twice",1e-20\n'
+        assert csv_text(t) == 'A,B,C,D,E\n1,,0.30000000000000004,"say ""hi"", twice",1e-20\n'
 
     def test_shortest_round_trip_floats(self):
         t = table_of(["A"], [[0.1]])
-        assert t.to_csv().splitlines()[1] == "0.1"
+        assert csv_text(t).splitlines()[1] == "0.1"
 
 
 class TestJsonl:
     def test_one_object_per_row(self):
         t = table_of(["A", "B"], [[1, None], ["x", 2.5]])
-        lines = t.to_jsonl().strip().splitlines()
+        lines = jsonl_text(t).strip().splitlines()
         assert json.loads(lines[0]) == {"A": 1, "B": None}
         assert json.loads(lines[1]) == {"A": "x", "B": 2.5}
 
     def test_rows_without_columns_are_empty_objects(self):
-        assert table_of([], [[], []]).to_jsonl() == "{}\n{}\n"
+        assert jsonl_text(table_of([], [[], []])) == "{}\n{}\n"
 
 
 class TestProcessInput:

@@ -153,6 +153,20 @@ def table_of(columns, rows) -> FeatureTable:
     return FeatureTable({name: list(c) for name, c in zip(columns, cells)}, len(rows))
 
 
+def csv_text(table: FeatureTable) -> str:
+    """The CSV that ``table.to_csv`` writes, as text."""
+    buf = io.StringIO()
+    table.to_csv(buf)
+    return buf.getvalue()
+
+
+def jsonl_text(table: FeatureTable) -> str:
+    """The JSON lines that ``table.to_jsonl`` writes, as text."""
+    buf = io.StringIO()
+    table.to_jsonl(buf)
+    return buf.getvalue()
+
+
 def rows_of(table: FeatureTable) -> list[list]:
     """The table's rows, each a list of cells in column order."""
     return [[cells[i] for cells in table.columns.values()] for i in range(table.num_rows)]
