@@ -10,9 +10,12 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .table import Cell, FeatureTable, IDENTITY_COLUMNS
+
+if TYPE_CHECKING:
+    from .engine import RunReport
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +75,8 @@ def merge_statistics(values: Sequence[float], stats: Sequence[str]) -> dict[str,
     return {stat: _STATISTICS[stat](values) if values else None for stat in stats}
 
 
-def _match_columns(pattern: str, columns: Iterable[str], what: str, report) -> list[str]:
+def _match_columns(pattern: str, columns: Iterable[str], what: str,
+                   report: Optional[RunReport]) -> list[str]:
     try:
         rx = re.compile(pattern)
     except re.error as exc:
@@ -86,12 +90,13 @@ def _match_columns(pattern: str, columns: Iterable[str], what: str, report) -> l
     return matched
 
 
-def process(table: FeatureTable, config: ProcessorConfig, report=None) -> FeatureTable:
+def process(table: FeatureTable, config: ProcessorConfig,
+            report: Optional[RunReport] = None) -> FeatureTable:
     """Clean and reshape a feature table; row count and identity survive.
 
     Each step acts on whole columns; the input table is left unchanged. A
-    pattern that matches no column is logged and, given a ``report`` (an
-    ``engine.RunReport``), also kept there as a warning about the run.
+    pattern that matches no column is logged and, given a ``report``, also
+    kept there as a warning about the run, with no path.
     """
     columns = table.columns
     merged: list[tuple[str, Sequence[Cell]]] = []
