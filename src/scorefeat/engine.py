@@ -229,14 +229,6 @@ def _score_column(name: str) -> str:
     return f"Score_{name}"
 
 
-def _column_names(names: dict, prefix: str) -> dict:
-    """The memo of one scope prefix's column names (key -> name) in ``names``."""
-    scoped = names.get(prefix)
-    if scoped is None:
-        scoped = names.setdefault(prefix, {})
-    return scoped
-
-
 def extract_unit(score: Score, order: Sequence[str], registry, row: Optional[dict] = None,
                  names: Optional[dict] = None) -> dict:
     """Run feature modules over one score or window; returns ``row`` (a new
@@ -255,7 +247,7 @@ def extract_unit(score: Score, order: Sequence[str], registry, row: Optional[dic
                 own = part_values[part.part_id]
                 # part keys shadow score keys; a write lands in the empty front map
                 values = descriptor.part_fn(part, score, ChainMap({}, own, score_values)) or {}
-                columns = _column_names(names, prefix)
+                columns = names.setdefault(prefix, {})
                 for key, value in values.items():
                     if value is None:
                         continue
@@ -266,7 +258,7 @@ def extract_unit(score: Score, order: Sequence[str], registry, row: Optional[dic
                     row[column] = value
         if descriptor.score_fn is not None:
             values = descriptor.score_fn(score, part_values, score_values) or {}
-            columns = _column_names(names, "")
+            columns = names.setdefault("", {})
             for key, value in values.items():
                 if value is None:
                     continue
