@@ -170,11 +170,6 @@ class TestPart:
         with pytest.raises(ValueError, match="measure indices decrease"):
             swap_measures(s)
 
-    def test_equal_measures_and_onsets_are_in_order(self):
-        p = part([note("C", onset=0, measure=1), note("E", onset=0, measure=1),
-                  note("D", onset=4, measure=1)])
-        assert [e.measure_index for e in p.events] == [1, 1, 1]
-
 
 class TestScore:
     def test_measure_offsets_required(self):
