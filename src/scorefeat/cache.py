@@ -3,12 +3,14 @@
 Entries live at ``<cache_dir>/<2-char key prefix>/<key>.score``: a magic
 header, then one JSON document of plain data. It holds a format version, the
 hooks that shaped the score (name and qualified function name each), its
-parse's diagnostics, and the score with one row of ints and strings per
-event. Loading runs no code from the entry: the score is rebuilt through the
-model's constructors, so their checks run on cached data too, and anything
-unreadable or invalid is a miss, so corruption can never be fatal. Writes go
-through a temp file and rename, so concurrent workers never observe partial
-entries.
+parse's diagnostics, a table of the pitches it spells, and the score, whose
+parts keep their events as one array per ``NoteEvent`` field (a pitch is a
+row of the pitch table). Loading runs no code from the entry: the score is
+rebuilt through the model's constructors, so their checks run on cached data
+too. An entry of another format version is a quiet miss, and anything
+unreadable or invalid is a miss with a warning, so corruption can never be
+fatal; the reparse overwrites either. Writes go through a temp file and
+rename, so concurrent workers never observe partial entries.
 """
 
 from __future__ import annotations
@@ -22,17 +24,20 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .diagnostics import ParseDiagnostics
 from .harmony import HarmonicAnnotation
-from .model import Lyric, NoteEvent, Part, Score, SpelledPitch, TempoMark, spelled_pitch
+from .model import EventColumns, Lyric, Part, Score, TempoMark, spelled_pitch
 from .registry import get_hook
+
+if TYPE_CHECKING:
+    from .engine import RunReport
 
 log = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"MSF4"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def cache_key(source_bytes: bytes, parser_id: str, parser_version: str) -> str:
@@ -66,36 +71,48 @@ def _fields(obj, **override) -> dict:
 
 
 def _encode(hooks: Sequence[str], score: Score, diags: ParseDiagnostics) -> dict:
-    pitches: dict[tuple, int] = {}  # (step, alter, octave) -> row of the pitch table
+    # (step, alter, octave) -> row of the pitch table, and None (no pitch) -> None
+    pitches: dict = {None: None}
 
-    def row(e: NoteEvent) -> list:
-        p = e.pitch
-        pitch = None if p is None else pitches.setdefault((p.step, p.alter, p.octave), len(pitches))
-        lyric = None if e.lyric is None else (e.lyric.text, e.lyric.syllabic)
-        return [e.kind, e.onset, e.duration, e.measure_index, pitch, e.tie, e.dots, lyric, e.grace]
+    def columns(events: EventColumns) -> dict:
+        keys = [None if p is None else (p.step, p.alter, p.octave) for p in events.pitch]
+        for key in keys:
+            pitches.setdefault(key, len(pitches) - 1)
+        return _fields(events, pitch=list(map(pitches.__getitem__, keys)), lyric=[
+            None if lyric is None else (lyric.text, lyric.syllabic) for lyric in events.lyric])
 
     annotations = score.annotations
     score_doc = _fields(
         score,
-        parts=[_fields(p, events=[row(e) for e in p.events]) for p in score.parts],
+        parts=[_fields(p, events=columns(p.events)) for p in score.parts],
         tempo_marks=[_fields(t) for t in score.tempo_marks],
         annotations=None if annotations is None else [
             _fields(a, beat=str(a.beat)) for a in annotations],
     )
     return {"version": FORMAT_VERSION, "hooks": _hook_identities(hooks),
             "warnings": diags.warnings, "skipped": diags.skipped_elements,
-            "pitches": list(pitches), "score": score_doc}
+            "pitches": list(pitches)[1:], "score": score_doc}
 
 
-def _decode_score(doc: dict, pitches: list[SpelledPitch]) -> Score:
+_EVENT_COLUMNS = tuple(f.name for f in fields(EventColumns))
+
+
+def _decode_events(doc: dict, pitches: dict) -> EventColumns:
+    columns = {name: tuple(doc[name]) for name in _EVENT_COLUMNS}
+    columns["pitch"] = tuple(map(pitches.__getitem__, columns["pitch"]))
+    lyrics = columns["lyric"]
+    if lyrics.count(None) != len(lyrics):
+        columns["lyric"] = tuple(None if lyric is None else Lyric(*lyric) for lyric in lyrics)
+    return EventColumns(**columns)
+
+
+def _decode_score(doc: dict, pitches: dict) -> Score:
     """The score of an entry, rebuilt through the model's constructors so
-    that their checks run on what was read."""
+    that their checks run on what was read. ``pitches`` maps each row of the
+    pitch table, and None, to its pitch."""
     parts = tuple(
-        Part(**{**p, "events": tuple(
-            NoteEvent(kind, onset, duration, measure, None if pitch is None else pitches[pitch],
-                      tie, dots, None if lyric is None else Lyric(*lyric), grace)
-            for kind, onset, duration, measure, pitch, tie, dots, lyric, grace in p["events"]
-        ), "dynamic_marks": tuple((pos, token) for pos, token in p["dynamic_marks"])})
+        Part(**{**p, "events": _decode_events(p["events"], pitches),
+                "dynamic_marks": tuple((pos, token) for pos, token in p["dynamic_marks"])})
         for p in doc["parts"]
     )
     annotations = doc["annotations"]
@@ -135,38 +152,42 @@ def store_score(
 
 
 def load_score(
-    cache_dir: Path, key: str, hooks: Sequence[str]
+    cache_dir: Path, key: str, hooks: Sequence[str], report: Optional[RunReport] = None
 ) -> Optional[tuple[Score, ParseDiagnostics]]:
     """Cached (score, diagnostics), or None on miss or any kind of corruption.
 
-    An entry written under other ``hooks`` than these (names, in order, and
-    the qualified names of the functions registered under them) is a miss too.
+    An entry of another format version, or one written under other ``hooks``
+    than these (names, in order, and the qualified names of the functions
+    registered under them), is a quiet miss. A corrupt entry is a miss that
+    is logged and, given ``report``, warned of there with the entry's path.
     """
     target = cache_path(cache_dir, key)
     try:
         payload = target.read_bytes()
     except OSError:
         return None
-    if payload[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        log.warning("cache entry %s has a bad header; reparsing", target)
-        return None
     wanted_hooks = _hook_identities(hooks)
     try:
+        if payload[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+            raise ValueError("bad header")
         doc = json.loads(payload[len(CACHE_MAGIC) :])
         if doc["version"] != FORMAT_VERSION:
-            raise ValueError(f"format version {doc['version']!r}")
+            return None
         if tuple(map(tuple, doc["hooks"])) != wanted_hooks:
             return None
         skipped = doc["skipped"]
         if type(skipped) is not dict or not all(type(n) is int for n in skipped.values()):
             raise TypeError("skipped-element tallies must map names to ints")
         diags = ParseDiagnostics([(loc, msg) for loc, msg in doc["warnings"]], Counter(skipped))
-        pitches = [spelled_pitch(*pitch) for pitch in doc["pitches"]]
+        pitches = {None: None, **{i: spelled_pitch(*p) for i, p in enumerate(doc["pitches"])}}
         score = _decode_score(doc["score"], pitches)
-    # bad JSON or bytes, missing keys, rows of the wrong shape or type, values
-    # the model's constructors reject, a zero denominator, too deep a nesting
+    # bad JSON or bytes, missing keys, columns of the wrong shape or type,
+    # values the model's constructors reject, a zero denominator, too deep a
+    # nesting
     except (ValueError, TypeError, KeyError, IndexError, ZeroDivisionError,
             RecursionError) as exc:
         log.warning("cache entry %s is unreadable (%s); reparsing", target, exc)
+        if report is not None:
+            report.add_warning(target, f"cache entry is unreadable ({exc}); reparsing")
         return None
     return score, diags

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 from . import cache as score_cache
 from . import midi as midi_importer
 from . import musicxml as musicxml_parser
+from .diagnostics import ParseDiagnostics
 from .features import FEATURE_ALIASES, STOCK_FEATURES
 from .features.core import SCOPED_NAME
 from .harmony import HarmonyError, attach_annotations, parse_harmony_file
@@ -194,7 +195,7 @@ def load_or_parse(path, config: ExtractorConfig, report: RunReport) -> Score:
 
     cached = None
     if config.cache_dir is not None:
-        cached = score_cache.load_score(config.cache_dir, key, config.hooks)
+        cached = score_cache.load_score(config.cache_dir, key, config.hooks, report)
     if cached is not None:
         score, diags = cached
         report.cache_hits += 1
@@ -291,12 +292,15 @@ def _process_path(path: Path, config, order, registry,
 
     harmony_path = _find_harmony_file(path, config)
     if harmony_path is not None:
+        diags = ParseDiagnostics()
         try:
-            annotations = parse_harmony_file(harmony_path.read_text("utf-8"))
+            annotations = parse_harmony_file(harmony_path.read_text("utf-8"), diags)
             score = attach_annotations(score, annotations)
         except (HarmonyError, OSError) as exc:
             # keep the score, lose the annotations: harmony is a sidecar
             report.add_failure(harmony_path, "harmony", exc)
+        for location, message in diags.warnings:
+            report.add_warning(harmony_path, f"{location}: {message}")
 
     rows = []
     try:

@@ -170,16 +170,16 @@ def lyrics_features(part: Part) -> dict:
     """Syllable-alignment features; only vocal parts emit anything."""
     if not part.is_vocal:
         return {}
-    counted = part.notes.heads
+    lyrics = part.notes.lyric
     out = {}
     if part.measure_count > 0:
         out["SoundingMeasuresRatio"] = len(sounding_measures(part)) / part.measure_count
     syllables = sum(
-        1 for e in counted if e.lyric is not None and e.lyric.syllabic in ("single", "begin")
+        1 for lyric in lyrics if lyric is not None and lyric.syllabic in ("single", "begin")
     )
     if syllables == 0:
         return out
     out["NumSyllables"] = syllables
-    out["NotesPerSyllable"] = len(counted) / syllables
-    out["MelismaRatio"] = (len(counted) - syllables) / len(counted)
+    out["NotesPerSyllable"] = len(lyrics) / syllables
+    out["MelismaRatio"] = (len(lyrics) - syllables) / len(lyrics)
     return out

@@ -153,12 +153,12 @@ _AMBITUS_KEYS = ("LowestMidi", "HighestMidi", "LowestName", "HighestName", "Ambi
 def ambitus_features(score: Score) -> dict:
     """Part, sound, family, and score ambitus off one extremes pass per part
     (percussion excluded)."""
-    extremes = {}  # part_id -> ((midi, event) lowest, (midi, event) highest)
+    extremes = {}  # part_id -> ((midi, pitch) lowest, (midi, pitch) highest)
     for p in score.parts:
-        midi, heads = p.notes.midi, p.notes.heads
+        midi, pitch = p.notes.midi, p.notes.pitch
         if _pitched(p) and midi:  # the first of equal extremes
             lo, hi = min(midi), max(midi)
-            extremes[p.part_id] = ((lo, heads[midi.index(lo)]), (hi, heads[midi.index(hi)]))
+            extremes[p.part_id] = ((lo, pitch[midi.index(lo)]), (hi, pitch[midi.index(hi)]))
 
     def emit(prefix: str, members) -> dict:
         pairs = [extremes[p.part_id] for p in members if p.part_id in extremes]
@@ -167,7 +167,7 @@ def ambitus_features(score: Score) -> dict:
         lo = min((p[0] for p in pairs), key=lambda t: t[0])
         hi = max((p[1] for p in pairs), key=lambda t: t[0])
         names = scoped_names(prefix, _AMBITUS_KEYS)
-        return dict(zip(names, (lo[0], hi[0], lo[1].pitch.name, hi[1].pitch.name, hi[0] - lo[0])))
+        return dict(zip(names, (lo[0], hi[0], lo[1].name, hi[1].name, hi[0] - lo[0])))
 
     out = {}
     for prefix, members in (*score.scopes, ("", score.parts)):  # "": the score
@@ -225,7 +225,7 @@ def _moves(part: Part) -> Iterable[tuple[int, int]]:
     """(letter steps, semitones) of each move between consecutive chord tops;
     rests do not break the line."""
     cols = part.notes
-    letters = [_LETTER[p.step] + 7 * p.octave for p in (cols.heads[i].pitch for i in cols.line)]
+    letters = [_LETTER[p.step] + 7 * p.octave for p in map(cols.pitch.__getitem__, cols.line)]
     midi = [cols.midi[i] for i in cols.line]
     return zip(map(sub, letters[1:], letters), map(sub, midi[1:], midi))
 
@@ -357,7 +357,7 @@ def scale_degree_features(
     if not _pitched(part):
         return {}
     cols = part.notes
-    if not cols.heads:
+    if not cols.onset:
         return {}
     out = {}
     if global_key is not None:

@@ -65,10 +65,10 @@ def rhythm_features(part: Part, tpq: int) -> dict:
     """Average/spread of durations (tie chains merged) plus figure fractions;
     ``tpq`` is the score's ticks per quarter note."""
     cols = part.notes
-    n = len(cols.heads)
+    dots = cols.dots
+    n = len(dots)
     if not n:
         return {}
-    dots = [e.dots for e in cols.heads]
     out = {}
     out["AvgDuration"], out["DurationStd"] = mean_std(cols.merged, tpq)  # population std
     out["DottedFrac"] = dots.count(1) / n

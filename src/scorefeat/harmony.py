@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .diagnostics import ParseDiagnostics
 from .model import Score
 
 log = logging.getLogger(__name__)
@@ -125,12 +126,21 @@ def _parse_beat(text: str, line_no: int) -> Fraction:
         raise HarmonyError(f"line {line_no}: bad beat value {text!r}: {exc}") from exc
 
 
-def parse_harmony_file(text: str) -> list[HarmonicAnnotation]:
+def parse_harmony_file(
+    text: str, diags: Optional[ParseDiagnostics] = None
+) -> list[HarmonicAnnotation]:
     """Parse a harmony TSV into sorted annotations.
 
-    Duplicate (measure, beat) positions are an error; unparsable labels are
-    kept with degree "unknown" and logged.
+    Duplicate (measure, beat) positions are an error. Extra columns are
+    ignored and unparsable labels kept with degree "unknown"; each is logged
+    and, given ``diags``, warned of there.
     """
+
+    def warn(location: str, message: str) -> None:
+        log.warning("%s: %s", location, message)
+        if diags is not None:
+            diags.warn(location, message)
+
     reader = csv.DictReader(io.StringIO(text), delimiter="\t")
     if reader.fieldnames is None:
         raise HarmonyError("empty harmony file")
@@ -139,7 +149,7 @@ def parse_harmony_file(text: str) -> list[HarmonicAnnotation]:
         raise HarmonyError(f"harmony file is missing columns: {', '.join(missing)}")
     extra = [c for c in reader.fieldnames if c not in HARMONY_COLUMNS]
     if extra:
-        log.warning("harmony file has extra columns (ignored): %s", ", ".join(extra))
+        warn("header", f"extra columns ignored: {', '.join(extra)}")
 
     rows = []
     for line_no, row in enumerate(reader, start=2):
@@ -171,7 +181,7 @@ def parse_harmony_file(text: str) -> list[HarmonicAnnotation]:
     for measure, beat, label, key, line_no in rows:
         parsed = parse_rn_label(label)
         if parsed.degree == "unknown":
-            log.warning("line %d: unparsable label %r kept with degree=unknown", line_no, label)
+            warn(f"line {line_no}", f"unparsable label {label!r} kept with degree=unknown")
         annotations.append(
             HarmonicAnnotation(
                 measure_index=measure,

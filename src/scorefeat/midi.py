@@ -15,13 +15,14 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .diagnostics import ParseDiagnostics
 from .features.core import nearest_dynamic_token
 from .instruments import OrdinalAllocator, detect_instrument_family, part_identifier
 from .model import (
-    NoteEvent, Part, Score, SpelledPitch, TempoMark, spelled_pitch, tick_base, to_ticks,
+    EventColumns, Part, Score, SpelledPitch, TempoMark, spelled_pitch, tick_base, to_ticks,
 )
 
 PARSER_ID = "midi"
@@ -370,26 +371,23 @@ def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
             sound, family = detect_instrument_family(name)
         ordinal = ordinals.assign(sound, None)
 
-        events = []
+        rows = []  # (onset, duration, measure, pitch) of each note
         dyn_marks: list[tuple[int, str]] = []
         last_token: Optional[str] = None
         for s_tick, e_tick, pitch, vel in sorted(raw):
             onset = _grid_steps(s_tick, tpq) * step_ticks
             steps = _grid_steps(e_tick - s_tick, tpq)
-            events.append(
-                NoteEvent(
-                    kind="note",
-                    onset=onset,
-                    duration=max(1, steps) * step_ticks,
-                    measure_index=bisect_right(start_ticks, onset),
-                    pitch=_spell(pitch, prefer_flats),
-                )
-            )
+            rows.append((onset, max(1, steps) * step_ticks, bisect_right(start_ticks, onset),
+                         _spell(pitch, prefer_flats)))
             token = DYNAMIC_BY_VELOCITY[vel]
             if token != last_token:
                 dyn_marks.append((onset, token))
                 last_token = token
-        events.sort(key=lambda e: e.onset)
+        rows.sort(key=itemgetter(0))
+        onsets, durations, measures, pitches = zip(*rows)
+        n = len(rows)
+        events = EventColumns(("note",) * n, onsets, durations, measures, pitches,
+                              ("none",) * n, (0,) * n, (None,) * n, (False,) * n)
         parts.append(
             Part(
                 part_id=part_identifier(sound, ordinal),
@@ -397,7 +395,7 @@ def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
                 sound_ordinal=ordinal,
                 family=family,
                 is_vocal=(family == "voices"),
-                events=tuple(events),
+                events=events,
                 dynamic_marks=tuple(dyn_marks),
                 measure_count=len(start_ticks),
             )

@@ -9,13 +9,13 @@ Tuplets never accumulate floating-point error across a score.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
 from math import lcm
-from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from operator import and_, attrgetter, is_, itemgetter, not_
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .instruments import camel_case
 
@@ -108,13 +108,56 @@ class Lyric:
     syllabic: str = "single"  # single | begin | middle | end
 
 
+def _check_row(kind, onset, duration, pitch, tie, dots, grace) -> None:
+    """The rules of one event, in order: the first one it breaks raises."""
+    if kind not in ("note", "rest"):
+        raise ValueError(f"invalid event kind {kind!r}")
+    if kind == "note" and pitch is None:
+        raise ValueError("note event requires a pitch")
+    if tie not in TIE_STATES:
+        raise ValueError(f"invalid tie state {tie!r}")
+    if dots not in (0, 1, 2):
+        raise ValueError(f"dots must be 0..2, got {dots}")
+    if type(onset) is not int or type(duration) is not int:
+        raise TypeError("onset and duration must be whole ticks (int)")
+    if onset < 0:
+        raise ValueError("onset must be non-negative")
+    if grace:
+        if duration < 0:
+            raise ValueError("grace duration must be >= 0")
+    elif duration <= 0:
+        raise ValueError("duration must be positive")
+
+
+_KINDS, _TIES, _DOTS, _INT = frozenset(("note", "rest")), frozenset(TIE_STATES), {0, 1, 2}, {int}
+
+
+def _check_rows(kind, onset, duration, pitch, tie, dots, grace) -> None:
+    """Raise for the first row that breaks an event rule, with that rule's
+    message. A test over whole columns passes the usual case; only columns
+    that fail it are walked row by row for the first offender."""
+    try:
+        if (_KINDS.issuperset(kind) and _TIES.issuperset(tie) and _DOTS.issuperset(dots)
+                and _INT.issuperset(map(type, onset)) and _INT.issuperset(map(type, duration))
+                and min(onset, default=0) >= 0
+                and "note" not in compress(kind, map(is_, pitch, repeat(None)))
+                and (min(duration, default=1) > 0  # or 0, and only for grace notes
+                     or min(duration) == 0 and all(compress(grace, map((0).__eq__, duration))))):
+            return
+    except TypeError:  # an unhashable value: the walk finds the rule it breaks
+        pass
+    for row in zip(kind, onset, duration, pitch, tie, dots, grace):
+        _check_row(*row)
+
+
 @dataclass(frozen=True, init=False)
 class NoteEvent:
     """One note or rest in a part.
 
     Onsets are absolute tick offsets from the start of the original score;
     window slices keep them un-rebased. Grace notes carry zero duration and
-    are excluded from counting features.
+    are excluded from counting features. A part keeps its events as
+    ``EventColumns`` and builds these only when they are asked for.
     """
 
     kind: str  # "note" | "rest"
@@ -136,23 +179,80 @@ class NoteEvent:
         self.__post_init__()
 
     def __post_init__(self):
-        if self.kind not in ("note", "rest"):
-            raise ValueError(f"invalid event kind {self.kind!r}")
-        if self.kind == "note" and self.pitch is None:
-            raise ValueError("note event requires a pitch")
-        if self.tie not in TIE_STATES:
-            raise ValueError(f"invalid tie state {self.tie!r}")
-        if self.dots not in (0, 1, 2):
-            raise ValueError(f"dots must be 0..2, got {self.dots}")
-        if type(self.onset) is not int or type(self.duration) is not int:
-            raise TypeError("onset and duration must be whole ticks (int)")
-        if self.onset < 0:
-            raise ValueError("onset must be non-negative")
-        if self.grace:
-            if self.duration < 0:
-                raise ValueError("grace duration must be >= 0")
-        elif self.duration <= 0:
-            raise ValueError("duration must be positive")
+        _check_rows((self.kind,), (self.onset,), (self.duration,), (self.pitch,), (self.tie,),
+                    (self.dots,), (self.grace,))
+
+
+_EVENT_FIELDS = tuple(f.name for f in fields(NoteEvent))
+_event_row = attrgetter(*_EVENT_FIELDS)
+
+
+@dataclass(frozen=True)
+class EventColumns(Sequence[NoteEvent]):
+    """A part's events, one tuple per ``NoteEvent`` field, all of one length,
+    in event order.
+
+    Building one checks every rule of ``NoteEvent`` over whole columns, with
+    the same messages, and that onsets and measure indices never decrease:
+    windows take their rows by bisection on the measure column. As a
+    sequence it yields ``NoteEvent``s, built on first use and kept.
+    """
+
+    kind: tuple[str, ...]
+    onset: tuple[int, ...]
+    duration: tuple[int, ...]
+    measure_index: tuple[int, ...]
+    pitch: tuple[Optional[SpelledPitch], ...]
+    tie: tuple[str, ...]
+    dots: tuple[int, ...]
+    lyric: tuple[Optional[Lyric], ...]
+    grace: tuple[bool, ...]
+
+    def __post_init__(self):
+        n = len(self.kind)
+        if any(len(getattr(self, name)) != n for name in _EVENT_FIELDS):
+            raise ValueError("event columns differ in length")
+        _check_rows(self.kind, self.onset, self.duration, self.pitch, self.tie, self.dots,
+                    self.grace)
+        if sorted(self.onset) != list(self.onset):
+            raise ValueError("events not sorted by onset")
+        if sorted(self.measure_index) != list(self.measure_index):
+            raise ValueError("measure indices decrease in event order")
+
+    @classmethod
+    def of(cls, events: Iterable[NoteEvent]) -> EventColumns:
+        """The columns of ``events``, which they then yield as themselves."""
+        events = tuple(events)
+        columns = cls(*zip(*map(_event_row, events)) if events else [()] * len(_EVENT_FIELDS))
+        if all(type(e) is NoteEvent for e in events):
+            columns.__dict__["_events"] = events
+        return columns
+
+    def rows(self, first: int, last: int) -> EventColumns:
+        """Rows ``first`` to ``last - 1``. A row range of checked columns
+        keeps every rule and both orders, so it is not checked again."""
+        view = object.__new__(EventColumns)
+        view.__dict__.update((name, getattr(self, name)[first:last]) for name in _EVENT_FIELDS)
+        return view
+
+    @cached_property
+    def _events(self) -> tuple[NoteEvent, ...]:
+        # The rows are checked, so the events are not checked again.
+        new, events = NoteEvent.__new__, []
+        for row in zip(*map(self.__dict__.__getitem__, _EVENT_FIELDS)):
+            event = new(NoteEvent)
+            event.__dict__.update(zip(_EVENT_FIELDS, row))
+            events.append(event)
+        return tuple(events)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, index):
+        return self._events[index]
+
+    def __iter__(self):
+        return iter(self._events)
 
 
 @dataclass(frozen=True)
@@ -161,15 +261,25 @@ class NoteColumns:
     each in event order, in partitura's ``note_array`` layout, in the
     score's ticks."""
 
-    heads: tuple[NoteEvent, ...]
     onset: tuple[int, ...]
     duration: tuple[int, ...]  # the head's own notated duration
     merged: tuple[int, ...]  # with its tie continuations folded in
     midi: tuple[int, ...]
     measure: tuple[int, ...]
+    pitch: tuple[SpelledPitch, ...]
+    dots: tuple[int, ...]
+    lyric: tuple[Optional[Lyric], ...]
     line: tuple[int, ...]  # rows of the melodic line: the highest note per onset
     # (row, ((measure, ticks), ...)) of each chain with continuations, by row
     continuations: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    # the row of each note in ``events``; a window's notes keep the whole part's
+    event: tuple[int, ...] = field(compare=False, repr=False)
+    events: EventColumns = field(compare=False, repr=False)
+
+    @property
+    def heads(self) -> tuple[NoteEvent, ...]:
+        """The counted notes as ``NoteEvent``s."""
+        return tuple(map(self.events.__getitem__, self.event))
 
     def window(self, start: int, end: int) -> Optional[NoteColumns]:
         """The columns a walk over the events of measures ``start..end``
@@ -194,9 +304,17 @@ class NoteColumns:
             if pieces:
                 chains.append((row - lo, pieces))
         line = self.line[bisect_left(self.line, lo):bisect_left(self.line, hi)]
-        return NoteColumns(self.heads[lo:hi], onset[lo:hi], self.duration[lo:hi], tuple(merged),
-                           self.midi[lo:hi], self.measure[lo:hi], tuple(map(lo.__rsub__, line)),
-                           tuple(chains))
+        return NoteColumns(onset[lo:hi], self.duration[lo:hi], tuple(merged), self.midi[lo:hi],
+                           self.measure[lo:hi], self.pitch[lo:hi], self.dots[lo:hi],
+                           self.lyric[lo:hi], tuple(map(lo.__rsub__, line)), tuple(chains),
+                           self.event[lo:hi], self.events)
+
+
+def _taker(rows: list[int]) -> Callable[[tuple], tuple]:
+    """A function that takes ``rows`` of a column, as a tuple."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda column: tuple(column[i] for i in rows)
 
 
 @dataclass(frozen=True)
@@ -205,7 +323,8 @@ class Part:
 
     (instrument_sound, sound_ordinal) and part_id are each unique within a
     Score; part_id is the CamelCase sound name with the ordinal as a Roman
-    numeral (ViolinII).
+    numeral (ViolinII). A tuple of ``NoteEvent``s given as ``events`` is
+    turned into ``EventColumns``.
     """
 
     part_id: str
@@ -213,7 +332,7 @@ class Part:
     sound_ordinal: int
     family: str
     is_vocal: bool
-    events: tuple[NoteEvent, ...]
+    events: EventColumns
     dynamic_marks: tuple[tuple[int, str], ...] = ()  # (tick, token)
     measure_count: int = 0
 
@@ -222,44 +341,59 @@ class Part:
             raise ValueError(f"unknown family {self.family!r}")
         if self.sound_ordinal < 1:
             raise ValueError("sound_ordinal must be >= 1")
-        # Windows take their events and note rows by bisection on measures.
-        onsets = [e.onset for e in self.events]
-        measures = [e.measure_index for e in self.events]
-        if onsets != sorted(onsets):
-            raise ValueError(f"part {self.part_id}: events not sorted by onset")
-        if measures != sorted(measures):
-            raise ValueError(f"part {self.part_id}: measure indices decrease in event order")
+        if type(self.events) is not EventColumns:
+            object.__setattr__(self, "events", EventColumns.of(self.events))
         if any(type(pos) is not int for pos, _ in self.dynamic_marks):
             raise TypeError("dynamic mark positions must be whole ticks (int)")
 
     @cached_property
     def notes(self) -> NoteColumns:
-        """One pass on first use; a tie continuation without an open chain is dropped."""
-        rows, line = [], []  # rows: [head, onset, duration, merged, midi, measure]
-        open_chains: dict[int, int] = {}  # midi number -> row of the chain head
+        """Built from the event columns on first use; a tie continuation
+        without an open chain is dropped."""
+        events = self.events
+        duration = events.duration
+        counted = list(compress(count(), map(and_, map("note".__eq__, events.kind),
+                                             map(not_, events.grace))))
+        take = _taker(counted)
+        pitches = take(events.pitch)
+        midi_of = {id(p): p for p in pitches}  # the pitches are held, so ids stay theirs
+        for key, pitch in midi_of.items():
+            midi_of[key] = midi_number(pitch)
+        midi = list(map(midi_of.__getitem__, map(id, pitches)))
+        ties = take(events.tie)
+        rows, merged = counted, []  # merged: with continuations, when there are any
         pieces: dict[int, list] = {}  # row -> (measure, ticks) of its continuations
-        for e in self.events:
-            if e.kind != "note" or e.grace:
-                continue
-            m = midi_number(e.pitch)
-            d = e.duration
-            if e.tie in ("none", "start"):
-                o = e.onset
-                if not rows or rows[-1][1] != o:
-                    line.append(len(rows))
-                elif m > rows[line[-1]][4]:
-                    line[-1] = len(rows)
-                rows.append([e, o, d, d, m, e.measure_index])
-                if e.tie == "start":
-                    open_chains[m] = len(rows) - 1
-            elif (r := open_chains.get(m)) is not None:
-                rows[r][3] += d
-                pieces.setdefault(r, []).append((e.measure_index, d))
-                if e.tie == "stop":
-                    del open_chains[m]
-        columns = zip(*rows) if rows else [()] * 6
-        return NoteColumns(*columns, tuple(line),
-                           tuple((r, tuple(p)) for r, p in sorted(pieces.items())))
+        if "continue" in ties or "stop" in ties:
+            rows, head_midi = [], []
+            open_chains: dict[int, int] = {}  # midi number -> row of the chain head
+            for i, m, tie in zip(counted, midi, ties):
+                if tie == "none" or tie == "start":
+                    if tie == "start":
+                        open_chains[m] = len(rows)
+                    rows.append(i)
+                    head_midi.append(m)
+                    merged.append(duration[i])
+                elif (r := open_chains.get(m)) is not None:
+                    merged[r] += duration[i]
+                    pieces.setdefault(r, []).append((events.measure_index[i], duration[i]))
+                    if tie == "stop":
+                        del open_chains[m]
+            midi, take = head_midi, _taker(rows)
+        onset, own = take(events.onset), take(duration)
+        if len(set(onset)) == len(onset):  # no chords: every note is on the line
+            line = range(len(onset))
+        else:
+            line = []  # the highest note of each onset, the first of equals
+            for row, (o, m) in enumerate(zip(onset, midi)):
+                if not line or onset[line[-1]] != o:
+                    line.append(row)
+                elif m > midi[line[-1]]:
+                    line[-1] = row
+        return NoteColumns(onset, own, tuple(merged) if pieces else own, tuple(midi),
+                           take(events.measure_index), take(events.pitch), take(events.dots),
+                           take(events.lyric), tuple(line),
+                           tuple((r, tuple(p)) for r, p in sorted(pieces.items())),
+                           tuple(rows), events)
 
 
 @dataclass(frozen=True)
@@ -364,7 +498,7 @@ class Score:
 
 
 def note_count(part: Part) -> int:
-    return len(part.notes.heads)
+    return len(part.notes.onset)
 
 
 def sounding_measures(part: Part) -> set[int]:
@@ -387,9 +521,6 @@ def governing_indices(positions: Sequence, queries: Iterable) -> list[int]:
     return [bisect_right(reach, q) - 1 for q in queries]
 
 
-_MEASURE = attrgetter("measure_index")
-
-
 def slice_window(score: Score, start_measure: int, length: int) -> Score:
     """Score view over measures [start_measure, start_measure + length - 1].
 
@@ -398,9 +529,9 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
     window start are carried in so duration-weighted features keep their
     "effective until the next mark" semantics.
 
-    Each part's events are found by bisection on their measures, and its
-    note columns are a row range of the whole part's (``NoteColumns.window``),
-    so a window does not walk its events again.
+    Each part's events are a row range of the whole part's, found by
+    bisection on their measures, and so are its note columns
+    (``NoteColumns.window``): a window checks and walks no event again.
     """
     if length < 1:
         raise ValueError("window length must be >= 1")
@@ -420,16 +551,16 @@ def slice_window(score: Score, start_measure: int, length: int) -> Score:
 
     parts = []
     for part in score.parts:
-        events = part.events
-        first = bisect_left(events, start_measure, key=_MEASURE)
-        last = bisect_right(events, end_measure, first, key=_MEASURE)
+        measures = part.events.measure_index
+        first = bisect_left(measures, start_measure)
+        last = bisect_right(measures, end_measure, first)
         marks = [(pos, tok) for pos, tok in part.dynamic_marks
                  if window_start <= pos < window_end]
         i = governing_indices([pos for pos, _ in part.dynamic_marks], [window_start])[0]
         if i >= 0 and (not marks or marks[0][0] > window_start):
             marks.insert(0, (window_start, part.dynamic_marks[i][1]))
-        window_part = replace(part, events=events[first:last], dynamic_marks=tuple(marks),
-                              measure_count=eff_length)
+        window_part = replace(part, events=part.events.rows(first, last),
+                              dynamic_marks=tuple(marks), measure_count=eff_length)
         notes = part.notes.window(start_measure, end_measure)
         if notes is not None:  # else the window part walks its own events
             window_part.__dict__["notes"] = notes

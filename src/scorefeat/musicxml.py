@@ -30,8 +30,8 @@ from .instruments import (
     split_instrument_ordinal,
 )
 from .model import (
+    EventColumns,
     Lyric,
-    NoteEvent,
     Part,
     PitchRangeError,
     Score,
@@ -587,12 +587,13 @@ def _build_score(source_id, raw_parts, unit, time_signatures, key_fifths, tempo_
         _, explicit = split_instrument_ordinal(rp.name)
         ordinal = ordinals.assign(sound, explicit)
 
-        events = tuple(
-            NoteEvent(n.kind, offsets[n.measure_index - 1] + n.offset * tpq // unit,
-                      n.duration * tpq // unit, n.measure_index, n.pitch, n.tie, n.dots,
-                      n.lyric, n.grace)
-            for n in sorted(rp.notes, key=attrgetter("measure_index", "offset"))
-        )
+        notes = sorted(rp.notes, key=attrgetter("measure_index", "offset"))
+        measure, offset, duration, kind, pitch, tie, dots, lyric, grace = (
+            zip(*notes) if notes else [()] * len(_RawNote._fields))
+        events = EventColumns(
+            kind, tuple(offsets[m - 1] + units * tpq // unit for m, units in zip(measure, offset)),
+            tuple(units * tpq // unit for units in duration), measure, pitch, tie, dots, lyric,
+            grace)
         dyn = tuple(
             (offsets[mi - 1] + off * tpq // unit, token)
             for mi, off, token in sorted(rp.dynamics, key=lambda d: (d[0], d[1]))

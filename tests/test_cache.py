@@ -13,11 +13,19 @@ from hypothesis import strategies as st
 
 import scorefeat
 from scorefeat import musicxml as musicxml_parser
-from scorefeat.cache import CACHE_MAGIC, cache_key, cache_path, load_score, store_score
+from scorefeat.cache import (
+    CACHE_MAGIC,
+    FORMAT_VERSION,
+    cache_key,
+    cache_path,
+    load_score,
+    store_score,
+)
 from scorefeat.diagnostics import ParseDiagnostics
 from scorefeat.engine import ExtractorConfig, RunReport, load_or_parse
 from scorefeat.harmony import attach_annotations, parse_harmony_file
 from scorefeat.midi import import_midi
+from scorefeat.model import Score, slice_window
 from scorefeat.musicxml import parse_musicxml
 from scorefeat.registry import register_hook
 from util import (
@@ -72,6 +80,17 @@ _sources = st.one_of(
 )
 
 
+def _assert_reads_alike(loaded: Score, parsed: Score):
+    """Note columns, and those of every window, are the same for both."""
+    assert [p.notes for p in loaded.parts] == [p.notes for p in parsed.parts]
+    for start in parsed.measure_indices():
+        for length in range(1, parsed.last_measure - start + 2):
+            window = slice_window(loaded, start, length)
+            expected = slice_window(parsed, start, length)
+            assert window == expected
+            assert [p.notes for p in window.parts] == [p.notes for p in expected.parts]
+
+
 class TestRoundTrip:
     @given(_sources)
     @example(parse_musicxml(corpus_musicxml(random.Random(3), n_measures=3)))  # lyrics, tempo
@@ -80,7 +99,9 @@ class TestRoundTrip:
         score, diags = parsed
         with tempfile.TemporaryDirectory() as tmp:
             store_score(Path(tmp), "ab12", score, diags, [])
-            assert load_score(Path(tmp), "ab12", []) == (score, diags)
+            loaded = load_score(Path(tmp), "ab12", [])
+        assert loaded == (score, diags)
+        _assert_reads_alike(loaded[0], score)
 
     @given(_sources)
     def test_hooked_score_with_annotations(self, parsed):
@@ -111,19 +132,32 @@ def _entry(tmp_path: Path) -> tuple[Path, dict]:
     return path, json.loads(path.read_bytes()[len(CACHE_MAGIC):])
 
 
-def _first_event(doc: dict) -> list:
-    return doc["score"]["parts"][0]["events"][0]
+def _events(doc: dict) -> dict:
+    """The event columns of the entry's first part, by ``NoteEvent`` field."""
+    return doc["score"]["parts"][0]["events"]
+
+
+def _first(column: str, value):
+    """A corruption that puts ``value`` in the first row of ``column``."""
+    return lambda doc: _events(doc)[column].__setitem__(0, value)
 
 
 class TestHostileEntries:
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda doc: "truncated", id="truncated"),
-        pytest.param(lambda doc: _first_event(doc).__setitem__(1, "0"), id="string-onset"),
-        pytest.param(lambda doc: _first_event(doc).__setitem__(1, 0.5), id="float-onset"),
-        pytest.param(lambda doc: _first_event(doc).__setitem__(2, -4), id="negative-duration"),
-        pytest.param(lambda doc: _first_event(doc).__setitem__(5, "slur"), id="unknown-tie"),
-        pytest.param(lambda doc: _first_event(doc).pop(), id="short-row"),
-        pytest.param(lambda doc: _first_event(doc).__setitem__(4, 99), id="no-such-pitch"),
+        pytest.param(_first("onset", "0"), id="string-onset"),
+        pytest.param(_first("onset", 0.5), id="float-onset"),
+        pytest.param(_first("duration", -4), id="negative-duration"),
+        pytest.param(_first("tie", "slur"), id="unknown-tie"),
+        pytest.param(_first("kind", None), id="null-kind"),
+        pytest.param(lambda doc: _events(doc)["grace"].pop(), id="short-row"),
+        pytest.param(lambda doc: _events(doc)["onset"].append(64), id="ragged-columns"),
+        pytest.param(lambda doc: _events(doc).pop("lyric"), id="missing-column"),
+        pytest.param(lambda doc: doc["score"]["parts"][0].__setitem__("events", [
+            ["note", 0, 4, 1, 0, "none", 0, None, False]]), id="rows-not-columns"),
+        pytest.param(_first("pitch", 99), id="no-such-pitch"),
+        pytest.param(_first("pitch", -1), id="negative-pitch-index"),
+        pytest.param(_first("pitch", [0]), id="list-pitch-index"),
         pytest.param(lambda doc: doc["score"]["parts"][0]["dynamic_marks"][0].__setitem__(0, "0"),
                      id="string-mark-position"),
         pytest.param(lambda doc: doc["score"].__setitem__("ticks_per_quarter", 0), id="zero-tpq"),
@@ -157,6 +191,23 @@ class TestHostileEntries:
         report = RunReport()
         load_or_parse(src, ExtractorConfig(cache_dir=tmp_path), report)
         assert report.parsed == 1 and report.cache_hits == 0
+        # an entry of another format version is a quiet miss; a corrupt one is warned of
+        quiet = doc["version"] != FORMAT_VERSION
+        assert [w["path"] for w in report.warnings] == ([] if quiet else [str(path)])
+
+    def test_a_format_1_entry_is_a_quiet_miss_that_the_reparse_overwrites(self, tmp_path):
+        path, doc = _entry(tmp_path)
+        events = _events(doc)
+        doc["version"] = 1
+        doc["score"]["parts"][0]["events"] = [list(row) for row in zip(*events.values())]
+        path.write_bytes(CACHE_MAGIC + json.dumps(doc).encode())
+        src = tmp_path / "a.musicxml"
+        src.write_bytes(SIMPLE)
+        config, report = ExtractorConfig(cache_dir=tmp_path), RunReport()
+        score = load_or_parse(src, config, report)
+        assert (report.parsed, report.cache_writes, report.warnings) == (1, 1, [])
+        assert load_score(tmp_path, path.stem, [], report) == (score, ParseDiagnostics())
+        assert report.warnings == []
 
     def test_pickle_payload_is_never_run(self, tmp_path):
         path, _ = _entry(tmp_path)

@@ -21,10 +21,22 @@ from scorefeat.engine import (
     plan_windows,
     run_hooks,
 )
-from scorefeat.model import slice_window
+from scorefeat.model import EventColumns, NoteEvent, slice_window
 from scorefeat.registry import FeatureModuleDescriptor, feature_modules, register_hook
 from scorefeat.table import IDENTITY_COLUMNS
-from util import csv_text, musicxml_doc, note, part, random_model_score, random_musicxml, score
+from util import (
+    corpus_musicxml,
+    csv_text,
+    midi_bytes,
+    midi_meta_track,
+    midi_note_events,
+    musicxml_doc,
+    note,
+    part,
+    random_model_score,
+    random_musicxml,
+    score,
+)
 
 SIMPLE = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16}],
                                    [{"step": "D", "octave": 4, "dur": 16}]])])
@@ -189,6 +201,31 @@ class TestCache:
         assert cold.skipped == warm.skipped == {"print": 1}
         assert cold.warnings == warm.warnings
         assert len(warm.warnings) == 1 and "fast" in warm.warnings[0]["message"]
+
+    def test_a_warm_stock_extract_builds_no_note_event(self, tmp_path, monkeypatch):
+        # lyrics, ties, chords and tempo marks, a MIDI file, and a sidecar
+        (tmp_path / "a.musicxml").write_bytes(corpus_musicxml(random.Random(5), n_measures=6))
+        (tmp_path / "a.harmony.tsv").write_text("measure\tbeat\tlabel\tkey\n1\t0\tI\tC\n")
+        notes = [(240 * k, 240 * k + 480, 60 + k % 5, 90) for k in range(20)]
+        (tmp_path / "b.mid").write_bytes(midi_bytes([midi_meta_track() + midi_note_events(notes)]))
+        paths = [tmp_path / "a.musicxml", tmp_path / "b.mid"]
+        configs = [ExtractorConfig(cache_dir=tmp_path / "cache", window_size=size, window_overlap=1)
+                   for size in (2, 3)] + [ExtractorConfig(cache_dir=tmp_path / "cache")]
+        cold = [csv_text(extract(config, paths)) for config in configs]
+
+        def built(*args, **kwargs):
+            raise AssertionError("a NoteEvent was built")
+
+        # the two ways a NoteEvent comes to be: its constructor and the event memo
+        monkeypatch.setattr(NoteEvent, "__init__", built)
+        monkeypatch.setattr(EventColumns, "_events", property(built))
+        for config, expected in zip(configs, cold):
+            report = RunReport()
+            assert csv_text(extract(config, paths, report)) == expected
+            assert (report.cache_hits, report.failures) == (2, [])
+        hit = load_or_parse(paths[0], configs[0], RunReport())
+        with pytest.raises(AssertionError, match="NoteEvent was built"):
+            hit.parts[0].events[0]  # the patch bites
 
     def test_unsupported_suffix_rejected_despite_cached_bytes(self, tmp_path):
         config = ExtractorConfig(cache_dir=tmp_path / "cache")
@@ -458,6 +495,19 @@ class TestExtract:
         table = extract(ExtractorConfig(), [path])
         assert table.columns["Score_NumAnnotations"] == [2]
         assert table.columns["Score_Function_T_Count"] == [1]
+
+    def test_harmony_warnings_go_into_the_report_with_the_sidecar_path(self, tmp_path):
+        path = self._write(tmp_path, "aria.musicxml", SIMPLE)
+        sidecar = tmp_path / "aria.harmony.tsv"
+        sidecar.write_text("measure\tbeat\tlabel\tkey\tnote\n1\t0\tGer6\tC\tx\n")
+        report = RunReport()
+        table = extract(ExtractorConfig(), [path], report=report)
+        assert table.columns["Score_NumAnnotations"] == [1]
+        assert report.warnings == [
+            {"path": str(sidecar), "message": "header: extra columns ignored: note"},
+            {"path": str(sidecar),
+             "message": "line 2: unparsable label 'Ger6' kept with degree=unknown"},
+        ]
 
     def test_bad_harmony_reported_score_kept(self, tmp_path):
         path = self._write(tmp_path, "aria.musicxml", SIMPLE)

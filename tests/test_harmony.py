@@ -12,6 +12,7 @@ from scorefeat.harmony import (
     parse_rn_label,
     serialize_harmony,
 )
+from scorefeat.diagnostics import ParseDiagnostics
 from util import note, part, score
 
 TSV = "measure\tbeat\tlabel\tkey\n"
@@ -115,6 +116,15 @@ class TestHarmonyFile:
         anns = parse_harmony_file(TSV + "1\t0\tGer6\tC\n")
         assert anns[0].degree == "unknown"
         assert anns[0].label == "Ger6"
+
+    def test_extra_columns_and_unparsable_labels_are_warned_of(self, caplog):
+        diags = ParseDiagnostics()
+        anns = parse_harmony_file("measure\tbeat\tlabel\tkey\tnote\n1\t0\tGer6\tC\tx\n"
+                                  "2\t0\tV\tC\ty\n", diags)
+        assert [a.degree for a in anns] == ["unknown", "V"]
+        assert diags.warnings == [("header", "extra columns ignored: note"),
+                                  ("line 2", "unparsable label 'Ger6' kept with degree=unknown")]
+        assert "Ger6" in caplog.text  # still logged too
 
     def test_serialize_round_trip(self):
         text = TSV + "1\t0\tI\tC\n2\t3/2\tV65/IV\tC\n5\t0\ti\ta\n"

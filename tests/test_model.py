@@ -2,14 +2,17 @@ import dataclasses
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorefeat.cache import cache_path, load_score, store_score
 from scorefeat.diagnostics import ParseDiagnostics
 from scorefeat.model import (
+    TIE_STATES,
+    EventColumns,
     Lyric,
     NoteEvent,
     Part,
@@ -155,6 +158,127 @@ class TestNoteEvent:
         assert events[0] != plain[0]  # another class, as for any dataclass
         assert [dataclasses.astuple(e) for e in events] == [dataclasses.astuple(p) for p in plain]
         assert NoteEvent.__match_args__ == _PlainEvent.__match_args__
+
+
+def _event_rules(kind, onset, duration, measure_index, pitch, tie, dots, lyric, grace):
+    """The rules NoteEvent's constructor checked, one event at a time."""
+    if kind not in ("note", "rest"):
+        raise ValueError(f"invalid event kind {kind!r}")
+    if kind == "note" and pitch is None:
+        raise ValueError("note event requires a pitch")
+    if tie not in TIE_STATES:
+        raise ValueError(f"invalid tie state {tie!r}")
+    if dots not in (0, 1, 2):
+        raise ValueError(f"dots must be 0..2, got {dots}")
+    if type(onset) is not int or type(duration) is not int:
+        raise TypeError("onset and duration must be whole ticks (int)")
+    if onset < 0:
+        raise ValueError("onset must be non-negative")
+    if grace:
+        if duration < 0:
+            raise ValueError("grace duration must be >= 0")
+    elif duration <= 0:
+        raise ValueError("duration must be positive")
+
+
+def _order_rules(rows):
+    """The event order a part required."""
+    onsets, measures = [row[1] for row in rows], [row[3] for row in rows]
+    if onsets != sorted(onsets):
+        raise ValueError("events not sorted by onset")
+    if measures != sorted(measures):
+        raise ValueError("measure indices decrease in event order")
+
+
+def _outcome(check) -> Optional[tuple[type, str]]:
+    """The type and message of what ``check()`` raises, or None."""
+    try:
+        check()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Bad values planted in a valid row, by field: each breaks a rule or, for
+# onset and measure, the order. A list is unhashable.
+_PLANTED = {
+    0: st.sampled_from(["chord", None, "", ["note"]]),
+    1: st.one_of(st.sampled_from([-1, "0", 0.5, True, None]), st.integers(0, 40)),
+    2: st.one_of(st.sampled_from([0, -1, 0.5, None, False]), st.integers(-2, 8)),
+    3: st.integers(0, 9),
+    4: st.none(),
+    5: st.sampled_from(["open", None, "", ["none"]]),
+    6: st.sampled_from([3, -1, 1.5, "1", True, [1]]),
+    8: st.booleans(),
+}
+
+
+@st.composite
+def _event_rows(draw, max_planted=3):
+    """Rows of valid events in order, then up to ``max_planted`` planted values."""
+    rows, onset, measure = [], 0, 1
+    for _ in range(draw(st.integers(0, 6))):
+        onset += draw(st.integers(0, 8))
+        measure += draw(st.integers(0, 1))
+        kind = draw(st.sampled_from(["note", "rest"]))
+        grace = draw(st.booleans())
+        duration = draw(st.integers(0 if grace else 1, 8))
+        pitch = draw(st.sampled_from([P("C"), P("E", -1, 5)])) if kind == "note" else None
+        lyric = draw(st.sampled_from([None, Lyric("la", "begin")]))
+        rows.append([kind, onset, duration, measure, pitch, draw(st.sampled_from(TIE_STATES)),
+                     draw(st.integers(0, 2)), lyric, grace])
+    for _ in range(draw(st.integers(0, max_planted)) if rows else 0):
+        field = draw(st.sampled_from(sorted(_PLANTED)))
+        rows[draw(st.integers(0, len(rows) - 1))][field] = draw(_PLANTED[field])
+    return [tuple(row) for row in rows]
+
+
+def _columns(rows) -> list[tuple]:
+    return [tuple(column) for column in zip(*rows)] if rows else [()] * 9
+
+
+class TestEventColumns:
+    @settings(max_examples=500)  # a planted value shows only in some rows
+    @given(_event_rows())
+    @example([("note", 0, 0, 1, P("C"), "none", 0, None, True),
+              ("note", 4, -1, 1, P("C"), "none", 0, None, True)])
+    @example([("rest", 0, 4, 1, None, "none", [1], None, False),
+              ("chord", 4, 4, 1, None, "none", 0, None, False)])
+    @example([("note", 0, 4, 2, P("C"), "none", 0, None, False),
+              ("note", 4, 4, 1, P("C"), "none", 0, None, False)])
+    @example([("note", 0, 0, 1, P("C"), "none", 0, None, True),
+              ("rest", 0, 0, 1, None, "none", 0, None, False)])
+    def test_columns_check_as_their_rows_and_order_do(self, rows):
+        rules = _outcome(lambda: [_event_rules(*row) for row in rows])
+        assert _outcome(lambda: [NoteEvent(*row) for row in rows]) == rules
+        expected = rules or _outcome(lambda: _order_rules(rows))
+        assert _outcome(lambda: EventColumns(*_columns(rows))) == expected
+
+    @given(_event_rows(max_planted=0))
+    def test_a_row_range_equals_its_rows_checked_afresh(self, rows):
+        events = EventColumns(*_columns(rows))
+        assert list(events) == [NoteEvent(*row) for row in rows]
+        for first in range(len(rows) + 1):
+            for last in range(first, len(rows) + 1):
+                window = events.rows(first, last)
+                assert window == EventColumns(*_columns(rows[first:last]))
+                assert list(window) == list(events)[first:last]
+
+    def test_columns_of_different_lengths_are_rejected(self):
+        columns = _columns([("note", 0, 4, 1, P("C"), "none", 0, None, False)])
+        columns[2] = ()
+        with pytest.raises(ValueError, match="differ in length"):
+            EventColumns(*columns)
+
+    def test_events_are_built_once_and_given_events_kept(self):
+        rows = [("note", 0, 4, 1, P("C"), "none", 0, None, False),
+                ("rest", 4, 4, 1, None, "none", 0, None, False)]
+        given_events = tuple(NoteEvent(*row) for row in rows)
+        p = part(list(given_events))
+        assert all(a is b for a, b in zip(p.events, given_events))
+        columns = EventColumns(*_columns(rows))
+        assert columns[0] is columns[0] and columns[-1] == given_events[-1]
+        assert tuple(columns) == given_events and len(columns) == 2
 
 
 class TestPart:
