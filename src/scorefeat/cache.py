@@ -5,7 +5,10 @@ header, then one JSON document of plain data. It holds a format version, the
 hooks that shaped the score (name and qualified function name each), its
 parse's diagnostics, a table of the pitches it spells, and the score, whose
 parts keep their events as one array per ``NoteEvent`` field (a pitch is a
-row of the pitch table). Loading runs no code from the entry: the score is
+row of the pitch table). A column whose values are all equal and of one type
+is stored as one value, which a load repeats to the length of the part's
+``onset`` column, always stored in full; so a load never builds more than an
+entry holds. Loading runs no code from the entry: the score is
 rebuilt through the model's constructors, so their checks run on cached data
 too. An entry of another format version is a quiet miss, and anything
 unreadable or invalid is a miss with a warning, so corruption can never be
@@ -37,7 +40,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"MSF4"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def cache_key(source_bytes: bytes, parser_id: str, parser_version: str) -> str:
@@ -78,8 +81,14 @@ def _encode(hooks: Sequence[str], score: Score, diags: ParseDiagnostics) -> dict
         keys = [None if p is None else (p.step, p.alter, p.octave) for p in events.pitch]
         for key in keys:
             pitches.setdefault(key, len(pitches) - 1)
-        return _fields(events, pitch=list(map(pitches.__getitem__, keys)), lyric=[
+        doc = _fields(events, pitch=list(map(pitches.__getitem__, keys)), lyric=[
             None if lyric is None else (lyric.text, lyric.syllabic) for lyric in events.lyric])
+        for name, column in doc.items():
+            # one type too, so that 0 and False, or 1 and 1.0, never merge
+            if (name != "onset" and len(column) > 1 and column.count(column[0]) == len(column)
+                    and len(set(map(type, column))) == 1):
+                doc[name] = column[:1]
+        return doc
 
     annotations = score.annotations
     score_doc = _fields(
@@ -98,12 +107,17 @@ _EVENT_COLUMNS = tuple(f.name for f in fields(EventColumns))
 
 
 def _decode_events(doc: dict, pitches: dict) -> EventColumns:
+    """A part's event columns. A column of one value is repeated to the
+    length of the ``onset`` column; ``EventColumns`` rejects any other
+    length that differs from it."""
     columns = {name: tuple(doc[name]) for name in _EVENT_COLUMNS}
     columns["pitch"] = tuple(map(pitches.__getitem__, columns["pitch"]))
     lyrics = columns["lyric"]
     if lyrics.count(None) != len(lyrics):
         columns["lyric"] = tuple(None if lyric is None else Lyric(*lyric) for lyric in lyrics)
-    return EventColumns(**columns)
+    n = len(columns["onset"])
+    return EventColumns(**{name: column * n if len(column) == 1 else column
+                           for name, column in columns.items()})
 
 
 def _decode_score(doc: dict, pitches: dict) -> Score:

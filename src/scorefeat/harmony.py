@@ -119,9 +119,26 @@ def classify_function(
     return FUNCTION_TABLE.get(base, "other")
 
 
+# A corpus's sidecars repeat a few labels and beats on many rows, so
+# parse_harmony_file memoizes both; only texts of at most _MEMO_CHARS
+# characters, so no long cell outlives its file in a memo.
+_MEMO_CHARS = 32
+_memo_label = lru_cache(maxsize=1024)(parse_rn_label)
+
+
+@lru_cache(maxsize=1024)
+def _beat_value(text: str) -> Fraction:
+    """The beat ``text`` gives. The digits of a whole beat skip
+    ``Fraction``'s string parse."""
+    text = text.strip()
+    if text.isdigit() and text.isascii():
+        return Fraction(int(text))
+    return Fraction(text)
+
+
 def _parse_beat(text: str, line_no: int) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return (_beat_value if len(text) <= _MEMO_CHARS else _beat_value.__wrapped__)(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise HarmonyError(f"line {line_no}: bad beat value {text!r}: {exc}") from exc
 
@@ -167,19 +184,18 @@ def parse_harmony_file(
         rows.append((measure, beat, row["label"].strip(), (row["key"] or "").strip(), line_no))
 
     rows.sort(key=lambda r: (r[0], r[1]))
-    seen: dict[tuple[int, Fraction], int] = {}
-    for measure, beat, _label, _key, line_no in rows:
-        if (measure, beat) in seen:
+    # the sort is stable, so the rows of one position are adjacent, in line order
+    for before, row in zip(rows, rows[1:]):
+        if before[:2] == row[:2]:
             raise HarmonyError(
-                f"duplicate annotation position measure {measure} beat {beat} "
-                f"(lines {seen[(measure, beat)]} and {line_no})"
+                f"duplicate annotation position measure {row[0]} beat {row[1]} "
+                f"(lines {before[4]} and {row[4]})"
             )
-        seen[(measure, beat)] = line_no
 
     annotations = []
     prev_key: Optional[str] = None
     for measure, beat, label, key, line_no in rows:
-        parsed = parse_rn_label(label)
+        parsed = (_memo_label if len(label) <= _MEMO_CHARS else parse_rn_label)(label)
         if parsed.degree == "unknown":
             warn(f"line {line_no}", f"unparsable label {label!r} kept with degree=unknown")
         annotations.append(

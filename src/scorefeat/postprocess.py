@@ -95,8 +95,9 @@ def process(table: FeatureTable, config: ProcessorConfig,
     """Clean and reshape a feature table; row count and identity survive.
 
     Each step acts on whole columns; the input table is left unchanged. A
-    pattern that matches no column is logged and, given a ``report``, also
-    kept there as a warning about the run, with no path.
+    pattern that matches no column, and the all-missing columns dropped, are
+    logged and, given a ``report``, also kept there as warnings about the
+    run, with no path.
     """
     columns = table.columns
     merged: list[tuple[str, Sequence[Cell]]] = []
@@ -135,7 +136,10 @@ def process(table: FeatureTable, config: ProcessorConfig,
     missing = [name for name, cells in out.items()
                if name not in IDENTITY_COLUMNS and all(v is None for v in cells)]
     if missing:
-        log.info("dropping all-missing columns: %s", ", ".join(missing))
+        message = f"dropped all-missing columns: {', '.join(missing)}"
+        log.info("%s", message)
+        if report is not None:
+            report.add_warning(None, message)
         for name in missing:
             del out[name]
     return FeatureTable(out, table.num_rows)

@@ -34,12 +34,18 @@ from util import (
     midi_meta_track,
     midi_note_events,
     musicxml_doc,
+    note,
+    part,
     random_model_score,
     random_musicxml,
+    rest,
+    score,
 )
 
+# Three notes, so that a column one row short is not a column stored once.
 SIMPLE = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16, "dynamic": "p"}],
-                                   [{"step": "D", "octave": 4, "dur": 16}]])])
+                                   [{"step": "D", "octave": 4, "dur": 16}],
+                                   [{"step": "E", "octave": 4, "dur": 16}]])])
 
 
 def _model_score(rng: random.Random):
@@ -73,6 +79,14 @@ def _annotate(score):
 
 register_hook("annotate_for_round_trip", _annotate)
 
+# A part with lyrics on some notes only, a rest-only part and a one-event part.
+MIXED = score([
+    part([note("C", onset=0, lyric=("A", "begin")), note("D", onset=1),
+          note("E", onset=2, lyric=("ve", "end"))], sound="soprano"),
+    part([rest(onset=0, dur=4), rest(onset=4, dur=4, measure=2)], sound="violin"),
+    part([note("G", onset=4, dur=2, measure=2)], sound="flute"),
+])
+
 _sources = st.one_of(
     st.randoms(use_true_random=False).map(_model_score),
     st.randoms(use_true_random=False).map(lambda rng: parse_musicxml(random_musicxml(rng)[0])),
@@ -95,6 +109,7 @@ class TestRoundTrip:
     @given(_sources)
     @example(parse_musicxml(corpus_musicxml(random.Random(3), n_measures=3)))  # lyrics, tempo
     @example(parse_musicxml(SIMPLE))  # a dynamic mark
+    @example((MIXED, ParseDiagnostics()))
     def test_load_gives_back_what_was_stored(self, parsed):
         score, diags = parsed
         with tempfile.TemporaryDirectory() as tmp:
@@ -112,6 +127,21 @@ class TestRoundTrip:
             store_score(Path(tmp), "ab12", hooked, diags, ["annotate_for_round_trip"])
             assert load_score(Path(tmp), "ab12", ["annotate_for_round_trip"]) == (hooked, diags)
             assert load_score(Path(tmp), "ab12", []) is None
+
+    def test_a_column_of_one_value_is_stored_once(self, tmp_path):
+        store_score(tmp_path, "ab12", MIXED, ParseDiagnostics(), [])
+        doc = json.loads(cache_path(tmp_path, "ab12").read_bytes()[len(CACHE_MAGIC):])
+        sung, rests, single = (p["events"] for p in doc["score"]["parts"])
+        assert {name: len(column) for name, column in sung.items() if len(column) > 1} == {
+            "onset": 3, "pitch": 3, "lyric": 3}
+        assert (rests["kind"], rests["pitch"], len(rests["onset"])) == (["rest"], [None], 2)
+        assert all(len(column) == 1 for column in single.values())
+
+    def test_equal_values_of_two_types_are_stored_in_full(self, tmp_path):
+        dotted = score([part([note("C", onset=0, dots=0), note("D", onset=1, dots=False)])])
+        store_score(tmp_path, "ab12", dotted, ParseDiagnostics(), [])
+        loaded, _ = load_score(tmp_path, "ab12", [])
+        assert list(map(type, loaded.parts[0].events.dots)) == [int, bool]
 
 
 class _TouchOnLoad:
@@ -137,9 +167,25 @@ def _events(doc: dict) -> dict:
     return doc["score"]["parts"][0]["events"]
 
 
+def _in_full(doc: dict) -> dict:
+    """The event columns of the entry's first part, each one stored once
+    repeated to the length of ``onset``; an entry stays valid so."""
+    events = _events(doc)
+    n = len(events["onset"])
+    for name, column in events.items():
+        events[name] = column * n if len(column) == 1 else column
+    return events
+
+
 def _first(column: str, value):
-    """A corruption that puts ``value`` in the first row of ``column``."""
-    return lambda doc: _events(doc)[column].__setitem__(0, value)
+    """A corruption that puts ``value`` in the first row of ``column``,
+    with the part's columns stored in full."""
+    return lambda doc: _in_full(doc)[column].__setitem__(0, value)
+
+
+def _stored(column: str, values: list):
+    """A corruption that stores ``column`` as ``values``."""
+    return lambda doc: _events(doc).__setitem__(column, values)
 
 
 class TestHostileEntries:
@@ -150,9 +196,14 @@ class TestHostileEntries:
         pytest.param(_first("duration", -4), id="negative-duration"),
         pytest.param(_first("tie", "slur"), id="unknown-tie"),
         pytest.param(_first("kind", None), id="null-kind"),
-        pytest.param(lambda doc: _events(doc)["grace"].pop(), id="short-row"),
-        pytest.param(lambda doc: _events(doc)["onset"].append(64), id="ragged-columns"),
+        pytest.param(lambda doc: _in_full(doc)["grace"].pop(), id="short-row"),
+        pytest.param(lambda doc: _in_full(doc)["onset"].append(64), id="ragged-columns"),
         pytest.param(lambda doc: _events(doc).pop("lyric"), id="missing-column"),
+        pytest.param(lambda doc: _events(doc).pop("onset"), id="missing-onset-column"),
+        pytest.param(_stored("tie", ["none"] * 4), id="stored-column-of-4-for-3-events"),
+        pytest.param(_stored("tie", []), id="stored-column-of-0-for-3-events"),
+        pytest.param(_stored("onset", [0]), id="one-onset-beside-full-columns"),
+        pytest.param(_stored("kind", [None]), id="stored-null-kind"),
         pytest.param(lambda doc: doc["score"]["parts"][0].__setitem__("events", [
             ["note", 0, 4, 1, 0, "none", 0, None, False]]), id="rows-not-columns"),
         pytest.param(_first("pitch", 99), id="no-such-pitch"),
@@ -197,9 +248,19 @@ class TestHostileEntries:
 
     def test_a_format_1_entry_is_a_quiet_miss_that_the_reparse_overwrites(self, tmp_path):
         path, doc = _entry(tmp_path)
-        events = _events(doc)
+        events = _in_full(doc)
         doc["version"] = 1
         doc["score"]["parts"][0]["events"] = [list(row) for row in zip(*events.values())]
+        self._assert_quiet_miss_then_overwritten(tmp_path, path, doc)
+
+    def test_a_format_2_entry_is_a_quiet_miss_that_the_reparse_overwrites(self, tmp_path):
+        path, doc = _entry(tmp_path)
+        _in_full(doc)
+        doc["version"] = 2
+        self._assert_quiet_miss_then_overwritten(tmp_path, path, doc)
+
+    @staticmethod
+    def _assert_quiet_miss_then_overwritten(tmp_path, path, doc):
         path.write_bytes(CACHE_MAGIC + json.dumps(doc).encode())
         src = tmp_path / "a.musicxml"
         src.write_bytes(SIMPLE)

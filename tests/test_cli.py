@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import scorefeat
 from scorefeat.cli import load_config, run
@@ -88,6 +89,35 @@ class TestLoadConfig:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             load_config(None, {"format": "parquet"})
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestYamlLoaders:
+    def test_the_readme_config_loads_alike_under_both(self, tmp_path, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML is built without libyaml")
+        text = README.read_text("utf-8").split("```yaml\n", 1)[1].split("```", 1)[0]
+        y = tmp_path / "config.yaml"
+        y.write_text(text, encoding="utf-8")
+        config = load_config(y, {})
+        assert config.extractor.window_size == 3
+        assert config.processor.merge_groups[0].stats == ("mean", "std")
+        monkeypatch.delattr(yaml, "CSafeLoader")  # load_config falls back to SafeLoader
+        assert load_config(y, {}) == config
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_bad_yaml_is_a_config_error_under_both(self, tmp_path, monkeypatch, libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML is built without libyaml")
+        y = tmp_path / "config.yaml"
+        y.write_text("extract: [unclosed\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            load_config(y, {})
+        assert str(caught.value).startswith(f"bad YAML in {y}")
 
 
 class TestRun:

@@ -1,8 +1,15 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from scorefeat import harmony
 from scorefeat.harmony import (
+    HARMONY_COLUMNS,
+    HarmonicAnnotation,
     HarmonyError,
     attach_annotations,
     classify_function,
@@ -131,6 +138,99 @@ class TestHarmonyFile:
         anns = parse_harmony_file(text)
         assert parse_harmony_file(serialize_harmony(anns)) == anns
         assert serialize_harmony(anns) == text
+
+
+def _reference_parse(text, diags):
+    """``parse_harmony_file`` without memos: every beat through
+    ``Fraction(str)``, every label through ``parse_rn_label``, duplicates
+    found with a dict of positions."""
+    reader = csv.DictReader(io.StringIO(text), delimiter="\t")
+    if reader.fieldnames is None:
+        raise HarmonyError("empty harmony file")
+    missing = [c for c in HARMONY_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise HarmonyError(f"harmony file is missing columns: {', '.join(missing)}")
+    extra = [c for c in reader.fieldnames if c not in HARMONY_COLUMNS]
+    if extra:
+        diags.warn("header", f"extra columns ignored: {', '.join(extra)}")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not (row.get("label") or "").strip():
+            continue
+        try:
+            measure = int(row["measure"])
+        except (TypeError, ValueError) as exc:
+            raise HarmonyError(f"line {line_no}: bad measure {row.get('measure')!r}") from exc
+        if measure < 1:
+            raise HarmonyError(f"line {line_no}: measure must be >= 1")
+        text_beat = row["beat"] or "0"
+        try:
+            beat = Fraction(text_beat.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise HarmonyError(f"line {line_no}: bad beat value {text_beat!r}: {exc}") from exc
+        if beat < 0:
+            raise HarmonyError(f"line {line_no}: beat must be >= 0")
+        rows.append((measure, beat, row["label"].strip(), (row["key"] or "").strip(), line_no))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    seen = {}
+    for measure, beat, _label, _key, line_no in rows:
+        if (measure, beat) in seen:
+            raise HarmonyError(f"duplicate annotation position measure {measure} beat {beat} "
+                               f"(lines {seen[(measure, beat)]} and {line_no})")
+        seen[(measure, beat)] = line_no
+    annotations, prev_key = [], None
+    for measure, beat, label, key, line_no in rows:
+        parsed = parse_rn_label(label)
+        if parsed.degree == "unknown":
+            diags.warn(f"line {line_no}", f"unparsable label {label!r} kept with degree=unknown")
+        annotations.append(HarmonicAnnotation(
+            measure, beat, label, key, parsed.degree, parsed.quality, parsed.inversion,
+            parsed.applied_of, prev_key is not None and key != prev_key))
+        prev_key = key
+    return annotations
+
+
+def _outcome(parse, text):
+    """(annotations, warnings, error type and message) of one parse."""
+    diags = ParseDiagnostics()
+    try:
+        annotations, error = parse(text, diags), None
+    except HarmonyError as exc:
+        annotations, error = None, (type(exc), str(exc))
+    return annotations, diags.warnings, error
+
+
+# Usable values repeat, so that about half of the sidecars parse.
+_MEASURES = ["1", "2", "3", "4"] * 8 + ["0", "m"]
+_BEATS = ["2", " 2 ", "1.50", "3/2", "0", "1", "5/4", ""] * 6 + ["-1", "1/0", "x"]
+_LABELS = ["I", "V7", " ii6 ", "V65/IV", "viio7/V", "bII6", "Ger6", "@none", "Cad64", "", "i"]
+_sidecars = st.builds(
+    lambda extra, rows: "\t".join(HARMONY_COLUMNS + extra) + "\n" + "".join(
+        "\t".join(row + extra) + "\n" for row in rows),
+    st.sampled_from([(), ("note",)]),
+    st.lists(st.tuples(st.sampled_from(_MEASURES), st.sampled_from(_BEATS),
+                       st.sampled_from(_LABELS), st.sampled_from(["C", "a", " G"])),
+             max_size=6),
+)
+
+
+class TestMemoizedParse:
+    @given(_sidecars)
+    def test_agrees_with_the_unmemoized_reference(self, text):
+        expected = _outcome(_reference_parse, text)
+        for _ in range(2):  # the second parse finds every label and beat memoized
+            got = _outcome(parse_harmony_file, text)
+            assert got == expected
+            assert all(type(a.beat) is Fraction for a in got[0] or ())
+
+    def test_long_texts_are_not_memoized(self):
+        label, beat = "V(" + "x" * 40 + ")", "0" * 40 + "1"
+        before = (harmony._memo_label.cache_info().currsize,
+                  harmony._beat_value.cache_info().currsize)
+        [annotation] = parse_harmony_file(f"{TSV}1\t{beat}\t{label}\tC\n")
+        assert (annotation.beat, annotation.degree) == (1, "V")
+        assert (harmony._memo_label.cache_info().currsize,
+                harmony._beat_value.cache_info().currsize) == before
 
 
 class TestAttach:

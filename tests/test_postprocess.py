@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from scorefeat.engine import RunReport
@@ -101,6 +103,19 @@ class TestProcess:
             {"message": "drop pattern 'Nothing.*' matched no columns"},
             {"message": "replace pattern 'Y' matched no columns"},
         ]
+
+    def test_dropped_all_missing_columns_go_into_the_report_once(self, caplog):
+        caplog.set_level(logging.INFO, logger="scorefeat.postprocess")
+        report = RunReport()
+        t = table(["FileName", "WindowStart", "Dead", "X", "Gone"],
+                  [["a", None, None, 1, None], ["b", None, None, 2, None]])
+        out = process(t, ProcessorConfig(), report)
+        assert list(out.columns) == ["FileName", "WindowStart", "X"]
+        message = "dropped all-missing columns: Dead, Gone"
+        assert report.warnings == [{"message": message}]
+        assert message in caplog.text  # still logged, at INFO
+        process(out, ProcessorConfig(), report)  # nothing left to drop
+        assert len(report.warnings) == 1
 
     def test_patterns_are_anchored(self):
         t = table(["X", "XY"], [[1, 2]])
