@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .diagnostics import ParseDiagnostics
 from .harmony import HarmonicAnnotation
-from .model import EventColumns, Lyric, Part, Score, TempoMark, spelled_pitch
+from .model import EventColumns, Lyric, Part, Score, SpelledPitch, TempoMark, spelled_pitch
 from .registry import get_hook
 
 if TYPE_CHECKING:
@@ -104,6 +104,16 @@ def _encode(hooks: Sequence[str], score: Score, diags: ParseDiagnostics) -> dict
 
 
 _EVENT_COLUMNS = tuple(f.name for f in fields(EventColumns))
+
+
+def _decode_pitch(row) -> SpelledPitch:
+    """The interned pitch of a row of the pitch table, which must be one a
+    parse can give: ints for alter and octave, and, as ``spelled_pitch``
+    checks, a MIDI number in 0..127."""
+    step, alter, octave = row
+    if type(alter) is not int or type(octave) is not int:
+        raise TypeError(f"pitch {row!r}: alter and octave must be ints")
+    return spelled_pitch(step, alter, octave)
 
 
 def _decode_events(doc: dict, pitches: dict) -> EventColumns:
@@ -193,7 +203,7 @@ def load_score(
         if type(skipped) is not dict or not all(type(n) is int for n in skipped.values()):
             raise TypeError("skipped-element tallies must map names to ints")
         diags = ParseDiagnostics([(loc, msg) for loc, msg in doc["warnings"]], Counter(skipped))
-        pitches = {None: None, **{i: spelled_pitch(*p) for i, p in enumerate(doc["pitches"])}}
+        pitches = {None: None, **dict(enumerate(map(_decode_pitch, doc["pitches"])))}
         score = _decode_score(doc["score"], pitches)
     # bad JSON or bytes, missing keys, columns of the wrong shape or type,
     # values the model's constructors reject, a zero denominator, too deep a

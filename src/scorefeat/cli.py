@@ -8,6 +8,7 @@ success (some scores failed; see the report).
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +30,11 @@ from .table import FeatureTable
 log = logging.getLogger(__name__)
 
 OUTPUT_FORMATS = ("csv", "jsonl")
+
+# The collector's gen0 threshold while ``run`` extracts. A parse allocates
+# many objects that live until its score is built, and the default of 700
+# runs the collector over them again and again.
+GC_GEN0_THRESHOLD = 50_000
 
 
 @dataclass
@@ -222,7 +228,12 @@ def run(argv: Optional[list[str]] = None) -> int:
             raise ConfigError(f"no score files found under {xml_dir}")
 
         report = RunReport()
-        table = extract(config.extractor, paths, report=report)
+        threshold = gc.get_threshold()
+        gc.set_threshold(GC_GEN0_THRESHOLD, *threshold[1:])
+        try:
+            table = extract(config.extractor, paths, report=report)
+        finally:
+            gc.set_threshold(*threshold)
         table = process(table, config.processor, report)
 
         if config.output_path is not None:

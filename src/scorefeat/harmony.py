@@ -127,20 +127,25 @@ _memo_label = lru_cache(maxsize=1024)(parse_rn_label)
 
 
 @lru_cache(maxsize=1024)
-def _beat_value(text: str) -> Fraction:
-    """The beat ``text`` gives. The digits of a whole beat skip
-    ``Fraction``'s string parse."""
+def _beat_value(text: str) -> tuple[Fraction, bool]:
+    """The beat ``text`` gives, and whether it is negative. The digits of a
+    whole beat skip ``Fraction``'s string parse."""
     text = text.strip()
     if text.isdigit() and text.isascii():
-        return Fraction(int(text))
-    return Fraction(text)
+        return Fraction(int(text)), False
+    beat = Fraction(text)
+    return beat, beat < 0
 
 
 def _parse_beat(text: str, line_no: int) -> Fraction:
     try:
-        return (_beat_value if len(text) <= _MEMO_CHARS else _beat_value.__wrapped__)(text)
+        beat, negative = (_beat_value if len(text) <= _MEMO_CHARS else _beat_value.__wrapped__)(
+            text)
     except (ValueError, ZeroDivisionError) as exc:
         raise HarmonyError(f"line {line_no}: bad beat value {text!r}: {exc}") from exc
+    if negative:
+        raise HarmonyError(f"line {line_no}: beat must be >= 0")
+    return beat
 
 
 def parse_harmony_file(
@@ -150,7 +155,8 @@ def parse_harmony_file(
 
     Duplicate (measure, beat) positions are an error. Extra columns are
     ignored and unparsable labels kept with degree "unknown"; each is logged
-    and, given ``diags``, warned of there.
+    and, given ``diags``, warned of there. Blank lines are skipped, and a
+    row's line number is the line it ends on in the file.
     """
 
     def warn(location: str, message: str) -> None:
@@ -158,30 +164,37 @@ def parse_harmony_file(
         if diags is not None:
             diags.warn(location, message)
 
-    reader = csv.DictReader(io.StringIO(text), delimiter="\t")
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text), delimiter="\t")
+    header = next(reader, None)
+    if header is None:
         raise HarmonyError("empty harmony file")
-    missing = [c for c in HARMONY_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in HARMONY_COLUMNS if c not in header]
     if missing:
         raise HarmonyError(f"harmony file is missing columns: {', '.join(missing)}")
-    extra = [c for c in reader.fieldnames if c not in HARMONY_COLUMNS]
+    extra = [c for c in header if c not in HARMONY_COLUMNS]
     if extra:
         warn("header", f"extra columns ignored: {', '.join(extra)}")
+    # of a repeated name the last column counts, and a short row's missing
+    # cells are None, as in a csv.DictReader row
+    at = {name: i for i, name in enumerate(header)}
+    i_measure, i_beat, i_label, i_key = (at[c] for c in HARMONY_COLUMNS)
+    width = len(header)
 
     rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not (row.get("label") or "").strip():
-            continue
+    for row in reader:
+        row += [None] * (width - len(row))
+        label = row[i_label]
+        if not (label or "").strip():
+            continue  # also a blank line
+        line_no = reader.line_num
         try:
-            measure = int(row["measure"])
+            measure = int(row[i_measure])
         except (TypeError, ValueError) as exc:
-            raise HarmonyError(f"line {line_no}: bad measure {row.get('measure')!r}") from exc
+            raise HarmonyError(f"line {line_no}: bad measure {row[i_measure]!r}") from exc
         if measure < 1:
             raise HarmonyError(f"line {line_no}: measure must be >= 1")
-        beat = _parse_beat(row["beat"] or "0", line_no)
-        if beat < 0:
-            raise HarmonyError(f"line {line_no}: beat must be >= 0")
-        rows.append((measure, beat, row["label"].strip(), (row["key"] or "").strip(), line_no))
+        beat = _parse_beat(row[i_beat] or "0", line_no)
+        rows.append((measure, beat, label.strip(), (row[i_key] or "").strip(), line_no))
 
     rows.sort(key=lambda r: (r[0], r[1]))
     # the sort is stable, so the rows of one position are adjacent, in line order

@@ -190,8 +190,13 @@ def _parse_track(body, track, tempo_events, sig_events, key_events, diags):
     pos = tick = 0
     running: Optional[int] = None
     while pos < end:
-        delta, pos = _vlq(body, pos)
-        tick += delta
+        delta = body[pos]
+        if delta < 0x80:  # a one-byte delta time, the usual case
+            tick += delta
+            pos += 1
+        else:
+            delta, pos = _vlq(body, pos)
+            tick += delta
         if pos >= end:
             raise MidiError("truncated file while reading event status")
         status = body[pos]
@@ -371,6 +376,7 @@ def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
             sound, family = detect_instrument_family(name)
         ordinal = ordinals.assign(sound, None)
 
+        spelling = {pitch: _spell(pitch, prefer_flats) for pitch in {note[2] for note in raw}}
         rows = []  # (onset, duration, measure, pitch) of each note
         dyn_marks: list[tuple[int, str]] = []
         last_token: Optional[str] = None
@@ -378,7 +384,7 @@ def _build_parts(tracks, tpq, start_ticks, base, prefer_flats, diags):
             onset = _grid_steps(s_tick, tpq) * step_ticks
             steps = _grid_steps(e_tick - s_tick, tpq)
             rows.append((onset, max(1, steps) * step_ticks, bisect_right(start_ticks, onset),
-                         _spell(pitch, prefer_flats)))
+                         spelling[pitch]))
             token = DYNAMIC_BY_VELOCITY[vel]
             if token != last_token:
                 dyn_marks.append((onset, token))

@@ -73,19 +73,31 @@ class SpelledPitch:
     def name(self) -> str:
         return f"{self.step}{ALTER_SYMBOLS[self.alter]}{self.octave}"
 
+    @cached_property
+    def midi(self) -> int:
+        """MIDI note number (C4 = 60), computed on first use and kept."""
+        n = 12 * (self.octave + 1) + STEP_SEMITONES[self.step] + self.alter
+        if not 0 <= n <= 127:
+            raise PitchRangeError(f"{self.name} maps to MIDI {n}, outside 0..127")
+        return n
 
-# One instance per spelling, so caches keyed on pitches (``interval_name``) hit
-# by identity. Parsers and the cache decoder call it positionally (keywords are
-# cached apart); ``typed`` keeps a decoded float or bool apart from an int.
-spelled_pitch = lru_cache(maxsize=1024, typed=True)(SpelledPitch)
+
+@lru_cache(maxsize=1024, typed=True)
+def spelled_pitch(step: str, alter: int = 0, octave: int = 4) -> SpelledPitch:
+    """The one instance of a spelling, so caches keyed on pitches
+    (``interval_name``) hit by identity. Its MIDI number is read here, so an
+    interned pitch maps into 0..127 and a spelling outside it raises
+    ``PitchRangeError`` without being kept. Parsers and the cache decoder
+    call it positionally (keywords are cached apart); ``typed`` keeps a
+    decoded float or bool apart from an int."""
+    pitch = SpelledPitch(step, alter, octave)
+    pitch.midi
+    return pitch
 
 
 def midi_number(pitch: SpelledPitch) -> int:
     """MIDI note number of a spelled pitch (C4 = 60)."""
-    n = 12 * (pitch.octave + 1) + STEP_SEMITONES[pitch.step] + pitch.alter
-    if not 0 <= n <= 127:
-        raise PitchRangeError(f"{pitch.name} maps to MIDI {n}, outside 0..127")
-    return n
+    return pitch.midi
 
 
 def tick_base(quarters: Iterable[Fraction]) -> int:
@@ -317,6 +329,9 @@ def _taker(rows: list[int]) -> Callable[[tuple], tuple]:
     return lambda column: tuple(column[i] for i in rows)
 
 
+_midi_of = attrgetter("midi")
+
+
 @dataclass(frozen=True)
 class Part:
     """One performer line: ordered events plus instrument identity.
@@ -352,14 +367,13 @@ class Part:
         without an open chain is dropped."""
         events = self.events
         duration = events.duration
-        counted = list(compress(count(), map(and_, map("note".__eq__, events.kind),
-                                             map(not_, events.grace))))
-        take = _taker(counted)
-        pitches = take(events.pitch)
-        midi_of = {id(p): p for p in pitches}  # the pitches are held, so ids stay theirs
-        for key, pitch in midi_of.items():
-            midi_of[key] = midi_number(pitch)
-        midi = list(map(midi_of.__getitem__, map(id, pitches)))
+        if "rest" in events.kind or any(events.grace):
+            counted = list(compress(count(), map(and_, map("note".__eq__, events.kind),
+                                                 map(not_, events.grace))))
+            take = _taker(counted)
+        else:  # every event is a counted note, so every row is taken
+            counted, take = range(len(duration)), tuple
+        midi = list(map(_midi_of, take(events.pitch)))
         ties = take(events.tie)
         rows, merged = counted, []  # merged: with continuations, when there are any
         pieces: dict[int, list] = {}  # row -> (measure, ticks) of its continuations

@@ -37,7 +37,6 @@ from .model import (
     Score,
     SpelledPitch,
     TempoMark,
-    midi_number,
     spelled_pitch,
     tick_base,
     to_ticks,
@@ -68,7 +67,7 @@ _BEAT_UNIT_QUARTERS = {
 _TIE_STATES = {(False, False): "none", (True, False): "start", (False, True): "stop",
                (True, True): "continue"}
 
-# Longest step, alter and octave texts, in all, that _read_spelling memoizes
+# Longest step, alter and octave texts, in all, that _read_pitch memoizes
 _MEMO_CHARS = 8
 
 
@@ -348,6 +347,9 @@ def _duration_units(text, tag, state, diags, loc) -> int:
     return 0 if duration is None else _units(duration, state.per_division)
 
 
+_new_tuple = tuple.__new__
+
+
 def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
     # One walk over the children; of a repeated child the first counts, as
     # ``find`` would return it. ``flags`` holds the tags of the others.
@@ -386,7 +388,13 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
             return cursor + dur, cursor
         return cursor, prev_onset
 
-    dur = 0 if is_grace else _duration_units(duration, "note", state, diags, loc)
+    if is_grace:
+        dur = 0
+    else:
+        try:  # a whole number of divisions, as _duration_units reads it
+            dur = int(duration) * state.per_division
+        except (TypeError, ValueError):
+            dur = _duration_units(duration, "note", state, diags, loc)
     onset = prev_onset if is_chord else cursor
 
     if dots > 2:
@@ -432,8 +440,9 @@ def _parse_note(el, mi, cursor, prev_onset, raw, state, diags, loc):
     if dur < 0:  # also for a note skipped for its pitch
         dur = max(dur, -onset)  # the cursor stops at the measure start
 
-    if keep:
-        raw.notes.append(_RawNote(mi, onset, dur, kind, pitch, tie, dots, lyric, is_grace))
+    if keep:  # tuple.__new__ skips the NamedTuple's Python-level __new__
+        raw.notes.append(_new_tuple(_RawNote, (mi, onset, dur, kind, pitch, tie, dots, lyric,
+                                               is_grace)))
 
     if not is_chord and not is_grace:
         state.voice_sums[voice] = state.voice_sums.get(voice, 0) + dur
@@ -454,27 +463,25 @@ def _parse_pitch(pitch_el, diags, loc) -> Optional[SpelledPitch]:
     step = step or ""
     # only short texts are memoized, so no long input text outlives the parse
     short = len(step) + len(alter or "") + len(octave or "") <= _MEMO_CHARS
-    spelling, warnings = (_read_spelling if short else _read_spelling.__wrapped__)(
-        step, alter, octave
-    )
+    pitch, warnings = (_read_pitch if short else _read_pitch.__wrapped__)(step, alter, octave)
     for message in warnings:
         diags.warn(loc, message)
-    return None if spelling is None else spelled_pitch(*spelling)
+    return pitch
 
 
 @lru_cache(maxsize=1024)
-def _read_spelling(step: str, alter: Optional[str], octave: Optional[str]):
-    """The ``(step, alter, octave)`` a ``<pitch>``'s texts spell, or None, with
-    the warnings reading them costs. The spelling is checked before
-    ``spelled_pitch`` sees it, so that cache holds only pitches that import."""
+def _read_pitch(step: str, alter: Optional[str], octave: Optional[str]):
+    """The interned pitch a ``<pitch>``'s texts spell, or None, with the
+    warnings reading them costs. The spelling is checked before
+    ``spelled_pitch`` sees it, so one that fails never reaches that cache."""
     warnings = []
     try:
         alter_f = float(alter) if alter else 0.0
         if alter_f != int(alter_f):
             warnings.append(f"microtonal alter {alter_f} rounded")
         spelling = (step.strip().upper(), int(round(alter_f)), int(octave))
-        midi_number(SpelledPitch(*spelling))  # step, alter and range validation
-        return spelling, tuple(warnings)
+        SpelledPitch(*spelling).midi  # step, alter and range validation
+        return spelled_pitch(*spelling), tuple(warnings)
     except (TypeError, ValueError, OverflowError, PitchRangeError) as exc:
         warnings.append(f"unusable pitch skipped: {exc}")
         return None, tuple(warnings)

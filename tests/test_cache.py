@@ -209,6 +209,19 @@ class TestHostileEntries:
         pytest.param(_first("pitch", 99), id="no-such-pitch"),
         pytest.param(_first("pitch", -1), id="negative-pitch-index"),
         pytest.param(_first("pitch", [0]), id="list-pitch-index"),
+        # pitch rows that no parse writes
+        pytest.param(lambda doc: doc["pitches"].__setitem__(0, ["B", 2, 9]),
+                     id="pitch-over-midi-127"),
+        pytest.param(lambda doc: doc["pitches"].__setitem__(0, ["C", 0, -2]),
+                     id="pitch-under-midi-0"),
+        pytest.param(lambda doc: doc["pitches"].__setitem__(0, ["C", 0, 4.0]),
+                     id="float-octave"),
+        pytest.param(lambda doc: doc["pitches"].__setitem__(0, ["C", 0.0, 4]),
+                     id="float-alter"),
+        pytest.param(lambda doc: doc["pitches"].__setitem__(0, ["C", True, 4]),
+                     id="bool-alter"),
+        pytest.param(lambda doc: doc["pitches"].__setitem__(0, ["H", 0, 4]), id="bad-step"),
+        pytest.param(lambda doc: doc["pitches"].__setitem__(0, ["C", 0]), id="short-pitch"),
         pytest.param(lambda doc: doc["score"]["parts"][0]["dynamic_marks"][0].__setitem__(0, "0"),
                      id="string-mark-position"),
         pytest.param(lambda doc: doc["score"].__setitem__("ticks_per_quarter", 0), id="zero-tpq"),

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -9,8 +10,9 @@ import pytest
 import yaml
 
 import scorefeat
+from scorefeat import cli, engine
 from scorefeat.cli import load_config, run
-from scorefeat.engine import ConfigError
+from scorefeat.engine import ConfigError, ExtractorConfig, RunReport, extract
 from scorefeat.table import FeatureTable
 from util import csv_text, musicxml_doc
 
@@ -226,3 +228,54 @@ class TestRun:
         assert code == 0
         table = FeatureTable.from_csv(out.read_text())
         assert "WindowStart" in table.columns
+
+
+class TestCollectorThreshold:
+    """``run`` raises the collector's gen0 threshold around ``extract`` only."""
+
+    @pytest.fixture()
+    def threshold(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        yield gc.get_threshold()
+        gc.set_threshold(*saved)
+
+    @staticmethod
+    def _seen_by(owner, name, monkeypatch, effect=None):
+        """The thresholds ``owner.name`` is called under, with ``effect``
+        raised there instead of the call when it is given."""
+        seen, real = [], getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            seen.append(gc.get_threshold())
+            if effect is not None:
+                raise effect
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return seen
+
+    def test_raised_during_extract_and_restored_after_a_success(self, corpus, threshold,
+                                                                monkeypatch):
+        seen = self._seen_by(cli, "extract", monkeypatch)
+        assert run(["--xml-dir", str(corpus), "--output", str(corpus / "f.csv")]) == 0
+        assert seen == [(cli.GC_GEN0_THRESHOLD, *threshold[1:])]
+        assert gc.get_threshold() == threshold
+
+    @pytest.mark.parametrize("error", [ConfigError("no"), RuntimeError("boom")],
+                             ids=["config-error", "fatal-error"])
+    def test_restored_after_an_error_in_extract(self, corpus, threshold, monkeypatch, error):
+        seen = self._seen_by(cli, "extract", monkeypatch, effect=error)
+        assert run(["--xml-dir", str(corpus), "--output", str(corpus / "f.csv")]) == 1
+        assert seen == [(cli.GC_GEN0_THRESHOLD, *threshold[1:])]
+        assert gc.get_threshold() == threshold
+
+    def test_restored_after_a_config_error_that_extract_raises(self, corpus, threshold):
+        assert run(["--xml-dir", str(corpus), "--jobs", "0"]) == 1
+        assert gc.get_threshold() == threshold
+
+    def test_extract_leaves_it_alone(self, corpus, threshold, monkeypatch):
+        seen = self._seen_by(engine, "load_or_parse", monkeypatch)
+        extract(ExtractorConfig(), sorted(corpus.glob("*.musicxml")), RunReport())
+        assert seen == [threshold] * 2
+        assert gc.get_threshold() == threshold

@@ -5,6 +5,9 @@ seed 59, read and never changed here; the CSV digests are the ``csv_sha256``
 its runs report, and the JSONL digest is of the same run written with
 ``--format jsonl``. A change that moves any cell, column or row of the table
 changes a digest, so it has to be declared and the digests renewed with it.
+The cold run's report and the cache entries it writes are pinned too: a
+change to a parser or to the cache that moves a warning, a tally or a
+stored byte changes one of their digests.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ SEED = 59
 WHOLE_SCORE_SHA256 = "4926759537857247810b590c70b5cf34ea9a5414e1904b5c75da48b16c497a28"
 WINDOWED_SHA256 = "91910b464402ad4af63c4a80b21c03244a87073b19092e15ff2d312a2a800941"
 WINDOWED_JSONL_SHA256 = "ab1910353311532a657a2ebcc7f59938d57ead66c29fefab97a796c72683bdbe"
+COLD_REPORT_SHA256 = "1ce7a06090e3248b1c7d0e63cd22e07b07fc17c419765fca888c193a398efc5b"
+COLD_CACHE_SHA256 = "5107136e76f8f052477db2c69f2daf185d338fa593184bf0e6a306e56ba3fa30"
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +82,17 @@ def test_windowed_jsonl(bench, tmp_path, monkeypatch):
     workload = bench[2].WORKLOADS["window"]
     [(digest, _hits)] = _runs(bench, tmp_path, workload, 1, fmt="jsonl")
     assert digest == WINDOWED_JSONL_SHA256
+
+
+def test_cold_report_and_cache_entries(bench, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    workload = bench[2].WORKLOADS["cold"]
+    [(_digest, hits)] = _runs(bench, tmp_path, workload, 1)
+    assert hits == 0
+    report = hashlib.sha256((tmp_path / "report.jsonl").read_bytes()).hexdigest()
+    cache = tmp_path / "cache"
+    entries = hashlib.sha256()
+    for path in sorted(cache.rglob("*.score"), key=lambda p: p.relative_to(cache).as_posix()):
+        entries.update(path.relative_to(cache).as_posix().encode() + b"\0")
+        entries.update(path.read_bytes())
+    assert (report, entries.hexdigest()) == (COLD_REPORT_SHA256, COLD_CACHE_SHA256)

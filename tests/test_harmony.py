@@ -133,6 +133,35 @@ class TestHarmonyFile:
                                   ("line 2", "unparsable label 'Ger6' kept with degree=unknown")]
         assert "Ger6" in caplog.text  # still logged too
 
+    def test_line_numbers_count_blank_lines(self):
+        diags = ParseDiagnostics()
+        text = TSV + "1\t0\tI\tC\n\n\n2\t0\tGer6\tC\n\n3\t0\tFoo\tC\n"
+        assert len(parse_harmony_file(text, diags)) == 3
+        assert diags.warnings == [
+            ("line 5", "unparsable label 'Ger6' kept with degree=unknown"),
+            ("line 7", "unparsable label 'Foo' kept with degree=unknown")]
+        with pytest.raises(HarmonyError, match="line 5: bad measure 'x'"):
+            parse_harmony_file(TSV + "1\t0\tI\tC\n\n\nx\t0\tV\tC\n")
+        with pytest.raises(HarmonyError, match=r"\(lines 2 and 4\)"):
+            parse_harmony_file(TSV + "1\t0\tI\tC\n\n1\t0\tV\tC\n")
+
+    @pytest.mark.parametrize("beat", ["-1", "-1/2", "-" + "0" * 40 + "1"])
+    def test_a_negative_beat_is_an_error_also_when_memoized(self, beat):
+        for _ in range(2):  # the second parse finds the beat memoized
+            with pytest.raises(HarmonyError, match="line 3: beat must be >= 0"):
+                parse_harmony_file(f"{TSV}1\t0\tI\tC\n2\t{beat}\tV\tC\n")
+
+    def test_short_and_long_rows_read_as_in_a_dict_reader(self):
+        text = TSV + "1\t0\tI\n2\t1\tV\tG\textra\tcells\n3\t0\n"
+        assert [(a.measure_index, a.beat, a.label, a.local_key) for a in
+                parse_harmony_file(text)] == [(1, 0, "I", ""), (2, 1, "V", "G")]
+
+    def test_of_a_repeated_column_the_last_counts(self):
+        text = "measure\tbeat\tlabel\tkey\tlabel\n1\t0\tI\tC\tV\n2\t0\tI\tC\n"
+        diags = ParseDiagnostics()
+        assert [a.label for a in parse_harmony_file(text, diags)] == ["V"]
+        assert diags.warnings == []
+
     def test_serialize_round_trip(self):
         text = TSV + "1\t0\tI\tC\n2\t3/2\tV65/IV\tC\n5\t0\ti\ta\n"
         anns = parse_harmony_file(text)
@@ -141,9 +170,10 @@ class TestHarmonyFile:
 
 
 def _reference_parse(text, diags):
-    """``parse_harmony_file`` without memos: every beat through
-    ``Fraction(str)``, every label through ``parse_rn_label``, duplicates
-    found with a dict of positions."""
+    """``parse_harmony_file`` without memos: rows read by ``csv.DictReader``
+    and numbered by its ``line_num``, every beat through ``Fraction(str)``,
+    every label through ``parse_rn_label``, duplicates found with a dict of
+    positions."""
     reader = csv.DictReader(io.StringIO(text), delimiter="\t")
     if reader.fieldnames is None:
         raise HarmonyError("empty harmony file")
@@ -154,7 +184,8 @@ def _reference_parse(text, diags):
     if extra:
         diags.warn("header", f"extra columns ignored: {', '.join(extra)}")
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num
         if not (row.get("label") or "").strip():
             continue
         try:
@@ -204,13 +235,28 @@ def _outcome(parse, text):
 _MEASURES = ["1", "2", "3", "4"] * 8 + ["0", "m"]
 _BEATS = ["2", " 2 ", "1.50", "3/2", "0", "1", "5/4", ""] * 6 + ["-1", "1/0", "x"]
 _LABELS = ["I", "V7", " ii6 ", "V65/IV", "viio7/V", "bII6", "Ger6", "@none", "Cad64", "", "i"]
+_rows = st.tuples(st.sampled_from(_MEASURES), st.sampled_from(_BEATS), st.sampled_from(_LABELS),
+                  st.sampled_from(["C", "a", " G"]))
+
+
+def _sidecar(extra, lines) -> str:
+    """A header with ``extra`` columns, then per line either nothing (a blank
+    line) or a row cut ``cells`` cells short of the header's length, or
+    grown past it when ``cells`` is negative."""
+    text = "\t".join(HARMONY_COLUMNS + extra) + "\n"
+    for line in lines:
+        if line is not None:
+            row, cells = line
+            text += "\t".join((row + extra + ("z",))[:len(row) + len(extra) - cells])
+        text += "\n"
+    return text
+
+
+# Mostly whole rows, some short or long ones and some blank lines.
 _sidecars = st.builds(
-    lambda extra, rows: "\t".join(HARMONY_COLUMNS + extra) + "\n" + "".join(
-        "\t".join(row + extra) + "\n" for row in rows),
+    _sidecar,
     st.sampled_from([(), ("note",)]),
-    st.lists(st.tuples(st.sampled_from(_MEASURES), st.sampled_from(_BEATS),
-                       st.sampled_from(_LABELS), st.sampled_from(["C", "a", " G"])),
-             max_size=6),
+    st.lists(st.none() | st.tuples(_rows, st.sampled_from([0] * 6 + [1, 2, -1])), max_size=7),
 )
 
 

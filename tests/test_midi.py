@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scorefeat import midi
 from scorefeat.midi import MidiError, import_midi
 from scorefeat.model import midi_number, note_count
-from util import midi_bytes, midi_meta_track, midi_note_events, midi_track, quarters
+from util import _vlq, midi_bytes, midi_meta_track, midi_note_events, midi_track, quarters
 
 
 def one_note_file(on=0, off=480, pitch=60, vel=80, tpq=480, meta=None):
@@ -218,6 +218,33 @@ class TestErrors:
         assert score.num_measures == 4
         with pytest.raises(MidiError, match="more than 4 measures"):
             import_midi(one_note_file(off=480 * 17))
+
+
+class TestDeltaTimes:
+    @pytest.mark.parametrize("rest", [0, 127, 128, 16_383, 16_384, 20_000])
+    def test_delta_times_of_one_to_three_bytes(self, rest):
+        assert len(_vlq(rest)) == 1 + (rest >= 128) + (rest >= 16_384)
+        notes = [(0, 480, 60, 80), (480 + rest, 960 + rest, 62, 80)]
+        score, diags = import_midi(midi_bytes([midi_note_events(notes)]))
+        events = score.parts[0].events
+        assert [(quarters(score, e.onset), quarters(score, e.duration)) for e in events] == [
+            (0, 1), (_grid_quarters(480 + rest, 480), 1)]
+        assert diags.warnings == []
+
+    @pytest.mark.parametrize("delta", [b"\x81", b"\x81\x80", b"\xff\xff\xff"])
+    def test_a_track_that_ends_inside_a_delta_time_is_truncated(self, delta):
+        body = midi_track(midi_note_events([(0, 480, 60, 80)]))[:-4] + delta
+        data = b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480) + b"MTrk" + struct.pack(
+            ">I", len(body)) + body
+        with pytest.raises(MidiError, match="truncated file while reading variable-length"):
+            import_midi(data)
+
+    def test_a_delta_time_over_four_bytes_is_fatal(self):
+        body = b"\x81\x81\x81\x81\x00\xff\x2f\x00"
+        data = b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480) + b"MTrk" + struct.pack(
+            ">I", len(body)) + body
+        with pytest.raises(MidiError, match="longer than 4 bytes"):
+            import_midi(data)
 
 
 class TestSemantics:

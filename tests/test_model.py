@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scorefeat.cache import cache_path, load_score, store_score
 from scorefeat.diagnostics import ParseDiagnostics
 from scorefeat.model import (
+    STEP_SEMITONES,
     TIE_STATES,
     EventColumns,
     Lyric,
@@ -84,6 +85,30 @@ class TestMidiNumber:
         for table in (_SHARP_SPELLING, _FLAT_SPELLING):
             step, alter = table[m % 12]
             assert midi_number(SpelledPitch(step, alter, m // 12 - 1)) == m
+
+
+class TestMidiProperty:
+    @given(st.sampled_from("CDEFGAB"), st.integers(-2, 2), st.integers(-3, 12))
+    def test_is_the_midi_number_and_raises_where_it_did(self, step, alter, octave):
+        n = 12 * (octave + 1) + STEP_SEMITONES[step] + alter
+        p = SpelledPitch(step, alter, octave)
+        if 0 <= n <= 127:
+            assert p.midi == midi_number(p) == n
+        else:
+            for _ in range(2):  # a failure is not kept
+                with pytest.raises(PitchRangeError, match=f"maps to MIDI {n}, outside 0..127"):
+                    p.midi
+
+    def test_fields_equality_hash_and_repr_are_the_plain_dataclass_ones(self):
+        plain = dataclasses.make_dataclass(
+            "SpelledPitch", [("step", str), ("alter", int, 0), ("octave", int, 4)], frozen=True)
+        p, oracle = SpelledPitch("C", 1, 4), plain("C", 1, 4)
+        assert p.midi == 61  # kept on the instance, and in none of the below
+        assert [f.name for f in dataclasses.fields(p)] == ["step", "alter", "octave"]
+        assert dataclasses.astuple(p) == dataclasses.astuple(oracle)
+        assert (repr(p), hash(p)) == (repr(oracle), hash(oracle))
+        assert p == SpelledPitch("C", 1, 4) and p != SpelledPitch("D", -1, 4)
+        assert dataclasses.replace(p, octave=5).midi == 73
 
 
 class TestInternedSpellings:

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scorefeat import musicxml
+from scorefeat.diagnostics import ParseDiagnostics
 from scorefeat.model import Lyric, midi_number, note_count
 from scorefeat.musicxml import MusicXMLError, parse_musicxml
 from util import musicxml_doc, mxl_bytes, quarters, random_musicxml
@@ -441,6 +442,33 @@ class TestBadTimeValues:
         doc = EDGE_DOCS["time signature 3/0"][0]
         score, _ = parse_musicxml(doc)
         assert score.time_signatures == ((1, 4, 4),)
+
+
+class TestDurationTexts:
+    """A note's ``<duration>`` is read with ``int`` first; every text gives
+    the ticks, warnings and tallies that ``_duration_units`` gives."""
+
+    @pytest.mark.parametrize("text", [None, "", "1.5", " 2 ", "+2", "-1", "1_0", "0", "x"])
+    def test_a_note_duration_reads_as_duration_units_reads_it(self, text):
+        doc = musicxml_doc([("Violin", [[{"step": "C", "dur": 8}, {"step": "D", "dur": 8}]])])
+        first = b"" if text is None else b"<duration>%s</duration>" % text.encode()
+        doc = doc.replace(b"<duration>8</duration>", first, 1)
+        state = musicxml._PartState(musicxml._document_unit(ET.fromstring(doc)))
+        state.per_division = state.unit // 4  # <divisions>4</divisions>
+        oracle = ParseDiagnostics()
+        units = musicxml._duration_units(text, "note", state, oracle, "part P1 measure 1")
+        score, diags = parse_musicxml(doc)
+        events = [(quarters(score, e.onset), quarters(score, e.duration))
+                  for e in score.parts[0].events]
+        length = Fraction(units, state.unit)
+        if units > 0:
+            assert events == [(0, length), (length, 2)]
+        else:  # skipped, with the cursor stopped at the measure start
+            assert events == [(0, 2)]
+            assert diags.warnings[len(oracle.warnings)][1] == (
+                f"note duration {length} not positive; skipped")
+        assert diags.warnings[:len(oracle.warnings)] == oracle.warnings
+        assert diags.skipped_elements.get("non-positive-duration", 0) == (units <= 0)
 
 
 class TestRepeatedChildren:
