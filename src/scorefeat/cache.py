@@ -5,15 +5,21 @@ header, then one JSON document of plain data. It holds a format version, the
 hooks that shaped the score (name and qualified function name each), its
 parse's diagnostics, a table of the pitches it spells, and the score, whose
 parts keep their events as one array per ``NoteEvent`` field (a pitch is a
-row of the pitch table). A column whose values are all equal and of one type
-is stored as one value, which a load repeats to the length of the part's
-``onset`` column, always stored in full; so a load never builds more than an
-entry holds. Loading runs no code from the entry: the score is
-rebuilt through the model's constructors, so their checks run on cached data
-too. An entry of another format version is a quiet miss, and anything
-unreadable or invalid is a miss with a warning, so corruption can never be
-fatal; the reparse overwrites either. Writes go through a temp file and
-rename, so concurrent workers never observe partial entries.
+row of the pitch table, -1 for none). The integer columns (``onset``,
+``duration``, ``measure_index``, ``pitch``) and a part's dynamic mark
+positions are packed: ``[type code, base64 text]`` of their little-endian
+bytes in the narrowest of the ``struct`` codes ``b``/``h``/``i``/``q`` that
+holds them, so a load decodes each with one ``b64decode`` and one
+``struct.unpack``; only exact ints inside int64 can be packed. A column
+whose values are all equal and of one type is stored as one value, which a
+load repeats to the length of the part's ``onset`` column, always stored in
+full; so a load never builds more than an entry holds. Loading runs no code
+from the entry: the score is rebuilt through the model's constructors, so
+their checks run on cached data too. An entry of another format version is
+a quiet miss, and anything unreadable or invalid is a miss with a warning, so
+corruption can never be fatal; the reparse overwrites either. Writes go
+through a temp file and rename, so concurrent workers never observe partial
+entries.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import tempfile
+from base64 import b64decode, b64encode
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -40,7 +48,14 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"MSF4"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+
+# Packed type codes and their bytes per value, ``struct``'s standard sizes
+# under ``<``, which also makes an entry little-endian on every host.
+_WIDTHS = {"b": 1, "h": 2, "i": 4, "q": 8}
+_INT = {int}
+_PACKED = ("onset", "duration", "measure_index", "pitch")
+_ORDERED = ("onset", "measure_index")  # never decrease in a part (``EventColumns``)
 
 
 def cache_key(source_bytes: bytes, parser_id: str, parser_version: str) -> str:
@@ -73,27 +88,67 @@ def _fields(obj, **override) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)} | override
 
 
+def _pack(values, ordered: bool = False) -> list:
+    """``[type code, base64 text]`` of the ints ``values``, little-endian in
+    the narrowest packed code; ``ordered`` values never decrease, so their
+    ends bound them. A value outside int64 raises ``TypeError``."""
+    if ordered and values:
+        low, high = values[0], values[-1]
+    else:
+        low, high = min(values, default=0), max(values, default=0)
+    code = next((code for code, width in _WIDTHS.items()
+                 if -(1 << 8 * width - 1) <= low and high < 1 << 8 * width - 1), None)
+    if code is None:
+        raise TypeError(f"a packed column holds int64 values only, not {low}..{high}")
+    return [code, b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")]
+
+
+def _unpack(doc) -> tuple[int, ...]:
+    """The values of a packed column; an unknown type code, bad base64 or a
+    byte length that is not a whole number of values raise ``ValueError``."""
+    code, text = doc
+    if code not in _WIDTHS:
+        raise ValueError(f"unknown type code {code!r}")
+    packed = b64decode(text, validate=True)
+    count, rest = divmod(len(packed), _WIDTHS[code])
+    if rest:
+        raise ValueError(f"{len(packed)} bytes are no whole number of {code!r} values")
+    return struct.unpack(f"<{count}{code}", packed)
+
+
 def _encode(hooks: Sequence[str], score: Score, diags: ParseDiagnostics) -> dict:
-    # (step, alter, octave) -> row of the pitch table, and None (no pitch) -> None
-    pitches: dict = {None: None}
+    # (step, alter, octave) -> row of the pitch table, and None (no pitch) -> -1
+    pitches: dict = {None: -1}
 
     def columns(events: EventColumns) -> dict:
         keys = [None if p is None else (p.step, p.alter, p.octave) for p in events.pitch]
-        for key in keys:
+        for key in dict.fromkeys(keys):  # in order of first use
             pitches.setdefault(key, len(pitches) - 1)
-        doc = _fields(events, pitch=list(map(pitches.__getitem__, keys)), lyric=[
-            None if lyric is None else (lyric.text, lyric.syllabic) for lyric in events.lyric])
+        lyric = events.lyric
+        if lyric.count(None) != len(lyric):
+            lyric = [None if row is None else (row.text, row.syllabic) for row in lyric]
+        doc = _fields(events, pitch=list(map(pitches.__getitem__, keys)), lyric=lyric)
         for name, column in doc.items():
             # one type too, so that 0 and False, or 1 and 1.0, never merge
             if (name != "onset" and len(column) > 1 and column.count(column[0]) == len(column)
                     and len(set(map(type, column))) == 1):
                 doc[name] = column[:1]
+        # the model holds onsets, durations and mark positions to exact ints, not measures
+        if not _INT.issuperset(map(type, events.measure_index)):
+            raise TypeError("measure indices must be ints")
+        for name in _PACKED:
+            doc[name] = _pack(doc[name], name in _ORDERED)
         return doc
+
+    def part(p: Part) -> dict:
+        marks = p.dynamic_marks
+        return _fields(p, events=columns(p.events), dynamic_marks=[
+            _pack([pos for pos, _ in marks]), [token for _, token in marks]])
 
     annotations = score.annotations
     score_doc = _fields(
         score,
-        parts=[_fields(p, events=columns(p.events)) for p in score.parts],
+        parts=list(map(part, score.parts)),
         tempo_marks=[_fields(t) for t in score.tempo_marks],
         annotations=None if annotations is None else [
             _fields(a, beat=str(a.beat)) for a in annotations],
@@ -116,33 +171,45 @@ def _decode_pitch(row) -> SpelledPitch:
     return spelled_pitch(step, alter, octave)
 
 
-def _decode_events(doc: dict, pitches: dict) -> EventColumns:
+def _decode_events(doc: dict, pitches: dict, lyrics: dict) -> EventColumns:
     """A part's event columns. A column of one value is repeated to the
     length of the ``onset`` column; ``EventColumns`` rejects any other
-    length that differs from it."""
-    columns = {name: tuple(doc[name]) for name in _EVENT_COLUMNS}
+    length that differs from it. ``pitches`` maps each row of the pitch
+    table to its pitch, and -1 to None; ``lyrics`` maps each (text,
+    syllabic) read so far in the entry to its ``Lyric``."""
+    columns = {name: _unpack(doc[name]) if name in _PACKED else tuple(doc[name])
+               for name in _EVENT_COLUMNS}
     columns["pitch"] = tuple(map(pitches.__getitem__, columns["pitch"]))
-    lyrics = columns["lyric"]
-    if lyrics.count(None) != len(lyrics):
-        columns["lyric"] = tuple(None if lyric is None else Lyric(*lyric) for lyric in lyrics)
+    column = columns["lyric"]
+    if column.count(None) != len(column):
+        keys = [None if row is None else tuple(row) for row in column]
+        for key in set(keys).difference(lyrics):
+            lyrics[key] = Lyric(*key)
+        columns["lyric"] = tuple(map(lyrics.__getitem__, keys))
     n = len(columns["onset"])
     return EventColumns(**{name: column * n if len(column) == 1 else column
                            for name, column in columns.items()})
 
 
+def _decode_part(doc: dict, pitches: dict, lyrics: dict) -> Part:
+    """A part of an entry, whose marks are packed positions beside tokens."""
+    positions, tokens = doc["dynamic_marks"]
+    positions = _unpack(positions)
+    if len(positions) != len(tokens):
+        raise ValueError("dynamic mark positions and tokens differ in length")
+    return Part(**{**doc, "events": _decode_events(doc["events"], pitches, lyrics),
+                   "dynamic_marks": tuple(zip(positions, tokens))})
+
+
 def _decode_score(doc: dict, pitches: dict) -> Score:
     """The score of an entry, rebuilt through the model's constructors so
     that their checks run on what was read. ``pitches`` maps each row of the
-    pitch table, and None, to its pitch."""
-    parts = tuple(
-        Part(**{**p, "events": _decode_events(p["events"], pitches),
-                "dynamic_marks": tuple((pos, token) for pos, token in p["dynamic_marks"])})
-        for p in doc["parts"]
-    )
+    pitch table, and -1, to its pitch."""
+    lyrics = {None: None}
     annotations = doc["annotations"]
     return Score(**{
         **doc,
-        "parts": parts,
+        "parts": tuple(_decode_part(p, pitches, lyrics) for p in doc["parts"]),
         "time_signatures": tuple((m, num, den) for m, num, den in doc["time_signatures"]),
         "measure_offsets": tuple(doc["measure_offsets"]),
         "tempo_marks": tuple(TempoMark(**t) for t in doc["tempo_marks"]),
@@ -157,7 +224,8 @@ def store_score(
     """Atomic write: temp file in the target directory, then rename.
 
     ``diags`` is what the parse of ``score`` reported; ``hooks`` names the
-    registered hooks, in order, that were run on ``score`` after it."""
+    registered hooks, in order, that were run on ``score`` after it. A value
+    that JSON or a packed column cannot hold raises ``TypeError``."""
     document = json.dumps(_encode(hooks, score, diags), separators=(",", ":"))
     payload = CACHE_MAGIC + document.encode("utf-8")
     target = cache_path(cache_dir, key)
@@ -203,11 +271,11 @@ def load_score(
         if type(skipped) is not dict or not all(type(n) is int for n in skipped.values()):
             raise TypeError("skipped-element tallies must map names to ints")
         diags = ParseDiagnostics([(loc, msg) for loc, msg in doc["warnings"]], Counter(skipped))
-        pitches = {None: None, **dict(enumerate(map(_decode_pitch, doc["pitches"])))}
+        pitches = {-1: None, **dict(enumerate(map(_decode_pitch, doc["pitches"])))}
         score = _decode_score(doc["score"], pitches)
-    # bad JSON or bytes, missing keys, columns of the wrong shape or type,
-    # values the model's constructors reject, a zero denominator, too deep a
-    # nesting
+    # bad JSON, base64 or bytes, missing keys or pitch rows, columns of the
+    # wrong shape or type, values the model's constructors reject, a zero
+    # denominator, too deep a nesting
     except (ValueError, TypeError, KeyError, IndexError, ZeroDivisionError,
             RecursionError) as exc:
         log.warning("cache entry %s is unreadable (%s); reparsing", target, exc)

@@ -31,9 +31,10 @@ log = logging.getLogger(__name__)
 
 OUTPUT_FORMATS = ("csv", "jsonl")
 
-# The collector's gen0 threshold while ``run`` extracts. A parse allocates
-# many objects that live until its score is built, and the default of 700
-# runs the collector over them again and again.
+# The collector's gen0 threshold from ``run``'s extract to its report. A parse
+# allocates many objects that live until its score is built, and the table's
+# columns live until they are written: the default of 700 runs the collector
+# over them again and again.
 GC_GEN0_THRESHOLD = 50_000
 
 
@@ -232,23 +233,23 @@ def run(argv: Optional[list[str]] = None) -> int:
         gc.set_threshold(GC_GEN0_THRESHOLD, *threshold[1:])
         try:
             table = extract(config.extractor, paths, report=report)
+            table = process(table, config.processor, report)
+
+            if config.output_path is not None:
+                config.output_path.parent.mkdir(parents=True, exist_ok=True)
+                with open(config.output_path, "w", encoding="utf-8") as out:
+                    _serialize(table, config, out)
+            else:
+                _serialize(table, config, sys.stdout)
+
+            report_text = report.to_json_lines()
+            if config.report_path is not None:
+                config.report_path.parent.mkdir(parents=True, exist_ok=True)
+                config.report_path.write_text(report_text, encoding="utf-8")
+            else:
+                sys.stderr.write(report_text)
         finally:
             gc.set_threshold(*threshold)
-        table = process(table, config.processor, report)
-
-        if config.output_path is not None:
-            config.output_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(config.output_path, "w", encoding="utf-8") as out:
-                _serialize(table, config, out)
-        else:
-            _serialize(table, config, sys.stdout)
-
-        report_text = report.to_json_lines()
-        if config.report_path is not None:
-            config.report_path.parent.mkdir(parents=True, exist_ok=True)
-            config.report_path.write_text(report_text, encoding="utf-8")
-        else:
-            sys.stderr.write(report_text)
 
         return 2 if report.failures else 0
     except ConfigError as exc:

@@ -209,7 +209,7 @@ def load_or_parse(path, config: ExtractorConfig, report: RunReport) -> Score:
             try:
                 score_cache.store_score(config.cache_dir, key, score, diags, config.hooks)
                 report.cache_writes += 1
-            except TypeError as exc:  # a hook left a value that JSON cannot encode
+            except TypeError as exc:  # a hook left what JSON or a packed column cannot hold
                 report.add_warning(path, f"not cached: {exc}")
 
     for location, message in diags.warnings:

@@ -231,7 +231,9 @@ class TestRun:
 
 
 class TestCollectorThreshold:
-    """``run`` raises the collector's gen0 threshold around ``extract`` only."""
+    """``run`` raises the collector's gen0 threshold from before ``extract``
+    until the report is written: ``process`` and the writers run under it
+    too. ``extract`` itself leaves it alone."""
 
     @pytest.fixture()
     def threshold(self):
@@ -259,6 +261,23 @@ class TestCollectorThreshold:
                                                                 monkeypatch):
         seen = self._seen_by(cli, "extract", monkeypatch)
         assert run(["--xml-dir", str(corpus), "--output", str(corpus / "f.csv")]) == 0
+        assert seen == [(cli.GC_GEN0_THRESHOLD, *threshold[1:])]
+        assert gc.get_threshold() == threshold
+
+    def test_raised_during_process_and_to_csv(self, corpus, threshold, monkeypatch):
+        processed = self._seen_by(cli, "process", monkeypatch)
+        written = self._seen_by(FeatureTable, "to_csv", monkeypatch)
+        assert run(["--xml-dir", str(corpus), "--output", str(corpus / "f.csv")]) == 0
+        raised = (cli.GC_GEN0_THRESHOLD, *threshold[1:])
+        assert (processed, written) == ([raised], [raised])
+        assert gc.get_threshold() == threshold
+
+    @pytest.mark.parametrize("owner, name", [(cli, "process"), (FeatureTable, "to_csv")],
+                             ids=["process", "to_csv"])
+    def test_restored_after_an_error_in_process_or_to_csv(self, corpus, threshold,
+                                                          monkeypatch, owner, name):
+        seen = self._seen_by(owner, name, monkeypatch, effect=RuntimeError("boom"))
+        assert run(["--xml-dir", str(corpus), "--output", str(corpus / "f.csv")]) == 1
         assert seen == [(cli.GC_GEN0_THRESHOLD, *threshold[1:])]
         assert gc.get_threshold() == threshold
 

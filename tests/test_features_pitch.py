@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from scorefeat.engine import extract_unit
+from scorefeat.engine import ExtractorConfig, RunReport, extract, extract_unit
 from scorefeat.features import STOCK_FEATURES
 from scorefeat.features.pitch import (
+    _DEGREE_TABLES,
     KRUMHANSL_MAJOR,
     KRUMHANSL_MINOR,
     KeyEstimate,
@@ -23,11 +24,18 @@ from scorefeat.features.pitch import (
     profile_from_score,
     scale_degree_features,
 )
-from scorefeat.harmony import parse_harmony_file, attach_annotations
-from scorefeat.model import STEP_ORDER, SpelledPitch, midi_number
-from scorefeat.registry import feature_modules, resolve_feature_order
+from scorefeat.harmony import (
+    HarmonicAnnotation,
+    attach_annotations,
+    key_mode,
+    key_tonic_pc,
+    parse_harmony_file,
+)
+from scorefeat.model import STEP_ORDER, SpelledPitch, midi_number, slice_window
+from scorefeat.registry import feature_modules, register_hook, resolve_feature_order
 from util import (
     P,
+    musicxml_doc,
     nearest_sqrt,
     note,
     part,
@@ -459,6 +467,82 @@ class TestScaleDegrees:
         assert {k: v for k, v in out.items() if v} == pytest.approx(
             {"LocalDegree_1_Frac": 1 / 3, "LocalDegree_2_Frac": 1 / 3,
              "LocalDegree_6_Frac": 1 / 3})
+
+
+def _local_degrees_per_note(p, s) -> dict:
+    """The LocalDegree cells of part ``p``, note by note: each note's
+    position in its measure, found through ``Score.measure_offset``, and a
+    front-to-back scan of the annotations that stops at the first one after
+    it; the last one before the stop governs."""
+    tpq, degrees = s.ticks_per_quarter, []
+    marks = [(a.measure_index, math.ceil(a.beat * tpq)) for a in s.annotations]
+    for m, onset, midi in zip(p.notes.measure, p.notes.onset, p.notes.midi):
+        query, governing = (m, onset - s.measure_offset(m)), None
+        for mark, a in zip(marks, s.annotations):
+            if mark > query:
+                break
+            governing = a
+        if governing is not None:
+            table = _DEGREE_TABLES.get((key_tonic_pc(governing.local_key),
+                                        key_mode(governing.local_key)))
+            if table is not None:
+                degrees.append(table[midi])
+    if not degrees:
+        return {}
+    cells = {f"LocalDegree_{d}_Frac": degrees.count(d) / len(degrees) for d in range(1, 8)}
+    cells["LocalDegree_chromatic_Frac"] = degrees.count(0) / len(degrees)
+    return cells
+
+
+@st.composite
+def _annotated_scores(draw):
+    """A ``random_model_score`` with annotations in any order, some at beats
+    past their measure's end, and a window of it."""
+    s = random_model_score(draw(st.randoms(use_true_random=False)))
+    beats = st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(3),
+                             Fraction(17, 4), Fraction(9)])  # a 4/4 measure ends at 4
+    positions = draw(st.lists(st.tuples(st.integers(1, s.num_measures), beats), min_size=1,
+                              max_size=8, unique=True))
+    annotations = [HarmonicAnnotation(m, beat, "I", draw(st.sampled_from(["C", "G", "a", "eb"])),
+                                      "I", "major", 0, None, False) for m, beat in positions]
+    s = attach_annotations(s, annotations)  # out of order as drawn
+    start = draw(st.integers(1, s.num_measures))
+    return s, slice_window(s, start, draw(st.integers(1, s.num_measures - start + 1)))
+
+
+class TestLocalDegreeParity:
+    @given(_annotated_scores())
+    def test_column_wise_cells_equal_the_per_note_ones(self, scores):
+        for s in scores:
+            for p in s.parts:
+                out = scale_degree_features(p, s, None)
+                assert out == _local_degrees_per_note(p, s)
+
+    @pytest.mark.parametrize("measures, outside", [((0, 1, 2), 0), ((1, 5, 6), 5)],
+                             ids=["before-the-first", "past-the-last"])
+    def test_the_first_note_outside_the_score_raises(self, measures, outside):
+        events = [note("C", onset=4 * i, dur=4, measure=m) for i, m in enumerate(measures)]
+        s = score([part(events, measures=4)], measures=4)
+        s = attach_annotations(s, parse_harmony_file("measure\tbeat\tlabel\tkey\n1\t0\tI\tC\n"))
+        with pytest.raises(ValueError, match=f"^measure {outside} not in score range$"):
+            scale_degree_features(s.parts[0], s)
+
+    def test_a_note_past_the_last_measure_fails_the_files_features(self, tmp_path):
+        def hook(s):
+            first = s.parts[0]
+            measures = (*first.events.measure_index[:-1], s.last_measure + 1)
+            events = replace(first.events, measure_index=measures)
+            return replace(s, parts=(replace(first, events=events),))
+
+        register_hook("note_past_the_end", hook)
+        (tmp_path / "a.musicxml").write_bytes(musicxml_doc([("Violin", [
+            [{"step": "C", "octave": 4, "dur": 16}], [{"step": "D", "octave": 4, "dur": 16}]])]))
+        (tmp_path / "a.harmony.tsv").write_text("measure\tbeat\tlabel\tkey\n1\t0\tI\tC\n",
+                                                encoding="utf-8")
+        report = RunReport()
+        extract(ExtractorConfig(hooks=["note_past_the_end"]), [tmp_path / "a.musicxml"], report)
+        assert report.failures == [{"path": str(tmp_path / "a.musicxml"), "stage": "features",
+                                    "error": "measure 3 not in score range"}]
 
 
 def fifth_up(pitch: SpelledPitch) -> SpelledPitch:

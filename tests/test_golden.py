@@ -29,7 +29,7 @@ WHOLE_SCORE_SHA256 = "4926759537857247810b590c70b5cf34ea9a5414e1904b5c75da48b16c
 WINDOWED_SHA256 = "91910b464402ad4af63c4a80b21c03244a87073b19092e15ff2d312a2a800941"
 WINDOWED_JSONL_SHA256 = "ab1910353311532a657a2ebcc7f59938d57ead66c29fefab97a796c72683bdbe"
 COLD_REPORT_SHA256 = "1ce7a06090e3248b1c7d0e63cd22e07b07fc17c419765fca888c193a398efc5b"
-COLD_CACHE_SHA256 = "5107136e76f8f052477db2c69f2daf185d338fa593184bf0e6a306e56ba3fa30"
+COLD_CACHE_SHA256 = "aaf9fe6706f5dfad82f8e4e8ba1579b7ee458e02d28cb2cc8364df1e011289df"
 
 
 @pytest.fixture(scope="module")
