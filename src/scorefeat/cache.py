@@ -55,7 +55,6 @@ FORMAT_VERSION = 4
 _WIDTHS = {"b": 1, "h": 2, "i": 4, "q": 8}
 _INT = {int}
 _PACKED = ("onset", "duration", "measure_index", "pitch")
-_ORDERED = ("onset", "measure_index")  # never decrease in a part (``EventColumns``)
 
 
 def cache_key(source_bytes: bytes, parser_id: str, parser_version: str) -> str:
@@ -88,14 +87,10 @@ def _fields(obj, **override) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)} | override
 
 
-def _pack(values, ordered: bool = False) -> list:
+def _pack(values) -> list:
     """``[type code, base64 text]`` of the ints ``values``, little-endian in
-    the narrowest packed code; ``ordered`` values never decrease, so their
-    ends bound them. A value outside int64 raises ``TypeError``."""
-    if ordered and values:
-        low, high = values[0], values[-1]
-    else:
-        low, high = min(values, default=0), max(values, default=0)
+    the narrowest packed code. A value outside int64 raises ``TypeError``."""
+    low, high = min(values, default=0), max(values, default=0)
     code = next((code for code, width in _WIDTHS.items()
                  if -(1 << 8 * width - 1) <= low and high < 1 << 8 * width - 1), None)
     if code is None:
@@ -137,7 +132,7 @@ def _encode(hooks: Sequence[str], score: Score, diags: ParseDiagnostics) -> dict
         if not _INT.issuperset(map(type, events.measure_index)):
             raise TypeError("measure indices must be ints")
         for name in _PACKED:
-            doc[name] = _pack(doc[name], name in _ORDERED)
+            doc[name] = _pack(doc[name])
         return doc
 
     def part(p: Part) -> dict:

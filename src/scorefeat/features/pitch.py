@@ -7,7 +7,6 @@ Musical Pitch* (1990), rotated through all 24 candidate keys.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,25 +367,18 @@ def scale_degree_features(
 
     annotations = score.annotations
     if annotations:
-        # the degree table of each annotation's local key, then None for "no annotation"
         tables = [_DEGREE_TABLES.get((key_tonic_pc(a.local_key), key_mode(a.local_key)))
-                  for a in annotations] + [None]
-        measures, first = cols.measure, score.first_measure
-        # measures never decrease, so the first out of range is at either end
-        below, inside = bisect_left(measures, first), bisect_right(measures, score.last_measure)
-        if below or inside < len(measures):
-            score.measure_offset(measures[0] if below else measures[inside])  # raises
-        starts = map(score.measure_offsets.__getitem__, map(first.__rsub__, measures))
+                  for a in annotations]
         # An annotation at ``beat`` governs a note ``q`` ticks into the
         # measure iff beat * tpq <= q, iff ceil(beat * tpq) <= q (q is whole).
         tpq = score.ticks_per_quarter
         governing = governing_indices(
             [(a.measure_index, -(-a.beat.numerator * tpq // a.beat.denominator))
              for a in annotations],
-            zip(measures, map(sub, cols.onset, starts)),
+            [(m, q - score.measure_offset(m)) for m, q in zip(cols.measure, cols.onset)],
         )
-        local = [table[midi] for midi, table in zip(cols.midi, map(tables.__getitem__, governing))
-                 if table is not None]
+        local = [tables[idx][midi] for midi, idx in zip(cols.midi, governing)
+                 if idx >= 0 and tables[idx] is not None]
         if local:
             out.update(_degree_fractions("LocalDegree", local))
     return out

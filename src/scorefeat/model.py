@@ -532,7 +532,7 @@ def governing_indices(positions: Sequence, queries: Iterable) -> list[int]:
     positions is at or before the query, found by bisection.
     """
     reach = list(accumulate(positions, max))
-    return list(map((1).__rsub__, map(bisect_right, repeat(reach), queries)))
+    return [bisect_right(reach, q) - 1 for q in queries]
 
 
 def slice_window(score: Score, start_measure: int, length: int) -> Score:

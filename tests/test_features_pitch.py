@@ -512,7 +512,7 @@ def _annotated_scores(draw):
 
 class TestLocalDegreeParity:
     @given(_annotated_scores())
-    def test_column_wise_cells_equal_the_per_note_ones(self, scores):
+    def test_cells_equal_the_per_note_oracle(self, scores):
         for s in scores:
             for p in s.parts:
                 out = scale_degree_features(p, s, None)
