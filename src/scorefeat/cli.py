@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="cache directory for parsed scores")
     parser.add_argument("--jobs", dest="parallelism", type=int, default=None,
-                        help="worker threads, at least 1 (default 1)")
+                        help="at least 1 (default 1); files always run one at a time")
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", default=None, choices=OUTPUT_FORMATS,
                         help="output format (default csv)")

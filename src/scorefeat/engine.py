@@ -2,18 +2,17 @@
 
 Each file's work (parse or cache load, hooks, harmony pairing, feature
 modules) is one call that shares no state with the others and returns the
-file's rows and its own report. The calls may run on a thread pool; their
-rows and reports are assembled in input order, so the table and the report
-read the same at any parallelism.
+file's rows and its own report. The calls run one at a time, in input order,
+on the calling thread: every stage holds the GIL, so threads only added the
+cost of passing it between them. ``parallelism`` is validated but does not
+change how the files run.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import ChainMap, Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -65,7 +64,7 @@ class ExtractorConfig:
     window_overlap: int = 0
     cache_dir: Optional[Path] = None
     hooks: list[str] = field(default_factory=list)
-    parallelism: int = 1
+    parallelism: int = 1  # validated, at least 1; files always run on the calling thread
 
     def __post_init__(self):
         if self.xml_dir is not None:
@@ -322,9 +321,10 @@ def extract(
 ) -> FeatureTable:
     """Extract one row per score (or per window) across all input paths.
 
-    Failures are collected into the report and the run continues. Rows are
-    in (input order, window start) order and report entries in input order,
-    regardless of parallelism.
+    Failures are collected into the report and the run continues. The files
+    run one at a time on the calling thread, whatever ``config.parallelism``
+    says. Rows are in (input order, window start) order and report entries
+    in input order.
     """
     config.validate()
     report = report if report is not None else RunReport()
@@ -334,15 +334,9 @@ def extract(
     except RegistryError as exc:
         raise ConfigError(str(exc)) from exc
 
-    paths = [Path(p) for p in paths]
     # One memo of column names per call: it holds no more names than the table.
-    work = partial(_process_path, config=config, order=order, registry=registry, names={})
-    jobs = min(config.parallelism, len(paths))
-    if jobs <= 1:
-        results = list(map(work, paths))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, paths))
+    names: dict = {}
+    results = [_process_path(Path(p), config, order, registry, names) for p in paths]
 
     for _rows, file_report in results:
         report.merge(file_report)

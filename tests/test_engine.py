@@ -1,6 +1,7 @@
 import random
 import re
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -531,7 +532,7 @@ class TestExtract:
     def test_report_is_in_input_order_at_any_parallelism(self, tmp_path):
         def slow_a(score):
             if score.source_id == "a":
-                time.sleep(0.2)  # lets b finish first on a pool
+                time.sleep(0.2)  # b would finish first if the files ran concurrently
             return score
 
         register_hook("slow_a", slow_a)
@@ -548,6 +549,20 @@ class TestExtract:
             (str(tmp_path / "a.harmony.tsv"), "harmony"),
             (str(b), "parse"),
         ]
+
+    def test_files_run_on_the_calling_thread_in_input_order(self, tmp_path):
+        calls = []
+
+        def record(score):
+            calls.append((threading.get_ident(), score.source_id))
+            return score
+
+        register_hook("record_thread", record)
+        paths = [self._write(tmp_path, f"{stem}.musicxml", SIMPLE) for stem in "cab"]
+        for jobs in (1, 2, 8):
+            calls.clear()
+            extract(ExtractorConfig(hooks=["record_thread"], parallelism=jobs), paths)
+            assert calls == [(threading.get_ident(), stem) for stem in "cab"], jobs
 
     def test_cached_equals_uncached(self, tmp_path):
         rng = random.Random(78)

@@ -43,6 +43,12 @@ def test_importing_the_cli_leaves_numpy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_the_thread_pool_out():
+    done = _python("import sys, scorefeat.cli\nprint('concurrent.futures' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_a_run_with_numpy_blocked_writes_the_same_csv(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
