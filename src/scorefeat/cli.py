@@ -100,7 +100,7 @@ def _as_bool(value, keypath: str) -> bool:
 _SETTINGS = {
     **dict.fromkeys(("xml_dir", "harmony_dir", "cache_dir"), ("extract", _as_path)),
     **dict.fromkeys(("features", "basic_modules", "hooks"), ("extract", _as_name_list)),
-    **dict.fromkeys(("window_size", "window_overlap", "parallelism"), ("extract", _as_int)),
+    **dict.fromkeys(("window_size", "window_overlap"), ("extract", _as_int)),
     **dict.fromkeys(("replace_missing_with_zero", "drop_columns"), ("process", _as_name_list)),
     "merge_groups": ("process", _merge_groups),
     "keep_raw_after_merge": ("process", _as_bool),
@@ -155,6 +155,9 @@ def load_config(yaml_path: Optional[Path], overrides: Optional[dict] = None) -> 
 
     if config.output_format not in OUTPUT_FORMATS:
         raise ConfigError(f"format must be one of {OUTPUT_FORMATS}, got {config.output_format!r}")
+    # a name maps to its number; an unknown name maps to "Level <name>"
+    if not isinstance(logging.getLevelName(config.log_level.upper()), int):
+        raise ConfigError(f"log_level must be a logging level name, got {config.log_level!r}")
     return config
 
 
@@ -182,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measures shared by consecutive windows (default 0)")
     parser.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="cache directory for parsed scores")
-    parser.add_argument("--jobs", dest="parallelism", type=int, default=None,
-                        help="at least 1 (default 1); files always run one at a time")
+    # accepted and ignored (files run one at a time) until old scripts stop passing it
+    parser.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
     parser.add_argument("--output", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", default=None, choices=OUTPUT_FORMATS,
                         help="output format (default csv)")
@@ -214,10 +217,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         overrides = {
-            k: v for k, v in vars(args).items() if k != "config" and v is not None
+            k: v for k, v in vars(args).items() if k not in ("config", "jobs") and v is not None
         }
         config = load_config(args.config, overrides)
-        logging.basicConfig(level=getattr(logging, config.log_level.upper(), logging.WARNING))
+        logging.basicConfig(level=config.log_level.upper())
+        if args.jobs is not None:
+            log.warning("--jobs is ignored: files run one at a time")
 
         if config.extractor.xml_dir is None:
             raise ConfigError("no input directory: pass --xml-dir or set extract.xml_dir")

@@ -1,11 +1,10 @@
 """Stage one of the pipeline: windowing, hooks, caching, and table assembly.
 
 Each file's work (parse or cache load, hooks, harmony pairing, feature
-modules) is one call that shares no state with the others and returns the
-file's rows and its own report. The calls run one at a time, in input order,
-on the calling thread: every stage holds the GIL, so threads only added the
-cost of passing it between them. ``parallelism`` is validated but does not
-change how the files run.
+modules) is one call that appends the file's rows and report entries to the
+run's. The calls run one at a time, in input order, on the calling thread:
+every stage holds the GIL, so threads only added the cost of passing it
+between them.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ class ExtractorConfig:
     window_overlap: int = 0
     cache_dir: Optional[Path] = None
     hooks: list[str] = field(default_factory=list)
-    parallelism: int = 1  # validated, at least 1; files always run on the calling thread
 
     def __post_init__(self):
         if self.xml_dir is not None:
@@ -89,8 +87,6 @@ class ExtractorConfig:
                 raise ConfigError("window_overlap must satisfy 0 <= overlap < window_size")
         elif self.window_overlap:
             raise ConfigError("window_overlap requires window_size")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         for hook in self.hooks:
             try:
                 get_hook(hook)
@@ -100,9 +96,8 @@ class ExtractorConfig:
 
 @dataclass
 class RunReport:
-    """Outcome ledger of one file, or of a run as its files' reports merged
-    in input order: failures, parser warnings, skipped-element tallies and
-    cache statistics."""
+    """Outcome ledger of a run, in input order: failures, parser warnings,
+    skipped-element tallies and cache statistics."""
 
     failures: list[dict] = field(default_factory=list)
     warnings: list[dict] = field(default_factory=list)
@@ -118,15 +113,6 @@ class RunReport:
         """A warning about the file at ``path``, or about the run for None."""
         entry = {"message": message} if path is None else {"path": str(path), "message": message}
         self.warnings.append(entry)
-
-    def merge(self, other: RunReport) -> None:
-        """Append ``other``'s entries after this report's and add its counts."""
-        self.failures += other.failures
-        self.warnings += other.warnings
-        self.skipped.update(other.skipped)
-        self.parsed += other.parsed
-        self.cache_hits += other.cache_hits
-        self.cache_writes += other.cache_writes
 
     def to_json_lines(self) -> str:
         import json
@@ -278,16 +264,16 @@ def _score_units(score: Score, config: ExtractorConfig):
         yield slice_window(score, start, length), (start, start + length - 1)
 
 
-def _process_path(path: Path, config, order, registry,
-                  names: dict) -> tuple[list[dict], RunReport]:
-    """One file's rows and its own report; shares no state with other calls
-    but the column-name memo ``names`` (see ``extract_unit``)."""
-    report = RunReport()
+def _process_path(path: Path, config, order, registry, names: dict,
+                  report: RunReport, rows: list[dict]) -> None:
+    """Append one file's rows to ``rows`` and its entries to ``report``; a
+    file whose feature modules fail adds no rows. ``names`` is the column-name
+    memo (see ``extract_unit``)."""
     try:
         score = load_or_parse(path, config, report)
     except Exception as exc:  # parse or hook failures stay per-file
         report.add_failure(path, "parse", exc)
-        return [], report
+        return
 
     harmony_path = _find_harmony_file(path, config)
     if harmony_path is not None:
@@ -301,7 +287,7 @@ def _process_path(path: Path, config, order, registry,
         for location, message in diags.warnings:
             report.add_warning(harmony_path, f"{location}: {message}")
 
-    rows = []
+    first = len(rows)
     try:
         for unit, window in _score_units(score, config):
             row: dict = {"FileName": score.source_id}
@@ -310,8 +296,7 @@ def _process_path(path: Path, config, order, registry,
             rows.append(extract_unit(unit, order, registry, row, names))
     except Exception as exc:  # a feature crash must not kill the whole run
         report.add_failure(path, "features", exc)
-        return [], report
-    return rows, report
+        del rows[first:]
 
 
 def extract(
@@ -322,9 +307,8 @@ def extract(
     """Extract one row per score (or per window) across all input paths.
 
     Failures are collected into the report and the run continues. The files
-    run one at a time on the calling thread, whatever ``config.parallelism``
-    says. Rows are in (input order, window start) order and report entries
-    in input order.
+    run one at a time on the calling thread. Rows are in (input order, window
+    start) order and report entries in input order.
     """
     config.validate()
     report = report if report is not None else RunReport()
@@ -336,8 +320,7 @@ def extract(
 
     # One memo of column names per call: it holds no more names than the table.
     names: dict = {}
-    results = [_process_path(Path(p), config, order, registry, names) for p in paths]
-
-    for _rows, file_report in results:
-        report.merge(file_report)
-    return FeatureTable.from_rows(row for rows, _report in results for row in rows)
+    rows: list[dict] = []
+    for path in paths:
+        _process_path(Path(path), config, order, registry, names, report, rows)
+    return FeatureTable.from_rows(rows)

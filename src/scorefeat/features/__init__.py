@@ -26,7 +26,6 @@ from .harmony import harmony_features
 from .pitch import (
     ambitus_features,
     estimate_key_ks,
-    interval_sequence,
     key_features,
     melody_features,
     scale_degree_features,
@@ -85,7 +84,6 @@ __all__ = [
     "key_features",
     "estimate_key_ks",
     "ambitus_features",
-    "interval_sequence",
     "melody_features",
     "scale_degree_features",
     "density_features",

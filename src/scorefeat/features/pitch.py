@@ -230,12 +230,6 @@ def _moves(part: Part) -> Iterable[tuple[int, int]]:
     return zip(map(sub, letters[1:], letters), map(sub, midi[1:], midi))
 
 
-def interval_sequence(part: Part) -> list[tuple[int, str]]:
-    """(semitones, name) of each melodic interval between consecutive chord
-    tops; rests do not break the line."""
-    return [(semis, interval_between(steps, semis)) for steps, semis in _moves(part)]
-
-
 class MelodySummary(NamedTuple):
     """Counts and exact sums over a list of melodic intervals. The summary
     of several lists merges from theirs: counts and sums add, the largest

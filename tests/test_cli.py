@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import os
 import re
 import subprocess
@@ -66,7 +67,6 @@ class TestLoadConfig:
         y.write_text(
             "extract:\n"
             "  features: [core, rhythm]\n"
-            "  parallelism: 2\n"
             "process:\n"
             "  replace_missing_with_zero: ['Score_.*']\n"
             "  merge_groups:\n"
@@ -78,7 +78,6 @@ class TestLoadConfig:
         )
         config = load_config(y, {})
         assert config.extractor.features == ["core", "rhythm"]
-        assert config.extractor.parallelism == 2
         assert config.processor.merge_groups[0].stats == ("mean", "std")
         assert config.output_format == "jsonl"
 
@@ -91,6 +90,15 @@ class TestLoadConfig:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             load_config(None, {"format": "parquet"})
+
+    @pytest.mark.parametrize("name", ["debugg", "Level 5", "basic_format", ""])
+    def test_unknown_log_level_rejected(self, name):
+        with pytest.raises(ConfigError, match="log_level"):
+            load_config(None, {"log_level": name})
+
+    @pytest.mark.parametrize("name", ["debug", "Warn", "CRITICAL", "notset"])
+    def test_log_level_names_in_any_case(self, name):
+        assert load_config(None, {"log_level": name}).log_level == name
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -181,10 +189,31 @@ class TestRun:
     def test_missing_input_dir_exit_one(self, tmp_path):
         assert run(["--xml-dir", str(tmp_path / "nope")]) == 1
 
-    def test_zero_jobs_exit_one(self, corpus):
+    def test_unknown_log_level_exit_one_writes_nothing(self, corpus):
         out = corpus / "features.csv"
-        assert run(["--xml-dir", str(corpus), "--output", str(out), "--jobs", "0"]) == 1
+        assert run(["--xml-dir", str(corpus), "--output", str(out),
+                    "--log-level", "debugg"]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("retired", [["--jobs", "0"], ["--jobs", "2"], "yaml"],
+                             ids=["jobs-0", "jobs-2", "yaml-parallelism-2"])
+    def test_the_retired_parallelism_knob_changes_nothing(self, corpus, tmp_path, caplog,
+                                                         retired):
+        def outputs(name, *args):
+            out, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+            code = run(["--xml-dir", str(corpus), "--output", str(out),
+                        "--report", str(report), *args])
+            return code, out.read_bytes(), report.read_bytes()
+
+        if retired == "yaml":
+            config = tmp_path / "run.yaml"
+            config.write_text("extract:\n  parallelism: 2\n", encoding="utf-8")
+            retired = ["--config", str(config)]
+        with caplog.at_level(logging.WARNING):
+            plain = outputs("plain")
+            logged = len(caplog.records)
+            assert outputs("retired", *retired) == plain
+        assert len(caplog.records) == 2 * logged + 1
 
     def test_module_entry_point_runs_the_cli(self, tmp_path):
         src = str(Path(scorefeat.__file__).resolve().parents[1])
@@ -224,7 +253,7 @@ class TestRun:
     def test_window_flags(self, corpus):
         out = corpus / "w.csv"
         code = run(["--xml-dir", str(corpus), "--output", str(out),
-                    "--window-size", "1", "--window-overlap", "0", "--jobs", "1"])
+                    "--window-size", "1", "--window-overlap", "0"])
         assert code == 0
         table = FeatureTable.from_csv(out.read_text())
         assert "WindowStart" in table.columns
@@ -290,7 +319,7 @@ class TestCollectorThreshold:
         assert gc.get_threshold() == threshold
 
     def test_restored_after_a_config_error_that_extract_raises(self, corpus, threshold):
-        assert run(["--xml-dir", str(corpus), "--jobs", "0"]) == 1
+        assert run(["--xml-dir", str(corpus), "--features", "nosuchmodule"]) == 1
         assert gc.get_threshold() == threshold
 
     def test_extract_leaves_it_alone(self, corpus, threshold, monkeypatch):

@@ -2,7 +2,6 @@ import random
 import re
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,12 @@ from scorefeat.engine import (
     run_hooks,
 )
 from scorefeat.model import EventColumns, NoteEvent, slice_window
-from scorefeat.registry import FeatureModuleDescriptor, feature_modules, register_hook
+from scorefeat.registry import (
+    FeatureModuleDescriptor,
+    feature_modules,
+    register_feature_module,
+    register_hook,
+)
 from scorefeat.table import IDENTITY_COLUMNS
 from util import (
     corpus_musicxml,
@@ -455,7 +459,7 @@ class TestExtract:
     def test_cache_hit_keeps_its_own_file_name(self, tmp_path):
         paths = [self._write(tmp_path, f"{stem}.musicxml", SIMPLE) for stem in "ab"]
         report = RunReport()
-        config = ExtractorConfig(cache_dir=tmp_path / "cache", parallelism=1)
+        config = ExtractorConfig(cache_dir=tmp_path / "cache")
         table = extract(config, paths, report=report)
         assert report.cache_hits == 1
         assert table.columns["FileName"] == ["a", "b"]
@@ -518,37 +522,40 @@ class TestExtract:
         assert table.num_rows == 1
         assert report.failures[0]["stage"] == "harmony"
 
-    def test_parallel_serial_equivalence(self, tmp_path):
-        rng = random.Random(77)
-        paths = []
-        for i in range(8):
-            doc, _ = random_musicxml(rng)
-            paths.append(self._write(tmp_path, f"r{i}.musicxml", doc))
-        serial = extract(ExtractorConfig(parallelism=1), paths)
-        parallel = extract(ExtractorConfig(parallelism=8), paths)
-        assert list(serial.columns) == list(parallel.columns)
-        assert serial.columns == parallel.columns
-
-    def test_report_is_in_input_order_at_any_parallelism(self, tmp_path):
-        def slow_a(score):
-            if score.source_id == "a":
-                time.sleep(0.2)  # b would finish first if the files ran concurrently
-            return score
-
-        register_hook("slow_a", slow_a)
+    def test_report_is_in_input_order(self, tmp_path):
         a = self._write(tmp_path, "a.musicxml", SIMPLE)
         (tmp_path / "a.harmony.tsv").write_text("not\ta\theader\n1\t2\t3\n")
         b = self._write(tmp_path, "b.mid", b"not a standard MIDI file")
-        lines = {}
-        for jobs in (1, 2, 8):
-            report = RunReport()
-            extract(ExtractorConfig(hooks=["slow_a"], parallelism=jobs), [a, b], report=report)
-            lines[jobs] = report.to_json_lines()
-        assert lines[1] == lines[2] == lines[8]
+        report = RunReport()
+        extract(ExtractorConfig(), [a, b], report=report)
         assert [(f["path"], f["stage"]) for f in report.failures] == [
             (str(tmp_path / "a.harmony.tsv"), "harmony"),
             (str(b), "parse"),
         ]
+
+    def test_a_file_whose_features_fail_leaves_no_rows(self, tmp_path, monkeypatch):
+        def fail_in_b_measure_2(score, part_values, upstream):
+            if (score.source_id, score.first_measure) == ("b", 2):
+                raise RuntimeError("boom")
+            return {}
+
+        monkeypatch.setattr("scorefeat.registry._FEATURE_MODULES", feature_modules())
+        register_feature_module(FeatureModuleDescriptor("fail_b", score_fn=fail_in_b_measure_2))
+        doc = musicxml_doc([("Violin", [[{"step": "C", "octave": 4, "dur": 16}]] * 3)])
+        paths = []
+        for stem in "abc":
+            paths.append(self._write(tmp_path, f"{stem}.musicxml", doc))
+            (tmp_path / f"{stem}.harmony.tsv").write_text(
+                "measure\tbeat\tlabel\tkey\tnote\n1\t0\tI\tC\tx\n")
+        report = RunReport()
+        table = extract(ExtractorConfig(features=["fail_b"], window_size=1), paths,
+                        report=report)
+        assert list(zip(table.columns["FileName"], table.columns["WindowStart"])) == [
+            (stem, start) for stem in "ac" for start in (1, 2, 3)]
+        assert report.failures == [
+            {"path": str(paths[1]), "stage": "features", "error": "boom"}]
+        assert [w["path"] for w in report.warnings] == [
+            str(tmp_path / f"{stem}.harmony.tsv") for stem in "abc"]
 
     def test_files_run_on_the_calling_thread_in_input_order(self, tmp_path):
         calls = []
@@ -559,10 +566,12 @@ class TestExtract:
 
         register_hook("record_thread", record)
         paths = [self._write(tmp_path, f"{stem}.musicxml", SIMPLE) for stem in "cab"]
-        for jobs in (1, 2, 8):
-            calls.clear()
-            extract(ExtractorConfig(hooks=["record_thread"], parallelism=jobs), paths)
-            assert calls == [(threading.get_ident(), stem) for stem in "cab"], jobs
+        extract(ExtractorConfig(hooks=["record_thread"]), paths)
+        assert calls == [(threading.get_ident(), stem) for stem in "cab"]
+
+    def test_parallelism_is_no_longer_a_setting(self):
+        with pytest.raises(TypeError):
+            ExtractorConfig(parallelism=2)
 
     def test_cached_equals_uncached(self, tmp_path):
         rng = random.Random(78)

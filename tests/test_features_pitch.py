@@ -19,7 +19,6 @@ from scorefeat.features.pitch import (
     PitchClassProfile,
     estimate_key_ks,
     interval_name,
-    interval_sequence,
     key_features,
     profile_from_score,
     scale_degree_features,
@@ -388,15 +387,17 @@ class TestMelody:
 
         p = part([note("C", onset=0, dur=1), rest(onset=1, dur=2),
                   note("E", onset=3, dur=1)])
-        assert interval_sequence(p) == [(4, "M3")]
+        assert run_module("melody", p)["Interval_M3_Count"] == 1
 
     def test_chord_voice_flag(self):
         p = part([note("C", 4, onset=0, dur=1), note("E", 5, onset=0, dur=1),
                   note("D", 4, onset=1, dur=1)])
-        assert [p.notes.heads[i].pitch.name for i in p.notes.line] == ["E5", "D4"]
+        assert [p.notes.pitch[i].name for i in p.notes.line] == ["E5", "D4"]
+        cells = run_module("melody", p)  # E5 -> D4, not the lower voice's C4 -> D4 (M2)
+        assert cells["Interval_M9_Count"] == 1 and "Interval_M2_Count" not in cells
 
     def test_short_line_empty(self):
-        assert interval_sequence(part([note("C")])) == []
+        assert run_module("melody", part([note("C")])) == {}
 
 
 class TestScaleDegrees:

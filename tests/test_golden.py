@@ -61,6 +61,8 @@ def _runs(bench, workdir: Path, workload, runs: int, fmt: str = "csv") -> list[t
     return out
 
 
+# perfbench's configs still write the retired ``parallelism`` key: an old
+# config gives the same bytes whatever it says.
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_whole_score_csv_cold_then_warm(bench, tmp_path, monkeypatch, parallelism):
     monkeypatch.chdir(tmp_path)  # the config's paths are relative to the run's directory

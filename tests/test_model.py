@@ -386,7 +386,7 @@ class TestCounting:
             ]
         )
         cols = p.notes
-        assert [(e.pitch.step, d) for e, d in zip(cols.heads, cols.merged)] == [
+        assert [(pitch.step, d) for pitch, d in zip(cols.pitch, cols.merged)] == [
             ("C", 4 * TPQ), ("E", TPQ)]
 
     def test_melodic_line_keeps_chord_top(self):
@@ -397,7 +397,7 @@ class TestCounting:
                 note("G", octave=3, onset=1, dur=1),
             ]
         )
-        assert [p.notes.heads[i].pitch.name for i in p.notes.line] == ["E5", "G3"]
+        assert [p.notes.pitch[i].name for i in p.notes.line] == ["E5", "G3"]
 
 
 # The event loops the note columns replaced, kept as references.
@@ -489,21 +489,24 @@ class TestNoteColumns:
             cols = p.notes
             heads = reference_counted_notes(p)
             merged = reference_merged_durations(p)
-            assert [id(e) for e in cols.heads] == [id(e) for e in heads]
             assert [id(e) for e, _ in merged] == [id(e) for e in heads]
             assert list(cols.merged) == [d for _, d in merged]
             assert list(cols.onset) == [e.onset for e in heads]
             assert list(cols.duration) == [e.duration for e in heads]
             assert list(cols.midi) == [midi_number(e.pitch) for e in heads]
             assert list(cols.measure) == [e.measure_index for e in heads]
-            line = [id(e) for e in reference_melodic_line(p)]
-            assert [id(cols.heads[i]) for i in cols.line] == line
+            assert list(cols.pitch) == [e.pitch for e in heads]
+            assert list(cols.dots) == [e.dots for e in heads]
+            assert list(cols.lyric) == [e.lyric for e in heads]
+            line = reference_melodic_line(p)
+            assert [cols.onset[i] for i in cols.line] == [e.onset for e in line]
+            assert [cols.pitch[i] for i in cols.line] == [e.pitch for e in line]
 
     def test_chord_with_tie_pinned(self):
         cols = _CHORD_WITH_TIE.parts[0].notes
-        assert [e.pitch.name for e in cols.heads] == ["C4", "G4", "E4", "A5"]
+        assert [pitch.name for pitch in cols.pitch] == ["C4", "G4", "E4", "A5"]
         assert cols.merged == (2 * TPQ, 3 * TPQ, TPQ, TPQ)
-        assert [cols.heads[i].pitch.name for i in cols.line] == ["G4", "A5"]
+        assert [cols.pitch[i].name for i in cols.line] == ["G4", "A5"]
 
     def test_columns_never_enter_the_entry(self, tmp_path):
         s = random_model_score(random.Random(5))
@@ -646,19 +649,19 @@ class TestWindowNotes:
         assert first.merged == (1920,)
         assert first.continuations == ()
         second = slice_window(s, 2, 1).parts[0].notes
-        assert second.heads == () and second.merged == ()
+        assert second.onset == () and second.merged == ()
         assert slice_window(s, 1, 2).parts[0].notes.merged == (3840,)
 
     def test_a_chord_split_by_the_window_edge_walks_the_window(self):
         s = _CHORDS_OVER_THE_BARLINE
         whole = s.parts[0].notes
-        assert [whole.heads[i].pitch.name for i in whole.line] == ["C4", "E5", "D4", "F4"]
+        assert [whole.pitch[i].name for i in whole.line] == ["C4", "E5", "D4", "F4"]
         for start, end in _windows(s):
             w = slice_window(s, start, end - start + 1).parts[0]
             assert w.notes == _filtered_window(s.parts[0], start, end).notes
         assert whole.window(2, 2) is None
         line = slice_window(s, 2, 1).parts[0].notes
-        assert [line.heads[i].pitch.name for i in line.line] == ["G4", "D4", "F4"]
+        assert [line.pitch[i].name for i in line.line] == ["G4", "D4", "F4"]
 
 
 def _scan_governing(positions, query):
