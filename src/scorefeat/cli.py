@@ -11,7 +11,7 @@ import argparse
 import gc
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Optional, TextIO
 
@@ -25,6 +25,7 @@ from .engine import (
     extract,
 )
 from .postprocess import MergeGroup, ProcessorConfig, process
+from .records import record
 from .table import FeatureTable
 
 log = logging.getLogger(__name__)
@@ -38,8 +39,10 @@ OUTPUT_FORMATS = ("csv", "jsonl")
 GC_GEN0_THRESHOLD = 50_000
 
 
-@dataclass
+@record
 class RunConfig:
+    """Settings of one run: defaults, then the YAML file, then flag overrides."""
+
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     output_path: Optional[Path] = None
@@ -155,10 +158,16 @@ def load_config(yaml_path: Optional[Path], overrides: Optional[dict] = None) -> 
 
     if config.output_format not in OUTPUT_FORMATS:
         raise ConfigError(f"format must be one of {OUTPUT_FORMATS}, got {config.output_format!r}")
-    # a name maps to its number; an unknown name maps to "Level <name>"
-    if not isinstance(logging.getLevelName(config.log_level.upper()), int):
-        raise ConfigError(f"log_level must be a logging level name, got {config.log_level!r}")
+    _level(config.log_level)
     return config
+
+
+def _level(name: str) -> str:
+    """``name`` as an upper-case logging level name; ConfigError if it is none."""
+    # a name maps to its number; an unknown name maps to "Level <name>"
+    if not isinstance(logging.getLevelName(name.upper()), int):
+        raise ConfigError(f"log_level must be a logging level name, got {name!r}")
+    return name.upper()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,8 +228,13 @@ def run(argv: Optional[list[str]] = None) -> int:
         overrides = {
             k: v for k, v in vars(args).items() if k not in ("config", "jobs") and v is not None
         }
+        # The flag's level is in force while the config file is read, so its
+        # warnings obey it; a log_level from the file applies once it is read.
+        configure = not logging.root.handlers
+        logging.basicConfig(level=_level(args.log_level or "WARNING"))
         config = load_config(args.config, overrides)
-        logging.basicConfig(level=config.log_level.upper())
+        if configure:
+            logging.root.setLevel(_level(config.log_level))
         if args.jobs is not None:
             log.warning("--jobs is ignored: files run one at a time")
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from .records import record
 
 
-@dataclass
+@record
 class ParseDiagnostics:
     """Non-fatal findings from a parse: warnings plus skipped-element tallies.
 

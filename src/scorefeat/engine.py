@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections import ChainMap, Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +23,7 @@ from .features import FEATURE_ALIASES, STOCK_FEATURES
 from .features.core import SCOPED_NAME
 from .harmony import HarmonyError, attach_annotations, parse_harmony_file
 from .model import Score, slice_window
+from .records import record
 from .registry import (
     RegistryError,
     feature_modules,
@@ -51,7 +52,7 @@ class ConfigError(ValueError):
     """Invalid extractor configuration."""
 
 
-@dataclass
+@record
 class ExtractorConfig:
     """Declarative settings for the extraction stage."""
 
@@ -94,7 +95,7 @@ class ExtractorConfig:
                 raise ConfigError(str(exc)) from exc
 
 
-@dataclass
+@record
 class RunReport:
     """Outcome ledger of a run, in input order: failures, parser warnings,
     skipped-element tallies and cache statistics."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..harmony import FUNCTIONS, classify_function, key_mode
 from ..model import Score
 
@@ -33,7 +31,7 @@ def harmony_features(score: Score) -> dict:
             out[f"Function_{labels[fn]}_Frac"] = tallies[fn] / len(annotations)
 
     out["HarmonicRhythmPerMeasure"] = len(annotations) / score.num_measures
-    total_beats = sum(map(score.measure_quarters, score.measure_indices()), Fraction(0))
+    total_beats = score.nominal_quarters()
     if total_beats > 0:
         out["HarmonicRhythmPerBeat"] = float(len(annotations) / total_beats)
 

@@ -8,7 +8,6 @@ Musical Pitch* (1990), rotated through all 24 candidate keys.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -23,6 +22,7 @@ from ..model import (
     governing_indices,
     midi_number,
 )
+from ..records import record
 from .core import moments, scoped_names, sqrt_ratio
 
 KRUMHANSL_MAJOR = (6.35, 2.23, 3.48, 2.33, 4.38, 4.09, 2.52, 5.19, 2.39, 3.66, 2.29, 2.88)
@@ -49,7 +49,7 @@ _PERFECT_BASE = {1: 0, 4: 5, 5: 7}
 _MAJOR_BASE = {2: 2, 3: 4, 6: 9, 7: 11}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PitchClassProfile:
     """Duration-weighted pitch-class histogram (index 0 = C), in quarters
     from ``profile_from_score``; the key estimate is the same in any unit."""
@@ -67,8 +67,10 @@ class PitchClassProfile:
         return sum(self.weights)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KeyEstimate:
+    """The best-correlated key of a profile and its lead over the runner-up."""
+
     tonic: int  # pitch class 0..11
     mode: str  # "major" | "minor"
     score: Optional[float]  # Pearson correlation of the winner

@@ -14,13 +14,14 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .diagnostics import ParseDiagnostics
 from .model import Score
+from .records import record
 
 log = logging.getLogger(__name__)
 
@@ -52,16 +53,20 @@ class HarmonyError(ValueError):
     """Unusable harmony annotation input."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParsedLabel:
+    """The parts of one Roman-numeral label."""
+
     degree: str  # numeral as written, with accidentals ("bII"), or "unknown"
     quality: str  # major, minor, dim, aug, dom7, min7, dim7, halfdim7, aug7, unknown
     inversion: int  # 0..3
     applied_of: Optional[str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HarmonicAnnotation:
+    """One sidecar label, parsed, at its measure and beat, in its local key."""
+
     measure_index: int
     beat: Fraction  # quarter offset within the measure
     label: str

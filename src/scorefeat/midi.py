@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
@@ -24,6 +24,7 @@ from .instruments import OrdinalAllocator, detect_instrument_family, part_identi
 from .model import (
     EventColumns, Part, Score, SpelledPitch, TempoMark, spelled_pitch, tick_base, to_ticks,
 )
+from .records import record
 
 PARSER_ID = "midi"
 PARSER_VERSION = "5"
@@ -99,8 +100,10 @@ def _vlq(data: bytes, pos: int) -> tuple[int, int]:
     raise MidiError("variable-length quantity longer than 4 bytes")
 
 
-@dataclass
+@record
 class _TrackData:
+    """One MTrk chunk as read, before its notes become a ``Part``."""
+
     index: int
     name: Optional[str] = None
     # (tick, channel, pitch, velocity, is_on)

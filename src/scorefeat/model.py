@@ -9,7 +9,7 @@ Tuplets never accumulate floating-point error across a score.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, count, repeat
@@ -18,6 +18,7 @@ from operator import and_, attrgetter, is_, itemgetter, not_
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .instruments import camel_case
+from .records import record
 
 if TYPE_CHECKING:
     from .harmony import HarmonicAnnotation
@@ -51,7 +52,7 @@ class WindowRangeError(ValueError):
     """Requested measure window starts beyond the end of the score."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpelledPitch:
     """A notated pitch: letter step, semitone alteration, scientific octave.
 
@@ -114,8 +115,10 @@ def to_ticks(quarters: Fraction, ticks_per_quarter: int) -> int:
     return quarters.numerator * scale
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lyric:
+    """One syllable sung on a note."""
+
     text: str
     syllabic: str = "single"  # single | begin | middle | end
 
@@ -162,7 +165,7 @@ def _check_rows(kind, onset, duration, pitch, tie, dots, grace) -> None:
         _check_row(*row)
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True, init=False)
 class NoteEvent:
     """One note or rest in a part.
 
@@ -199,7 +202,7 @@ _EVENT_FIELDS = tuple(f.name for f in fields(NoteEvent))
 _event_row = attrgetter(*_EVENT_FIELDS)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventColumns(Sequence[NoteEvent]):
     """A part's events, one tuple per ``NoteEvent`` field, all of one length,
     in event order.
@@ -267,7 +270,7 @@ class EventColumns(Sequence[NoteEvent]):
         return iter(self._events)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoteColumns:
     """A part's counted notes (tie-chain heads that are not grace), one row
     each in event order, in partitura's ``note_array`` layout, in the
@@ -323,7 +326,7 @@ def _taker(rows: list[int]) -> Callable[[tuple], tuple]:
 _midi_of = attrgetter("midi")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Part:
     """One performer line: ordered events plus instrument identity.
 
@@ -400,14 +403,16 @@ class Part:
                            tuple((r, tuple(p)) for r, p in sorted(pieces.items())))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TempoMark:
+    """A tempo indication at the start of a measure: words, a metronome value or both."""
+
     measure_index: int
     text: Optional[str] = None
     bpm: Optional[float] = None  # quarter notes per minute
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Score:
     """Immutable parsed score. Safe to share freely across threads.
 
@@ -488,6 +493,22 @@ class Score:
         """Nominal measure length in quarter notes from the active signature."""
         num, den = self.time_signature_at(measure_index)
         return Fraction(num * 4, den)
+
+    def nominal_quarters(self) -> Fraction:
+        """``measure_quarters`` summed over every measure, exactly, one term per
+        run of measures under one signature. As in ``time_signature_at``, also
+        for unsorted signatures, a measure takes the last signature whose
+        running maximum of measures is at or before it (``governing_indices``)."""
+        signatures = self.time_signatures
+        reach = list(accumulate((m for m, _, _ in signatures), max))
+        total, measure, last = Fraction(0), self.first_measure, self.last_measure
+        while measure <= last:
+            j = bisect_right(reach, measure)
+            end = min(reach[j] - 1, last) if j < len(reach) else last
+            _, num, den = signatures[j - 1]  # j >= 1: the first sits at first_measure
+            total += Fraction(num * 4, den) * (end - measure + 1)
+            measure = end + 1
+        return total
 
     def measure_offset(self, measure_index: int) -> int:
         """Absolute tick at the start of a measure."""

@@ -13,7 +13,7 @@ import re
 import zipfile
 import zlib
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -41,6 +41,7 @@ from .model import (
     tick_base,
     to_ticks,
 )
+from .records import record
 
 PARSER_ID = "musicxml"
 PARSER_VERSION = "8"
@@ -90,8 +91,10 @@ class _RawNote(NamedTuple):
     grace: bool
 
 
-@dataclass
+@record
 class _RawPart:
+    """One ``<part>`` as read, before it becomes a ``Part``."""
+
     xml_id: str
     name: str
     notes: list[_RawNote] = field(default_factory=list)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from .records import record
 from .table import Cell, FeatureTable, IDENTITY_COLUMNS
 
 if TYPE_CHECKING:
@@ -38,7 +39,7 @@ class ProcessError(ValueError):
     """Invalid processor configuration or unusable column content."""
 
 
-@dataclass
+@record
 class MergeGroup:
     """Columns matching ``pattern`` collapse into ``<target>_<Stat>`` columns."""
 
@@ -54,8 +55,10 @@ class MergeGroup:
             raise ProcessError(f"unknown merge statistics: {', '.join(bad)}")
 
 
-@dataclass
+@record
 class ProcessorConfig:
+    """Declarative settings for stage two: zero-fill, column drops and merges."""
+
     replace_missing_with_zero: list[str] = field(default_factory=list)
     drop_columns: list[str] = field(default_factory=list)
     merge_groups: list[MergeGroup] = field(default_factory=list)

@@ -8,8 +8,9 @@ before the cache write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
+
+from .records import record
 
 CORE_MODULE = "core"
 
@@ -18,7 +19,7 @@ class RegistryError(ValueError):
     """Unknown module name or a dependency cycle."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FeatureModuleDescriptor:
     """One pluggable feature module.
 

@@ -11,9 +11,11 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from typing import Iterable, Mapping, TextIO, Union
+
+from .records import record
 
 Cell = Union[int, float, str, None]
 
@@ -41,7 +43,7 @@ def as_cell(value) -> Cell:
         raise TypeError(f"unsupported cell value {value!r}") from None
 
 
-@dataclass
+@record
 class FeatureTable:
     """One row per score or window, one column per feature: ``columns`` maps
     each name, in first-seen order, to its ``num_rows`` cells."""

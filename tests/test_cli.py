@@ -259,6 +259,65 @@ class TestRun:
         assert "WindowStart" in table.columns
 
 
+class TestLogLevel:
+    """``run`` as a fresh process runs it: the root logger has no handler,
+    so ``run`` sets logging up."""
+
+    UNKNOWN = "unknown config key 'extract.parallelism' ignored"
+
+    def run_bare(self, corpus, tmp_path, yaml_text, *flags):
+        """``run``'s exit code, and the root logger's level and handler count
+        after it; the root logger is put back as it was."""
+        config = tmp_path / "run.yaml"
+        config.write_text(yaml_text, encoding="utf-8")
+        root = logging.getLogger()
+        handlers, level = root.handlers[:], root.level
+        for handler in handlers:
+            root.removeHandler(handler)
+        root.setLevel(logging.WARNING)
+        try:
+            code = run(["--config", str(config), "--xml-dir", str(corpus),
+                        "--output", str(tmp_path / "out.csv"),
+                        "--report", str(tmp_path / "report.jsonl"), *flags])
+            return code, root.level, len(root.handlers)
+        finally:
+            for handler in root.handlers[:]:
+                root.removeHandler(handler)
+            for handler in handlers:
+                root.addHandler(handler)
+            root.setLevel(level)
+
+    def test_the_flag_silences_config_warnings(self, corpus, tmp_path, capsys):
+        code, level, _ = self.run_bare(corpus, tmp_path, "extract:\n  parallelism: 2\n",
+                                       "--log-level", "error")
+        assert (code, level) == (0, logging.ERROR)
+        assert capsys.readouterr().err == ""
+
+    def test_a_config_warning_shows_once_at_the_default_level(self, corpus, tmp_path, capsys):
+        code, level, _ = self.run_bare(corpus, tmp_path, "extract:\n  parallelism: 2\n")
+        assert (code, level) == (0, logging.WARNING)
+        err = capsys.readouterr().err
+        assert err.count(self.UNKNOWN) == 1
+        assert err.count("\n") == 1
+
+    def test_a_yaml_level_applies_once_the_file_is_read(self, corpus, tmp_path, capsys):
+        code, level, _ = self.run_bare(
+            corpus, tmp_path, "log_level: error\nextract:\n  parallelism: 2\n", "--jobs", "2")
+        assert (code, level) == (0, logging.ERROR)
+        err = capsys.readouterr().err
+        assert err.count(self.UNKNOWN) == 1  # logged while the file is read
+        assert "--jobs" not in err  # logged after
+
+    def test_an_unknown_flag_level_exits_1_and_writes_nothing(self, corpus, tmp_path, capsys):
+        code, _, handlers = self.run_bare(corpus, tmp_path, "extract:\n  parallelism: 2\n",
+                                          "--log-level", "debugg")
+        assert (code, handlers) == (1, 0)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: log_level must be a logging level name, got 'debugg'\n"
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestCollectorThreshold:
     """``run`` raises the collector's gen0 threshold from before ``extract``
     until the report is written: ``process`` and the writers run under it

@@ -1,11 +1,31 @@
+import time
+from dataclasses import replace
+from fractions import Fraction
+from itertools import accumulate
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scorefeat.features.harmony import harmony_features
-from scorefeat.harmony import attach_annotations, parse_harmony_file
-from scorefeat.model import slice_window
+from scorefeat.harmony import HarmonicAnnotation, attach_annotations, parse_harmony_file
+from scorefeat.model import Score, slice_window
 from util import note, part, score
 
 TSV = "measure\tbeat\tlabel\tkey\n"
+
+_LABEL = HarmonicAnnotation(1, Fraction(0), "I", "C", "I", "major", 0, None, False)
+
+
+def alternating_score(measures: int) -> Score:
+    """No parts, 3/4 and 4/4 in turn in every measure, one annotation each."""
+    lengths = [Fraction(3 if m % 2 else 4) for m in range(1, measures + 1)]
+    return Score(
+        source_id="alternating", parts=(), num_measures=measures,
+        time_signatures=tuple((m, 3 if m % 2 else 4, 4) for m in range(1, measures + 1)),
+        measure_offsets=tuple(int(q) for q in accumulate([Fraction(0), *lengths[:-1]])),
+        ticks_per_quarter=1,
+        annotations=tuple(replace(_LABEL, measure_index=m) for m in range(1, measures + 1)))
 
 
 def annotated_score(rows, measures=4, sig=(4, 4)):
@@ -72,3 +92,43 @@ class TestHarmonyFeatures:
             for start in (1, 3, 5, 7)
         ]
         assert sum(parts) == whole
+
+
+@st.composite
+def signature_scores(draw):
+    """A score whose signatures stand at any measures, in any order, the
+    first at the first measure as ``Score`` requires."""
+    first = draw(st.integers(1, 4))
+    measures = draw(st.integers(1, 30))
+    sig = st.tuples(st.integers(1, 12), st.sampled_from([1, 2, 4, 8, 16]))
+    later = draw(st.lists(st.tuples(st.integers(first - 3, first + measures + 3), sig),
+                          max_size=8))
+    signatures = ((first, *draw(sig)), *((m, num, den) for m, (num, den) in later))
+    return Score(source_id="s", parts=(), num_measures=measures, time_signatures=signatures,
+                 measure_offsets=tuple(range(measures)), ticks_per_quarter=1,
+                 first_measure=first)
+
+
+class TestNominalQuarters:
+    @given(signature_scores())
+    def test_equals_the_sum_over_every_measure(self, s):
+        per_measure = sum(map(s.measure_quarters, s.measure_indices()), Fraction(0))
+        total = s.nominal_quarters()
+        assert type(total) is Fraction and total == per_measure
+
+    def test_beats_of_alternating_signatures(self):
+        out = harmony_features(alternating_score(5))
+        assert out["HarmonicRhythmPerBeat"] == 5 / (3 + 4 + 3 + 4 + 3)
+
+    def test_harmony_features_scale_linearly_in_measures(self):
+        def fastest(measures):
+            s = alternating_score(measures)
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                harmony_features(s)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        # linear code gives about 4; one scan of the signatures per measure, 16
+        assert fastest(12_000) / fastest(3_000) < 8

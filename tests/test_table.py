@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scorefeat.postprocess import MergeGroup, ProcessorConfig, process
 from scorefeat.table import FeatureTable, as_cell
-from util import csv_text, jsonl_text, rows_of, sorted_by, table_of
+from util import csv_text, jsonl_text, rows_of, table_of
 
 
 def reference_from_rows(records) -> tuple[list[str], list[list]]:
@@ -170,8 +170,3 @@ class TestProcessInput:
             drop_columns=["C"], replace_missing_with_zero=[".*"]))
         assert (list(t.columns), rows_of(t), t.num_rows) == before
 
-
-def test_sorted_by():
-    t = table_of(["F", "W"], [["b", 2], ["a", 1], ["b", 1]])
-    out = sorted_by(t, "F", "W")
-    assert rows_of(out) == [["a", 1], ["b", 1], ["b", 2]]

@@ -172,16 +172,6 @@ def rows_of(table: FeatureTable) -> list[list]:
     return [[cells[i] for cells in table.columns.values()] for i in range(table.num_rows)]
 
 
-def sorted_by(table: FeatureTable, *keys: str) -> FeatureTable:
-    """The table with its rows sorted on the ``keys`` columns, missing last."""
-    def key(i):
-        return tuple((table.columns[k][i] is None, table.columns[k][i]) for k in keys)
-
-    order = sorted(range(table.num_rows), key=key)
-    return FeatureTable({name: [cells[i] for i in order] for name, cells in table.columns.items()},
-                        table.num_rows)
-
-
 # ---------------------------------------------------------------------------
 # MusicXML builder (parser-independent)
 
